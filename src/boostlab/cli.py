@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -23,8 +22,8 @@ from .boosting import (BoostConfig, Classifier, ConfigError, ModelFormatError,
                        load_model, save_model, train, train_classifier)
 from .dataset import (CATEGORICAL, ColumnSchema, Dataset, DatasetError, _Dialect,
                       load_csv, retype_target)
-from .recipes import (RecipeError, available_recipes, load_known_columns,
-                      run_recipe)
+from .recipes import (RecipeError, _nan_to_none, available_recipes,
+                      load_known_columns, run_recipe)
 from .stats import StatsError
 
 VALIDATION_ERRORS = (DatasetError, ConfigError, StatsError, RecipeError)
@@ -56,16 +55,6 @@ def _schema_from_model(model) -> list[ColumnSchema]:
             schema.append(ColumnSchema(name, "numeric"))
             seen.add(name)
     return schema
-
-
-def _nan_to_none(obj):
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _nan_to_none(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_nan_to_none(v) for v in obj]
-    return obj
 
 
 def _write_result(result: dict, output: str | None, csv_table=None) -> None:

@@ -451,6 +451,11 @@ class BinnedDataset:
     boundaries[f] holds each bin's inclusive upper edge (last edge is the
     feature's maximum), so value v lands in the first bin with v <= edge.
     Missing values map to the reserved extra bin n_bins(f).
+
+    Derived at construction: bin_counts (n_bins per feature), hist_width (the
+    widest feature's bins plus its missing bin) and threshold_mask, which is
+    True at (feature, bin) when the bin's upper edge is a valid split
+    threshold, i.e. bin < n_bins(f) - 1.
     """
 
     source: Dataset
@@ -458,6 +463,16 @@ class BinnedDataset:
     bins: dict[str, np.ndarray]          # uint8/uint16 bin indices per feature
     boundaries: dict[str, np.ndarray]    # float64 upper edges per feature
     max_bins: int
+    bin_counts: np.ndarray = field(init=False, repr=False, compare=False)
+    hist_width: int = field(init=False, repr=False, compare=False)
+    threshold_mask: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.bin_counts = np.array([self.n_bins(n) for n in self.feature_names],
+                                   dtype=np.int64)
+        self.hist_width = int(self.bin_counts.max()) + 1
+        self.threshold_mask = (np.arange(self.hist_width - 1)[None, :]
+                               < (self.bin_counts - 1)[:, None])
 
     def n_bins(self, name: str) -> int:
         return len(self.boundaries[name])

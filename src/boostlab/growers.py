@@ -68,7 +68,6 @@ class SplitCandidate:
     left: NodeStats
     right: NodeStats
     default_left: bool
-    bin_threshold: int | None = None  # bin index when found on a histogram
 
 
 @dataclass
@@ -93,14 +92,10 @@ class Histogram:
                          int(self.count[fi].sum()))
 
 
-def _hist_width(binned: BinnedDataset) -> int:
-    return max(binned.n_bins(n) for n in binned.feature_names) + 1
-
-
 def build_histogram(indices: np.ndarray, binned: BinnedDataset,
                     g: np.ndarray, h: np.ndarray) -> Histogram:
     """Accumulate the node's gradient histogram (ascending instance order)."""
-    width = _hist_width(binned)
+    width = binned.hist_width
     m = len(binned.feature_names)
     sg = np.zeros((m, width))
     sh = np.zeros((m, width))
@@ -128,7 +123,7 @@ class HistogramBuilder:
     FLAT_LIMIT = 32768  # node_size * n_features below this uses the flat path
 
     def __init__(self, binned: BinnedDataset):
-        self.width = _hist_width(binned)
+        self.width = binned.hist_width
         self.m = len(binned.feature_names)
         self.n_rows = binned.n_rows
         offsets = (np.arange(self.m, dtype=np.int64) * self.width)[None, :]
@@ -177,99 +172,77 @@ class HistogramBuilder:
         return sg, sh, cnt
 
 
-def _scan_prefixes(GL, HL, CL, GR, HR, CR, gm, hm, cm, parent_term, lam, gamma,
-                   min_child_hessian):
-    """Best (gain, position, default_left) over candidate prefixes, trying the
-    missing-value block on both sides. Requires >= 1 non-missing instance per
-    side; ties between routings keep missing on the left."""
-    best = (-np.inf, -1, True)
-    base_valid = (CL >= 1) & (CR >= 1)
-    for missing_left in (True, False):
-        if missing_left:
-            gl, hl, cl = GL + gm, HL + hm, CL + cm
-            gr, hr, cr = GR, HR, CR
-        else:
-            gl, hl, cl = GL, HL, CL
-            gr, hr, cr = GR + gm, HR + hm, CR + cm
-        dl = hl + lam
-        dr = hr + lam
-        valid = base_valid & (dl > 0) & (dr > 0) \
-            & (hl >= min_child_hessian) & (hr >= min_child_hessian)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (gl * gl / dl + gr * gr / dr - parent_term) - gamma
-        gains = np.where(valid, gains, -np.inf)
-        if not gains.size:
-            continue
-        pos = int(np.argmax(gains))  # first max -> lowest threshold
-        gain = float(gains[pos])
-        # strict inequality keeps the left routing on ties
-        if gain > best[0]:
-            best = (gain, pos, missing_left)
-    return best
+def _prefix_tables(sum_g, sum_h, count, nb: np.ndarray):
+    """Cumulative bin prefixes over the last axis plus the missing-bin stats.
 
-
-def _feature_bin_meta(binned: BinnedDataset):
-    """Cached per-feature bin counts and a (m, W-1) valid-threshold mask."""
-    cached = getattr(binned, "_split_meta", None)
-    if cached is not None:
-        return cached
-    nb = np.array([binned.n_bins(n) for n in binned.feature_names], dtype=np.int64)
-    width = _hist_width(binned)
-    valid = np.arange(width - 1)[None, :] < (nb - 1)[:, None]
-    meta = (nb, valid)
-    binned._split_meta = meta
-    return meta
-
-
-def _prefix_tables(hist: Histogram, nb: np.ndarray):
-    """Cumulative non-missing prefixes per (feature, bin) plus missing stats."""
-    m, width = hist.sum_g.shape
-    rows = np.arange(m)
-    gm = hist.sum_g[rows, nb]
-    hm = hist.sum_h[rows, nb]
-    cm = hist.count[rows, nb]
-    ag = hist.sum_g.copy()
-    ah = hist.sum_h.copy()
-    ac = hist.count.astype(np.float64)
-    ag[rows, nb] = 0.0
-    ah[rows, nb] = 0.0
-    ac[rows, nb] = 0.0
-    GL = np.cumsum(ag, axis=1)[:, :-1]
-    HL = np.cumsum(ah, axis=1)[:, :-1]
-    CL = np.cumsum(ac, axis=1)[:, :-1]
+    Arrays are (..., m, width); prefix j sums bins 0..j. The missing bin nb[f]
+    lies past every valid threshold (j < nb[f] - 1), so it never enters a
+    valid prefix and needs no masking here.
+    """
+    rows = np.arange(len(nb))
+    gm = sum_g[..., rows, nb]
+    hm = sum_h[..., rows, nb]
+    cm = count[..., rows, nb]
+    GL = np.cumsum(sum_g, axis=-1)[..., :-1]
+    HL = np.cumsum(sum_h, axis=-1)[..., :-1]
+    CL = np.cumsum(count, axis=-1)[..., :-1]
     return GL, HL, CL, gm, hm, cm
 
 
-def _routed_gains(GL, HL, CL, GR, HR, CR, gm, hm, cm, parent_term, lam, gamma,
+def _routing_gains(GL, HL, CL, GR, HR, CR, gm, hm, cm, parent_term, lam, gamma):
+    """Split gain of every prefix under each missing-value routing.
+
+    Yields (missing_left, hl, hr, gains) for missing-left, then missing-right.
+    Inputs are non-missing prefix/suffix sums of shape (..., n_thresholds);
+    gm/hm/cm and parent_term broadcast against them. A side's squared term is
+    zero where that side is empty or its denominator is nonpositive.
+    """
+    for missing_left in (True, False):
+        if missing_left:
+            gl, hl, cl, gr, hr, cr = GL + gm, HL + hm, CL + cm, GR, HR, CR
+        else:
+            gl, hl, cl, gr, hr, cr = GL, HL, CL, GR + gm, HR + hm, CR + cm
+        dl = hl + lam
+        dr = hr + lam
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tl = np.where((cl > 0) & (dl > 0), gl * gl / dl, 0.0)
+            tr = np.where((cr > 0) & (dr > 0), gr * gr / dr, 0.0)
+        yield missing_left, hl, hr, 0.5 * (tl + tr - parent_term) - gamma
+
+
+def _best_routing(GL, HL, CL, GR, HR, CR, gm, hm, cm, parent_term, lam, gamma,
                   min_child_hessian, valid):
     """Elementwise best gain over the two missing routings (ties keep left).
 
-    Inputs are (..., n_thresholds) arrays; gm/hm/cm broadcast per feature or
-    leaf. Returns (gains, missing_left) arrays of the same shape.
+    A cell is -inf unless it is valid, each side has a non-missing instance,
+    and both sides have a positive denominator and min_child_hessian.
+    Returns (gains, missing_left) arrays shaped like GL.
     """
-    out_gain = None
-    out_left = None
-    for missing_left in (True, False):
-        if missing_left:
-            gl, hl, cl = GL + gm, HL + hm, CL + cm
-            gr, hr, cr = GR, HR, CR
-        else:
-            gl, hl, cl = GL, HL, CL
-            gr, hr, cr = GR + gm, HR + hm, CR + cm
-        dl = hl + lam
-        dr = hr + lam
-        ok = valid & (dl > 0) & (dr > 0) & (hl >= min_child_hessian) & (hr >= min_child_hessian)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (gl * gl / dl + gr * gr / dr - parent_term) - gamma
+    valid = valid & (CL >= 1) & (CR >= 1)
+    best_gain = best_left = None
+    for missing_left, hl, hr, gains in _routing_gains(
+            GL, HL, CL, GR, HR, CR, gm, hm, cm, parent_term, lam, gamma):
+        ok = valid & (hl + lam > 0) & (hr + lam > 0) \
+            & (hl >= min_child_hessian) & (hr >= min_child_hessian)
         gains = np.where(ok, gains, -np.inf)
-        if out_gain is None:
-            out_gain = gains
-            out_left = np.ones(gains.shape, dtype=bool)
+        if best_gain is None:
+            best_gain, best_left = gains, np.ones(gains.shape, dtype=bool)
         else:
-            better = gains > out_gain  # strict: ties keep the left routing
-            out_gain = np.where(better, gains, out_gain)
-            out_left = ~better & out_left
-    return out_gain, out_left
+            better = gains > best_gain  # strict: ties keep the left routing
+            best_gain = np.where(better, gains, best_gain)
+            best_left = ~better
+    return best_gain, best_left
+
+
+def _candidate(fi, threshold, gain, pos, GL, HL, CL, GR, HR, CR, miss, default_left):
+    """SplitCandidate at prefix `pos`, the missing stats joined to their side."""
+    left = NodeStats(float(GL[pos]), float(HL[pos]), int(CL[pos]))
+    right = NodeStats(float(GR[pos]), float(HR[pos]), int(CR[pos]))
+    if default_left:
+        left = left + miss
+    else:
+        right = right + miss
+    return SplitCandidate(fi, threshold, gain, left, right, default_left)
 
 
 def find_best_split_histogram(hist: Histogram, parent: NodeStats, binned: BinnedDataset,
@@ -281,36 +254,26 @@ def find_best_split_histogram(hist: Histogram, parent: NodeStats, binned: Binned
     feature index, then the lowest threshold. Returns None when no candidate
     has positive gain. Requires at least one non-missing instance per side.
     """
-    nb, valid = _feature_bin_meta(binned)
     dparent = parent.sum_h + lam
     parent_term = parent.sum_g ** 2 / dparent if dparent > 0 else 0.0
-    GL, HL, CL, gm, hm, cm = _prefix_tables(hist, nb)
-    tg = parent.sum_g - gm
-    th = parent.sum_h - hm
-    tc = parent.count - cm
-    GR = tg[:, None] - GL
-    HR = th[:, None] - HL
-    CR = tc[:, None] - CL
-    base_valid = valid & (CL >= 1) & (CR >= 1)
-    gains, missing_left = _routed_gains(
+    GL, HL, CL, gm, hm, cm = _prefix_tables(hist.sum_g, hist.sum_h, hist.count,
+                                            binned.bin_counts)
+    GR = (parent.sum_g - gm)[:, None] - GL
+    HR = (parent.sum_h - hm)[:, None] - HL
+    CR = (parent.count - cm)[:, None] - CL
+    gains, missing_left = _best_routing(
         GL, HL, CL, GR, HR, CR, gm[:, None], hm[:, None], cm[:, None],
-        parent_term, lam, gamma, min_child_hessian, base_valid)
+        parent_term, lam, gamma, min_child_hessian, binned.threshold_mask)
     flat = int(np.argmax(gains))  # row-major: lowest feature, then lowest bin
     fi, pos = divmod(flat, gains.shape[1])
     gain = float(gains[fi, pos])
     if not np.isfinite(gain) or gain <= 0.0:
         return None
-    left = NodeStats(float(GL[fi, pos]), float(HL[fi, pos]), int(CL[fi, pos]))
-    right = NodeStats(float(GR[fi, pos]), float(HR[fi, pos]), int(CR[fi, pos]))
     miss = NodeStats(float(gm[fi]), float(hm[fi]), int(cm[fi]))
-    default_left = bool(missing_left[fi, pos])
-    if default_left:
-        left = left + miss
-    else:
-        right = right + miss
     name = binned.feature_names[fi]
-    return SplitCandidate(fi, float(binned.boundaries[name][pos]), gain,
-                          left, right, default_left, bin_threshold=pos)
+    return _candidate(fi, float(binned.boundaries[name][pos]), gain, pos,
+                      GL[fi], HL[fi], CL[fi], GR[fi], HR[fi], CR[fi], miss,
+                      bool(missing_left[fi, pos]))
 
 
 def find_best_split_presorted(indices: np.ndarray, ds, g: np.ndarray, h: np.ndarray,
@@ -346,27 +309,34 @@ def find_best_split_presorted(indices: np.ndarray, ds, g: np.ndarray, h: np.ndar
         GR = cg[-1] - GL
         HR = ch[-1] - HL
         CR = len(sv) - CL
-        gm = float(g[indices][miss].sum())
-        hm = float(h[indices][miss].sum())
-        cm = int(miss.sum())
-        gain, pos, missing_left = _scan_prefixes(
-            GL, HL, CL, GR, HR, CR, gm, hm, cm, parent_term, lam, gamma,
-            min_child_hessian)
-        if pos < 0 or not np.isfinite(gain):
+        missing = NodeStats(float(g[indices][miss].sum()), float(h[indices][miss].sum()),
+                            int(miss.sum()))
+        gains, missing_left = _best_routing(
+            GL, HL, CL, GR, HR, CR, missing.sum_g, missing.sum_h, missing.count,
+            parent_term, lam, gamma, min_child_hessian, True)
+        pos = int(np.argmax(gains))  # first max -> lowest threshold
+        gain = float(gains[pos])
+        if not np.isfinite(gain):
             continue
         if best is None or gain > best.gain:
             thr = float((sv[cut[pos]] + sv[cut[pos] + 1]) / 2.0)
-            left = NodeStats(float(GL[pos]), float(HL[pos]), int(CL[pos]))
-            right = NodeStats(float(GR[pos]), float(HR[pos]), int(CR[pos]))
-            missing = NodeStats(gm, hm, cm)
-            if missing_left:
-                left = left + missing
-            else:
-                right = right + missing
-            best = SplitCandidate(fi, thr, gain, left, right, missing_left)
+            best = _candidate(fi, thr, gain, pos, GL, HL, CL, GR, HR, CR, missing,
+                              bool(missing_left[pos]))
     if best is None or best.gain <= 0.0:
         return None
     return best
+
+
+def _goes_left(v: np.ndarray, threshold: float, default_left: bool) -> np.ndarray:
+    """The routing rule everywhere: v <= threshold, NaN takes the default side.
+
+    Histogram thresholds are bin upper edges and bin codes come from
+    searchsorted(side="left"), so on raw values this reproduces the bins.
+    """
+    go_left = v <= threshold
+    if default_left:
+        go_left |= np.isnan(v)
+    return go_left
 
 
 @dataclass
@@ -410,11 +380,7 @@ class DecisionTree:
             # balanced tree: route all rows by bit arithmetic, no partitioning
             pos = np.zeros(len(X), dtype=np.int64)
             for fi, thr, default_left in self.level_splits:
-                v = X[:, fi]
-                go_left = v <= thr
-                if default_left:
-                    go_left |= np.isnan(v)
-                pos = 2 * pos + (~go_left)
+                pos = 2 * pos + (~_goes_left(X[:, fi], thr, default_left))
             return self.leaf_weight_vector()[pos]
         out = np.empty(len(X))
         stack = [(0, np.arange(len(X)))]
@@ -424,11 +390,7 @@ class DecisionTree:
             if node.is_leaf:
                 out[idx] = node.weight
                 continue
-            v = X[idx, node.feature]
-            nan = np.isnan(v)
-            go_left = (v <= node.threshold)
-            if node.default_left:
-                go_left |= nan
+            go_left = _goes_left(X[idx, node.feature], node.threshold, node.default_left)
             stack.append((node.left, idx[go_left]))
             stack.append((node.right, idx[~go_left]))
         return out
@@ -445,20 +407,9 @@ class DecisionTree:
 
 
 def _partition(indices: np.ndarray, binned: BinnedDataset, cand: SplitCandidate):
-    """Split a node's instances by bin index (missing bin follows default_left)."""
-    name = binned.feature_names[cand.feature]
-    codes = binned.bins[name][indices]
-    if cand.bin_threshold is not None:
-        go_left = codes <= cand.bin_threshold
-        missing = codes == binned.missing_bin(name)
-    else:
-        v = binned.source.column(name)[indices]
-        missing = np.isnan(v)
-        go_left = v <= cand.threshold
-    if cand.default_left:
-        go_left = go_left | missing
-    else:
-        go_left = go_left & ~missing
+    """Split a node's instances by raw value (NaN follows default_left)."""
+    v = binned.source.column(binned.feature_names[cand.feature])[indices]
+    go_left = _goes_left(v, cand.threshold, cand.default_left)
     return indices[go_left], indices[~go_left]
 
 
@@ -575,30 +526,16 @@ def grow_leaf_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
 
 
 def _oblivious_candidates(stacked, leaf_stats, binned, lam, gamma):
-    """Total gain across all leaves for every (feature, bin, routing).
+    """Total gain across all leaves for every (feature, bin), per routing.
 
     A leaf whose split is degenerate at some threshold (an empty side, or a
     nonpositive denominator) still contributes 0.5 * 0 - gamma there: the same
-    formula with the offending squared terms forced to zero. Takes freshly
-    stacked (L, m, W) arrays (consumed in place); returns per-routing
-    (totals, per_leaf_gains) arrays of shape (m, n_thr) and (L, m, n_thr).
+    formula with the offending squared terms forced to zero. Takes stacked
+    (L, m, W) arrays; yields (missing_left, totals, per_leaf_gains) with
+    arrays of shape (m, n_thr) and (L, m, n_thr), missing-left first.
     """
-    nb, valid = _feature_bin_meta(binned)
-    SG, SH, CN = stacked
-    L, m, width = SG.shape
-    rows = np.arange(m)
-    gm = SG[:, rows, nb].copy()                # (L, m)
-    hm = SH[:, rows, nb].copy()
-    cm = CN[:, rows, nb].copy()
-    SG[:, rows, nb] = 0.0
-    SH[:, rows, nb] = 0.0
-    CN[:, rows, nb] = 0.0
-    GL = np.cumsum(SG, axis=2)[:, :, :-1]      # (L, m, W-1)
-    HL = np.cumsum(SH, axis=2)[:, :, :-1]
-    CL = np.cumsum(CN, axis=2)[:, :, :-1]
-    SG[:, rows, nb] = gm                       # restore; callers keep the stack
-    SH[:, rows, nb] = hm
-    CN[:, rows, nb] = cm
+    valid = binned.threshold_mask
+    GL, HL, CL, gm, hm, cm = _prefix_tables(*stacked, binned.bin_counts)
     pg = np.array([s.sum_g for s in leaf_stats])
     ph = np.array([s.sum_h for s in leaf_stats])
     pc = np.array([s.count for s in leaf_stats], dtype=np.float64)
@@ -608,25 +545,11 @@ def _oblivious_candidates(stacked, leaf_stats, binned, lam, gamma):
     GR = (pg[:, None] - gm)[:, :, None] - GL
     HR = (ph[:, None] - hm)[:, :, None] - HL
     CR = (pc[:, None] - cm)[:, :, None] - CL
-    out = []
-    for missing_left in (True, False):
-        if missing_left:
-            gl, hl, cl = GL + gm[:, :, None], HL + hm[:, :, None], CL + cm[:, :, None]
-            gr, hr, cr = GR, HR, CR
-        else:
-            gl, hl, cl = GL, HL, CL
-            gr, hr, cr = GR + gm[:, :, None], HR + hm[:, :, None], CR + cm[:, :, None]
-        dl = hl + lam
-        dr = hr + lam
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tl = np.where((cl > 0) & (dl > 0), gl * gl / dl, 0.0)
-            tr = np.where((cr > 0) & (dr > 0), gr * gr / dr, 0.0)
-        gains = 0.5 * (tl + tr - parent_term[:, None, None]) - gamma
-        gains = np.where(valid[None, :, :], gains, 0.0)
-        totals = gains.sum(axis=0)
-        totals = np.where(valid, totals, -np.inf)
-        out.append((totals, gains))
-    return out
+    for missing_left, _, _, gains in _routing_gains(
+            GL, HL, CL, GR, HR, CR, gm[:, :, None], hm[:, :, None], cm[:, :, None],
+            parent_term[:, None, None], lam, gamma):
+        gains = np.where(valid, gains, 0.0)
+        yield missing_left, np.where(valid, gains.sum(axis=0), -np.inf), gains
 
 
 def _level_histograms(hist_fn, indices, leaf_pos, n_leaves, binned, g, h):
@@ -643,7 +566,14 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
                    h: np.ndarray, config, hist_fn=build_histogram) -> DecisionTree:
     """One shared (feature, threshold) per level, chosen to maximize the sum of
     split gains over all current leaves; every leaf is split by it, so the tree
-    has exactly 2^depth leaves (empty leaves get weight 0)."""
+    has exactly 2^depth leaves (empty leaves get weight 0).
+
+    Ties break toward the lowest feature, then the lowest threshold, within
+    each missing-value routing. The two routings are compared as wholes, so a
+    missing-right candidate must strictly beat the best missing-left total.
+    Like CatBoost's symmetric trees, this grower does not apply
+    min_child_hessian.
+    """
     lam, gamma = config.lambda_, config.gamma
     leaf_pos = np.zeros(len(indices), dtype=np.int64)
     n_leaves = 1
@@ -659,8 +589,8 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         leaf_stats = [NodeStats(float(sum_g[p]), float(sum_h[p]), int(counts[p]))
                       for p in range(n_leaves)]
         best = None  # (total, fi, pos, missing_left, per_leaf_gains)
-        scans = _oblivious_candidates(stacked, leaf_stats, binned, lam, gamma)
-        for missing_left, (totals, gains) in zip((True, False), scans):
+        for missing_left, totals, gains in _oblivious_candidates(
+                stacked, leaf_stats, binned, lam, gamma):
             flat = int(np.argmax(totals))  # row-major: lowest feature, lowest bin
             fi, pos = divmod(flat, totals.shape[1])
             total = float(totals[fi, pos])
@@ -674,13 +604,7 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         total, fi, pos, missing_left, gains_here = best
         name = binned.feature_names[fi]
         thr = float(binned.boundaries[name][pos])
-        codes = binned.bins[name][indices]
-        go_left = codes <= pos
-        is_missing = codes == binned.missing_bin(name)
-        if missing_left:
-            go_left = go_left | is_missing
-        else:
-            go_left = go_left & ~is_missing
+        go_left = _goes_left(binned.source.column(name)[indices], thr, missing_left)
         new_leaf_pos = 2 * leaf_pos + (~go_left).astype(np.int64)
         level_splits.append((fi, thr, missing_left))
         level_gains.append(gains_here)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import BinnedDataset, Dataset
-from .growers import Histogram, _hist_width
+from .growers import Histogram
 
 
 @dataclass
@@ -320,7 +320,7 @@ class BundledHistograms:
         tot_g = np.bincount(leaf_pos, weights=gi, minlength=n_leaves)
         tot_h = np.bincount(leaf_pos, weights=hi, minlength=n_leaves)
         tot_c = np.bincount(leaf_pos, minlength=n_leaves).astype(np.float64)
-        width = _hist_width(self.binned)
+        width = self.binned.hist_width
         m = len(self.binned.feature_names)
         sg = np.zeros((n_leaves, m, width))
         sh = np.zeros((n_leaves, m, width))
@@ -333,7 +333,7 @@ class BundledHistograms:
         total_g = float(g[indices].sum())
         total_h = float(h[indices].sum())
         total_c = len(indices)
-        width = _hist_width(self.binned)
+        width = self.binned.hist_width
         m = len(self.binned.feature_names)
         sg = np.zeros((1, m, width))
         sh = np.zeros((1, m, width))

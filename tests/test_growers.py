@@ -220,6 +220,25 @@ class TestHistogramFinder:
         assert cand.gain == pytest.approx(oracle[2], rel=1e-12)
         assert cand.left.count == 2 and cand.right.count == 4
 
+    def test_tied_routings_agree_across_finders(self):
+        # threshold 1.0 with missing right and 2.5 with missing left tie on
+        # gain; every finder must take the lower threshold
+        x = np.array([2.0, 2.0, 0.0, np.nan, 3.0, 2.0])
+        g = np.array([1.0, 0.0, 1.0, 0.0, 1.0, -2.0])
+        h = np.ones(6)
+        ds = make_dataset({"x0": x})
+        b = bin_features(ds, max_bins=256)
+        idx = np.arange(6)
+        hist = build_histogram(idx, b, g, h)
+        cand_h = find_best_split_histogram(hist, node_stats(idx, g, h), b, 1.0, 0.0)
+        cand_p = find_best_split_presorted(idx, ds, g, h, 1.0, 0.0)
+        oracle = brute_force_best_split(x[:, None], g, h, 1.0, 0.0)
+        assert (oracle[1], oracle[3]) == (pytest.approx(1.0), False)
+        for cand in (cand_h, cand_p):
+            assert cand.threshold == pytest.approx(oracle[1], abs=1e-12)
+            assert cand.default_left is oracle[3]
+            assert cand.gain == pytest.approx(oracle[2], rel=1e-12)
+
     def test_min_child_hessian_rejects(self):
         ds = make_dataset({"x0": [1.0, 2.0]})
         b = bin_features(ds, max_bins=4)
@@ -483,3 +502,21 @@ class TestArgmaxContract:
             assert cand_b.threshold == pytest.approx(oracle[1], abs=1e-12)
             assert cand_p.gain == pytest.approx(oracle[2], rel=1e-10)
             assert cand_b.gain == pytest.approx(oracle[2], rel=1e-10)
+
+
+def test_binned_dataset_is_not_mutated(rng):
+    X = rng.normal(size=(80, 3))
+    X[rng.random((80, 3)) < 0.1] = np.nan
+    b = bin_features(feature_dataset(X), max_bins=16)
+    g = rng.normal(size=80)
+    h = rng.uniform(0.5, 1.5, size=80)
+    idx = np.arange(80)
+    before = dict(vars(b))
+    find_best_split_histogram(build_histogram(idx, b, g, h), node_stats(idx, g, h),
+                              b, 1.0, 0.0)
+    grow_level_wise(idx, b, g, h, config(max_depth=3))
+    grow_leaf_wise(idx, b, g, h, config(max_depth=3, max_leaves=5))
+    grow_oblivious(idx, b, g, h, config(max_depth=3))
+    after = vars(b)
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
