@@ -124,13 +124,13 @@ class BoostConfig:
             raise ConfigError("n_trees must be >= 0")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ConfigError("learning_rate must be in (0, 1]")
-        if self.lambda_ < 0 or self.gamma < 0:
+        if not (self.lambda_ >= 0 and self.gamma >= 0):  # NaN fails too
             raise ConfigError("lambda_ and gamma must be >= 0")
         if self.max_depth < 1:
             raise ConfigError("max_depth must be >= 1")
         if self.max_leaves is not None and self.max_leaves < 2:
             raise ConfigError("max_leaves must be >= 2")
-        if self.min_child_hessian < 0:
+        if not self.min_child_hessian >= 0:
             raise ConfigError("min_child_hessian must be >= 0")
         if self.max_bins < 2:
             raise ConfigError("max_bins must be >= 2")
@@ -255,6 +255,8 @@ def train(ds: Dataset, config: BoostConfig) -> Ensemble:
     y = np.asarray(ds.columns[tname], dtype=np.float64)
     if np.isnan(y).any():
         raise DatasetError("target column contains missing values")
+    if np.isinf(y).any():
+        raise DatasetError("target column contains infinite values")
 
     feat_ds, levels = _encode_features(ds.select_columns(
         [c.name for c in ds.schema if c.kind != "target"]))

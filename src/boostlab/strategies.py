@@ -215,162 +215,132 @@ class BundledHistograms:
 
     Each multi-member bundle gets one code array: bin 0 collects rows where
     every member sits in its own zero bin, the rest are the members' nonzero
-    bins laid out consecutively. A node histogram is accumulated per bundle
-    and unpacked back to per-feature histograms, recovering each member's zero
-    bin as node total minus its nonzero bins. For conflict-free bundles this
-    reproduces direct per-feature accumulation exactly.
+    bins laid out consecutively (on a conflicting row the earlier member wins,
+    as in efb_encode). Accumulation units (singleton features and bundles)
+    share one flat bin space; small nodes fold all units into a single
+    bincount, large nodes run one bincount per unit over its contiguous code
+    array. Either way every bin sums its rows in ascending instance order.
 
-    Accumulation units (singleton features and bundles) share one flat bin
-    space; small nodes fold all units into a single bincount.
+    Extraction back to the per-feature layout follows a gather map built at
+    construction: singleton bins and members' nonzero bins are copied with
+    one fancy index, and each member's zero bin is the leaf total minus the
+    sum of the member's nonzero bins. Segments of equal length are summed
+    together with numpy's own reduction, so each zero bin carries the same
+    bits as summing that segment alone. The leaf totals keep each entry
+    point's order: __call__ uses g[indices].sum() (pairwise), level_histograms
+    np.bincount over leaf_pos (sequential). For conflict-free bundles the
+    result equals direct per-feature accumulation.
     """
 
     FLAT_LIMIT = 32768
 
     def __init__(self, binned: BinnedDataset, bundles: list[FeatureBundle]):
         self.binned = binned
-        self.singles = []  # (fi, name, offset, nb_with_missing)
-        self.plans = []    # (offset, bwidth, segments); segment = (fi, default_bin, nb, base)
-        self.unit_spans = []  # (offset, width) per accumulation unit
+        self.n_rows = binned.n_rows
+        self.m = len(binned.feature_names)
+        self.width = binned.hist_width
         columns = []
+        copy_dst, copy_src = [], []   # feature-layout cell <- unit-space cell
+        zero_bins = {}                # segment length -> (zero-bin cells, segment starts)
         offset = 0
         for bd in bundles:
             if len(bd.members) < 2:
                 for fi in bd.members:
                     name = binned.feature_names[fi]
-                    nb = binned.n_bins(name) + 1
-                    self.singles.append((fi, name, offset, nb))
-                    self.unit_spans.append((offset, nb))
-                    columns.append(binned.bins[name].astype(np.int64) + offset)
-                    offset += nb
+                    cells = np.arange(binned.n_bins(name) + 1)
+                    copy_dst.append(fi * self.width + cells)
+                    copy_src.append(offset + cells)
+                    columns.append((offset + cells)[binned.bins[name]])
+                    offset += len(cells)
                 continue
-            segments = []
-            bwidth = 1
-            codes = np.zeros(binned.n_rows, dtype=np.int64)
-            unassigned = np.ones(binned.n_rows, dtype=bool)
+            members = []
+            base = offset + 1
             for fi in bd.members:
                 name = binned.feature_names[fi]
                 nb = binned.n_bins(name)
                 default_bin = int(np.searchsorted(binned.boundaries[name], 0.0, side="left"))
                 default_bin = min(default_bin, nb - 1)
-                fc = binned.bins[name].astype(np.int64)
-                local = np.where(fc > default_bin, fc - 1, fc)
-                take = unassigned & (fc != default_bin)
-                codes[take] = bwidth + local[take]
-                unassigned &= ~take
-                segments.append((fi, default_bin, nb, bwidth))
-                bwidth += nb - 1
-            self.plans.append((offset, bwidth, segments))
-            self.unit_spans.append((offset, bwidth))
-            columns.append(codes + offset)
-            offset += bwidth
+                cells = np.arange(nb)
+                lut = base + cells - (cells > default_bin)
+                copy_dst.append(fi * self.width + np.delete(cells, default_bin))
+                copy_src.append(np.delete(lut, default_bin))
+                dsts, starts = zero_bins.setdefault(nb - 1, ([], []))
+                dsts.append(fi * self.width + default_bin)
+                starts.append(base)
+                members.append((binned.bins[name], default_bin, lut))
+                base += nb - 1
+            codes = np.full(self.n_rows, offset, dtype=np.int64)
+            for fc, default_bin, lut in reversed(members):  # earlier members win
+                codes = np.where(fc != default_bin, lut[fc], codes)
+            columns.append(codes)
+            offset = base
         self.total_width = offset
         self.n_units = len(columns)
-        self.n_rows = binned.n_rows
-        self.unit_codes = [np.ascontiguousarray(c) for c in columns]
-        self.flat = np.column_stack(columns) if columns else np.zeros((binned.n_rows, 0),
-                                                                      dtype=np.int64)
+        self.unit_codes = columns
+        self.flat = np.column_stack(columns)
+        self.copy_dst = np.concatenate(copy_dst)
+        self.copy_src = np.concatenate(copy_src)
+        self.zero_bins = [(np.array(dsts), np.array(starts)[:, None] + np.arange(k))
+                          for k, (dsts, starts) in sorted(zero_bins.items())]
 
-    def _accumulate(self, indices, g, h):
-        gi = g[indices]
-        hi = h[indices]
+    def _unit_sums(self, indices, leaf_pos, n_leaves, gi, hi):
+        """(3, n_leaves, total_width) sums of g, h and row counts per unit bin.
+
+        leaf_pos is ignored when n_leaves is 1.
+        """
+        tw = self.total_width
+        size = n_leaves * tw
         if len(indices) * self.n_units <= self.FLAT_LIMIT:
-            fc = self.flat[indices].ravel()
-            gr = np.repeat(gi, self.n_units)
-            hr = np.repeat(hi, self.n_units)
-            acc_g = np.bincount(fc, weights=gr, minlength=self.total_width)
-            acc_h = np.bincount(fc, weights=hr, minlength=self.total_width)
-            acc_c = np.bincount(fc, minlength=self.total_width)
-            return acc_g, acc_h, acc_c
-        acc_g = np.zeros(self.total_width)
-        acc_h = np.zeros(self.total_width)
-        acc_c = np.zeros(self.total_width, dtype=np.int64)
-        for u, (offset, uw) in enumerate(self.unit_spans):
-            codes = self.flat[indices, u] - offset
-            acc_g[offset:offset + uw] = np.bincount(codes, weights=gi, minlength=uw)
-            acc_h[offset:offset + uw] = np.bincount(codes, weights=hi, minlength=uw)
-            acc_c[offset:offset + uw] = np.bincount(codes, minlength=uw)
-        return acc_g, acc_h, acc_c
+            codes = self.flat[indices]
+            if n_leaves > 1:
+                codes = codes + (leaf_pos.astype(np.int64) * tw)[:, None]
+            codes = codes.ravel()
+            acc = np.stack([
+                np.bincount(codes, weights=np.repeat(gi, self.n_units), minlength=size),
+                np.bincount(codes, weights=np.repeat(hi, self.n_units), minlength=size),
+                np.bincount(codes, minlength=size)])
+        else:
+            full = len(indices) == self.n_rows  # growers keep indices sorted unique
+            base = leaf_pos.astype(np.int64) * tw if n_leaves > 1 else None
+            acc = np.zeros((3, size))
+            for uc in self.unit_codes:
+                codes = uc if full else uc[indices]
+                if base is not None:
+                    codes = codes + base
+                acc[0] += np.bincount(codes, weights=gi, minlength=size)
+                acc[1] += np.bincount(codes, weights=hi, minlength=size)
+                acc[2] += np.bincount(codes, minlength=size)
+        return acc.reshape(3, n_leaves, tw)
+
+    def _unpack(self, acc, totals):
+        """(3, L, m, width) per-feature histograms from unit sums and (3, L) leaf totals."""
+        lead = acc.shape[:2]
+        out = np.zeros(lead + (self.m * self.width,))
+        out[..., self.copy_dst] = np.take(acc, self.copy_src, axis=-1)
+        for dst, segments in self.zero_bins:
+            # np.take gives a C-ordered gather, so sum() reduces each segment
+            # along a contiguous axis, in the order seg.sum() would
+            out[..., dst] = totals[..., None] - np.take(acc, segments, axis=-1).sum(axis=-1)
+        return out.reshape(lead + (self.m, self.width))
 
     def level_histograms(self, indices, leaf_pos, n_leaves, binned, g, h):
         """Stacked (n_leaves, m, width) extracted histograms for one level."""
-        full = len(indices) == self.n_rows  # growers keep indices sorted unique
-        gi = g if full else g[indices]
-        hi = h if full else h[indices]
-        tw = self.total_width
-        base = leaf_pos.astype(np.int64) * tw
-        size = n_leaves * tw
-        if len(indices) * self.n_units <= self.FLAT_LIMIT:
-            fc = (self.flat[indices] + base[:, None]).ravel()
-            acc_g = np.bincount(fc, weights=np.repeat(gi, self.n_units), minlength=size)
-            acc_h = np.bincount(fc, weights=np.repeat(hi, self.n_units), minlength=size)
-            acc_c = np.bincount(fc, minlength=size).astype(np.float64)
-        else:
-            acc_g = np.zeros(size)
-            acc_h = np.zeros(size)
-            acc_c = np.zeros(size)
-            for u in range(self.n_units):
-                uc = self.unit_codes[u] if full else self.unit_codes[u][indices]
-                codes = base + uc
-                acc_g += np.bincount(codes, weights=gi, minlength=size)
-                acc_h += np.bincount(codes, weights=hi, minlength=size)
-                acc_c += np.bincount(codes, minlength=size)
-        acc_g = acc_g.reshape(n_leaves, tw)
-        acc_h = acc_h.reshape(n_leaves, tw)
-        acc_c = acc_c.reshape(n_leaves, tw)
-        tot_g = np.bincount(leaf_pos, weights=gi, minlength=n_leaves)
-        tot_h = np.bincount(leaf_pos, weights=hi, minlength=n_leaves)
-        tot_c = np.bincount(leaf_pos, minlength=n_leaves).astype(np.float64)
-        width = self.binned.hist_width
-        m = len(self.binned.feature_names)
-        sg = np.zeros((n_leaves, m, width))
-        sh = np.zeros((n_leaves, m, width))
-        cnt = np.zeros((n_leaves, m, width))
-        self._extract_into(sg, sh, cnt, acc_g, acc_h, acc_c, tot_g, tot_h, tot_c)
+        gi = g[indices]
+        hi = h[indices]
+        acc = self._unit_sums(indices, leaf_pos, n_leaves, gi, hi)
+        totals = np.stack([np.bincount(leaf_pos, weights=gi, minlength=n_leaves),
+                           np.bincount(leaf_pos, weights=hi, minlength=n_leaves),
+                           np.bincount(leaf_pos, minlength=n_leaves)])
+        sg, sh, cnt = self._unpack(acc, totals)
         return sg, sh, cnt
 
     def __call__(self, indices, binned, g, h) -> Histogram:
-        acc_g, acc_h, acc_c = self._accumulate(indices, g, h)
-        total_g = float(g[indices].sum())
-        total_h = float(h[indices].sum())
-        total_c = len(indices)
-        width = self.binned.hist_width
-        m = len(self.binned.feature_names)
-        sg = np.zeros((1, m, width))
-        sh = np.zeros((1, m, width))
-        cnt = np.zeros((1, m, width))
-        self._extract_into(sg, sh, cnt, acc_g[None, :], acc_h[None, :],
-                           np.asarray(acc_c, dtype=np.float64)[None, :],
-                           np.array([total_g]), np.array([total_h]),
-                           np.array([float(total_c)]))
-        return Histogram(sg[0], sh[0], cnt[0].astype(np.int64))
-
-    def _extract_into(self, sg, sh, cnt, acc_g, acc_h, acc_c, tot_g, tot_h, tot_c):
-        """Unpack unit accumulators (L, total_width) into per-feature layout.
-
-        Member zero bins are recovered by subtraction from the leaf totals;
-        for conflict-free bundles this equals direct accumulation.
-        """
-        for fi, name, offset, nb in self.singles:
-            sg[:, fi, :nb] = acc_g[:, offset:offset + nb]
-            sh[:, fi, :nb] = acc_h[:, offset:offset + nb]
-            cnt[:, fi, :nb] = acc_c[:, offset:offset + nb]
-        for offset, bwidth, segments in self.plans:
-            bg = acc_g[:, offset:offset + bwidth]
-            bh = acc_h[:, offset:offset + bwidth]
-            bc = acc_c[:, offset:offset + bwidth]
-            for fi, default_bin, nb, base in segments:
-                seg_g = bg[:, base:base + nb - 1]
-                seg_h = bh[:, base:base + nb - 1]
-                seg_c = bc[:, base:base + nb - 1]
-                sg[:, fi, :default_bin] = seg_g[:, :default_bin]
-                sg[:, fi, default_bin + 1:nb] = seg_g[:, default_bin:]
-                sh[:, fi, :default_bin] = seg_h[:, :default_bin]
-                sh[:, fi, default_bin + 1:nb] = seg_h[:, default_bin:]
-                cnt[:, fi, :default_bin] = seg_c[:, :default_bin]
-                cnt[:, fi, default_bin + 1:nb] = seg_c[:, default_bin:]
-                sg[:, fi, default_bin] = tot_g - seg_g.sum(axis=1)
-                sh[:, fi, default_bin] = tot_h - seg_h.sum(axis=1)
-                cnt[:, fi, default_bin] = tot_c - seg_c.sum(axis=1)
+        gi = g[indices]
+        hi = h[indices]
+        acc = self._unit_sums(indices, None, 1, gi, hi)
+        totals = np.array([[gi.sum()], [hi.sum()], [len(indices)]], dtype=np.float64)
+        sg, sh, cnt = self._unpack(acc, totals)[:, 0]
+        return Histogram(sg, sh, cnt.astype(np.int64))
 
 
 @dataclass

@@ -187,3 +187,75 @@ def quantile_cut_reference(values, max_bins):
         else:
             cuts.add((left + finite[pos]) / 2.0)
     return np.array(sorted(cuts) + [u[-1]])
+
+
+def bundled_histograms_reference(binned, bundles, indices, g, h, leaf_pos=None, n_leaves=1):
+    """Bundle histograms unpacked with an explicit loop over bundle members.
+
+    Each unit (singleton or bundle) is accumulated per leaf with one bincount
+    over the leaf's rows in ascending order. A bundle's code array gives a row
+    to its first member off the member's zero bin (rows with every member at
+    its zero bin share bin 0). Each member's zero bin is the leaf total minus
+    seg.sum() over the member's nonzero segment. With leaf_pos None the total
+    is g[indices].sum(), as for BundledHistograms.__call__; otherwise it is
+    np.bincount over leaf_pos, as for level_histograms.
+
+    Returns float arrays (n_leaves, m, width): sum_g, sum_h, count.
+    """
+    n = binned.n_rows
+    units = []  # (local codes, width, singles, segments)
+    for bd in bundles:
+        if len(bd.members) < 2:
+            for fi in bd.members:
+                name = binned.feature_names[fi]
+                nb = binned.n_bins(name) + 1
+                units.append((binned.bins[name].astype(np.int64), nb, [(fi, nb)], []))
+            continue
+        codes = np.zeros(n, dtype=np.int64)
+        unassigned = np.ones(n, dtype=bool)
+        segments = []  # (fi, default_bin, nb, base)
+        bwidth = 1
+        for fi in bd.members:
+            name = binned.feature_names[fi]
+            nb = binned.n_bins(name)
+            default_bin = int(np.searchsorted(binned.boundaries[name], 0.0, side="left"))
+            default_bin = min(default_bin, nb - 1)
+            fc = binned.bins[name].astype(np.int64)
+            take = unassigned & (fc != default_bin)
+            codes[take] = bwidth + np.where(fc > default_bin, fc - 1, fc)[take]
+            unassigned &= ~take
+            segments.append((fi, default_bin, nb, bwidth))
+            bwidth += nb - 1
+        units.append((codes, bwidth, [], segments))
+
+    indices = np.asarray(indices)
+    gi, hi = g[indices], h[indices]
+    if leaf_pos is None:
+        leaf_pos = np.zeros(len(indices), dtype=np.int64)
+        tot_g, tot_h = np.array([gi.sum()]), np.array([hi.sum()])
+        tot_c = np.array([float(len(indices))])
+    else:
+        tot_g = np.bincount(leaf_pos, weights=gi, minlength=n_leaves)
+        tot_h = np.bincount(leaf_pos, weights=hi, minlength=n_leaves)
+        tot_c = np.bincount(leaf_pos, minlength=n_leaves).astype(np.float64)
+
+    m, width = len(binned.feature_names), binned.hist_width
+    sg = np.zeros((n_leaves, m, width))
+    sh = np.zeros((n_leaves, m, width))
+    cnt = np.zeros((n_leaves, m, width))
+    for p in range(n_leaves):
+        rows = indices[leaf_pos == p]
+        for codes, uw, singles, segments in units:
+            c = codes[rows]
+            ag = np.bincount(c, weights=g[rows], minlength=uw)
+            ah = np.bincount(c, weights=h[rows], minlength=uw)
+            ac = np.bincount(c, minlength=uw).astype(np.float64)
+            for fi, nb in singles:
+                sg[p, fi, :nb], sh[p, fi, :nb], cnt[p, fi, :nb] = ag, ah, ac
+            for fi, default_bin, nb, base in segments:
+                for out, acc, tot in ((sg, ag, tot_g), (sh, ah, tot_h), (cnt, ac, tot_c)):
+                    seg = acc[base:base + nb - 1]
+                    out[p, fi, :default_bin] = seg[:default_bin]
+                    out[p, fi, default_bin + 1:nb] = seg[default_bin:]
+                    out[p, fi, default_bin] = tot[p] - seg.sum()
+    return sg, sh, cnt

@@ -90,6 +90,11 @@ class TestConfigValidation:
     def test_defaults_valid(self):
         BoostConfig().validate()
 
+    @pytest.mark.parametrize("field", ["lambda_", "gamma", "min_child_hessian"])
+    def test_nan_regularization_rejected(self, field):
+        with pytest.raises(ConfigError, match=">= 0"):
+            BoostConfig(**{field: float("nan")}).validate()
+
 
 class TestTrain:
     def test_zero_trees_predicts_base_score(self):
@@ -133,6 +138,13 @@ class TestTrain:
     def test_missing_target_rejected(self):
         ds = make_dataset({"x0": [1.0, 2.0]})
         with pytest.raises(DatasetError, match="target"):
+            train(ds, BoostConfig(n_trees=1))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_target_rejected(self, bad):
+        ds = regression_dataset(n=20)
+        ds.columns["y"][5] = bad
+        with pytest.raises(DatasetError, match="infinite"):
             train(ds, BoostConfig(n_trees=1))
 
     def test_categorical_features_are_encoded(self):

@@ -108,6 +108,14 @@ class TestTrainPredict:
                      "--goss-b", "0.2"])  # goss without leaf_wise
         assert code == 2
 
+    def test_nan_lambda_exits_2(self, tmp_path):
+        csv_path = make_training_csv(tmp_path / "d.csv")
+        schema = write_schema(tmp_path / "s.json", REG_SCHEMA)
+        code = main(["train", "--input", str(csv_path), "--schema", str(schema),
+                     "--output", str(tmp_path / "m.json"), "--lambda", "nan"])
+        assert code == 2
+        assert not (tmp_path / "m.json").exists()
+
     def test_classification_via_target_flag(self, tmp_path):
         csv_path = write_mexican_csv(tmp_path / "mex.csv", n=60)
         schema_entries = [{"name": n, "kind": "categorical"}

@@ -11,7 +11,7 @@ from boostlab.growers import build_histogram
 from boostlab.boosting import compute_gradients, _tree_doc
 
 from conftest import make_dataset
-from oracles import goss_variance_gain_reference
+from oracles import bundled_histograms_reference, goss_variance_gain_reference
 
 
 class TestGossSelect:
@@ -234,6 +234,80 @@ class TestEfbLossless:
         plain = train(ds, BoostConfig(n_trees=10, max_depth=4))
         bundled = train(ds, BoostConfig(n_trees=10, max_depth=4, efb_max_conflicts=0))
         np.testing.assert_allclose(bundled.predict(ds), plain.predict(ds), atol=1e-12)
+
+
+def _sparse_table(n, seed):
+    """Nonnegative sparse columns with 1, 4, 12 and ~150 nonzero bins, an
+    all-zero column, a dense column with NaNs, and partial overlaps so that a
+    positive conflict budget puts rows with two nonzero members in a bundle."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    cols = {name: np.zeros(n) for name in ("hot0", "hot1", "multi", "mid", "long", "zero")}
+    cols["hot0"][order[:n // 5]] = 1.0
+    cols["hot1"][order[n // 5:n // 3]] = 1.0
+    cols["multi"][order[n // 3 - 40:n // 2]] = rng.integers(1, 5, size=n // 2 - n // 3 + 40)
+    cols["mid"][order[n // 2 - 30:2 * n // 3]] = rng.integers(1, 13, size=2 * n // 3 - n // 2 + 30)
+    cols["long"][order[2 * n // 3:]] = rng.integers(1, 151, size=n - 2 * n // 3)
+    dense = rng.normal(size=n)
+    dense[rng.random(n) < 0.05] = np.nan
+    cols["dense"] = dense
+    return make_dataset(cols)
+
+
+class TestBundledHistogramsExact:
+    """BundledHistograms against the per-member loop reference, bit for bit."""
+
+    N = 12000
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        binned = bin_features(_sparse_table(self.N, 7), max_bins=255)
+        rng = np.random.default_rng(3)
+        return binned, rng.normal(size=self.N) * 100.0, rng.uniform(0.01, 2.0, size=self.N)
+
+    def _node_sizes(self, builder):
+        limit = builder.FLAT_LIMIT // builder.n_units
+        assert limit + 1 < self.N  # both accumulation paths are reached
+        return (1, 37, limit, limit + 1, self.N - 5, self.N)
+
+    def _builder(self, binned, max_conflicts):
+        bundles = efb_bundle(binned, max_conflicts)
+        shared = [bd for bd in bundles if len(bd.members) > 1]
+        assert max(len(bd.members) for bd in shared) >= 3
+        off_zero = [sum((binned.bins[binned.feature_names[fi]] != 0).astype(int)
+                        for fi in bd.members) for bd in shared]
+        # rows where the first member wins exist only under a conflict budget
+        assert any((k > 1).any() for k in off_zero) == (max_conflicts > 0)
+        return BundledHistograms(binned, bundles), bundles
+
+    @pytest.mark.parametrize("max_conflicts", [0, 60])
+    def test_call_matches_reference(self, table, max_conflicts):
+        binned, g, h = table
+        builder, bundles = self._builder(binned, max_conflicts)
+        rng = np.random.default_rng(max_conflicts)
+        for size in self._node_sizes(builder):
+            idx = np.sort(rng.choice(self.N, size=size, replace=False))
+            got = builder(idx, binned, g, h)
+            sg, sh, cnt = bundled_histograms_reference(binned, bundles, idx, g, h)
+            assert np.array_equal(got.sum_g, sg[0])
+            assert np.array_equal(got.sum_h, sh[0])
+            assert got.count.dtype == np.int64
+            assert np.array_equal(got.count, cnt[0])
+
+    @pytest.mark.parametrize("max_conflicts", [0, 60])
+    @pytest.mark.parametrize("n_leaves", [1, 4])
+    def test_level_histograms_match_reference(self, table, max_conflicts, n_leaves):
+        binned, g, h = table
+        builder, bundles = self._builder(binned, max_conflicts)
+        rng = np.random.default_rng(n_leaves)
+        for size in self._node_sizes(builder):
+            idx = np.sort(rng.choice(self.N, size=size, replace=False))
+            leaf_pos = rng.integers(0, n_leaves, size=size)
+            got = builder.level_histograms(idx, leaf_pos, n_leaves, binned, g, h)
+            ref = bundled_histograms_reference(binned, bundles, idx, g, h, leaf_pos, n_leaves)
+            for a, b in zip(got, ref):
+                assert a.shape == (n_leaves, len(binned.feature_names), binned.hist_width)
+                assert np.array_equal(a, b)
 
 
 class TestOrderedSchedule:
