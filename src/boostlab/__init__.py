@@ -4,8 +4,9 @@ boosting), plus the statistical toolkit and dataset recipes around them.
 """
 
 from .boosting import (BoostConfig, Classifier, Ensemble, LossSpec,
-                       compute_gradients, init_base_score, load_model,
-                       predict, save_model, train, train_classifier)
+                       TrainingFeatures, compute_gradients, init_base_score,
+                       load_model, predict, prepare_features, save_model, train,
+                       train_classifier)
 from .dataset import (BinnedDataset, ColumnSchema, Dataset, DatasetError,
                       RecipeSpec, add_ratio_column, apply_recipe, bin_features,
                       drop_missing, filter_rows, load_csv, one_hot_encode,

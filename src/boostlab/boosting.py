@@ -16,8 +16,8 @@ from dataclasses import dataclass, asdict, field, replace
 import numpy as np
 
 from . import growers, strategies
-from .dataset import (CATEGORICAL, Dataset, DatasetError, bin_features,
-                      one_hot_encode)
+from .dataset import (CATEGORICAL, TARGET, BinnedDataset, ColumnSchema, Dataset,
+                      DatasetError, bin_features, one_hot_encode)
 
 LOSSES = ("squared_error", "logistic")
 GROWERS = ("level_wise", "leaf_wise", "oblivious")
@@ -242,34 +242,106 @@ def _tree_scores(tree, X: np.ndarray, trained_on_all: bool) -> np.ndarray:
     return tree.predict_matrix(X)
 
 
-def train(ds: Dataset, config: BoostConfig) -> Ensemble:
+@dataclass(frozen=True, eq=False)
+class TrainingFeatures:
+    """The feature side of training, derived from a dataset's feature columns,
+    max_bins and efb_max_conflicts only: the one-hot expansion, the quantile
+    bins, the float matrix trees are routed through, and the histogram
+    builder (bundled under EFB).
+
+    prepare_features builds it; train and train_classifier accept it so that
+    several models fit on the same features share one preparation. It holds
+    the source's column arrays and is valid only for datasets that hold the
+    same ones (select_columns, retype_target and a replaced target keep them).
+    """
+
+    schema: tuple[ColumnSchema, ...]     # the source's non-target columns
+    columns: tuple[np.ndarray, ...]      # their arrays, matched by identity
+    labels: dict[str, list[str]]         # label tables of categorical features
+    max_bins: int
+    efb_max_conflicts: int | None
+    levels: dict[str, list[str]]         # one-hot label tables for the Ensemble
+    binned: BinnedDataset
+    X: np.ndarray
+    hist_fn: object
+
+    def check(self, ds: Dataset, config: BoostConfig) -> None:
+        """Raise unless these features were prepared from ds's feature columns
+        with config's max_bins and efb_max_conflicts."""
+        if (config.max_bins, config.efb_max_conflicts) != (self.max_bins,
+                                                           self.efb_max_conflicts):
+            raise ConfigError(
+                f"features were prepared with max_bins={self.max_bins}, "
+                f"efb_max_conflicts={self.efb_max_conflicts}; the config has "
+                f"max_bins={config.max_bins}, "
+                f"efb_max_conflicts={config.efb_max_conflicts}")
+        schema = tuple(c for c in ds.schema if c.kind != TARGET)
+        if schema != self.schema:
+            raise DatasetError("features were prepared from other feature columns")
+        if any(ds.columns[c.name] is not v for c, v in zip(schema, self.columns)):
+            raise DatasetError("features were prepared from other column arrays")
+        if any(ds.labels[n] != table for n, table in self.labels.items()):
+            raise DatasetError("features were prepared with other label tables")
+
+
+def prepare_features(ds: Dataset, config: BoostConfig) -> TrainingFeatures:
+    """One-hot encode, bin, stack and (under EFB) bundle ds's feature columns.
+
+    Only config.max_bins and config.efb_max_conflicts matter; the target
+    column, if any, is ignored.
+    """
+    config.validate()
+    schema = tuple(c for c in ds.schema if c.kind != TARGET)
+    feat_ds, levels = _encode_features(ds.select_columns([c.name for c in schema]))
+    binned = bin_features(feat_ds, config.max_bins)
+    X = np.column_stack([feat_ds.columns[n] for n in binned.feature_names])
+    X.flags.writeable = False  # shared by every model trained on these features
+    if config.efb_max_conflicts is not None:
+        bundles = strategies.efb_bundle(binned, config.efb_max_conflicts)
+        hist_fn = strategies.BundledHistograms(binned, bundles)
+    else:
+        hist_fn = growers.HistogramBuilder(binned)
+    return TrainingFeatures(
+        schema, tuple(ds.columns[c.name] for c in schema),
+        {c.name: ds.labels[c.name] for c in schema if c.kind == CATEGORICAL},
+        config.max_bins, config.efb_max_conflicts, levels, binned, X, hist_fn)
+
+
+def _finite_target(y) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if np.isnan(y).any():
+        raise DatasetError("target column contains missing values")
+    if np.isinf(y).any():
+        raise DatasetError("target column contains infinite values")
+    return y
+
+
+def train(ds: Dataset, config: BoostConfig,
+          features: TrainingFeatures | None = None) -> Ensemble:
     """Run the additive loop: gradients at current predictions, one new tree
     per iteration through the configured grower and strategies, predictions
-    advanced by learning_rate * tree(x)."""
+    advanced by learning_rate * tree(x).
+
+    features, from prepare_features(ds, config) or a dataset sharing ds's
+    feature columns, skips the feature preparation; it changes nothing about
+    the model, and features prepared from other columns or with another
+    max_bins or efb_max_conflicts raise DatasetError or ConfigError.
+    """
     config.validate()
     tname = ds.target_name()
     if tname is None:
         raise DatasetError("dataset has no target column")
     if ds.n_rows < 2:
         raise DatasetError("need at least 2 rows to train")
-    y = np.asarray(ds.columns[tname], dtype=np.float64)
-    if np.isnan(y).any():
-        raise DatasetError("target column contains missing values")
-    if np.isinf(y).any():
-        raise DatasetError("target column contains infinite values")
-
-    feat_ds, levels = _encode_features(ds.select_columns(
-        [c.name for c in ds.schema if c.kind != "target"]))
-    binned = bin_features(feat_ds, config.max_bins)
-    X = np.column_stack([feat_ds.columns[n] for n in binned.feature_names])
+    y = _finite_target(ds.columns[tname])
+    if features is None:
+        features = prepare_features(ds, config)
+    else:
+        features.check(ds, config)
+    binned, X, hist_fn = features.binned, features.X, features.hist_fn
 
     loss = config.loss
     base = 0.0 if config.zero_base_score else init_base_score(loss, y)
-    if config.efb_max_conflicts is not None:
-        bundles = strategies.efb_bundle(binned, config.efb_max_conflicts)
-        hist_fn = strategies.BundledHistograms(binned, bundles)
-    else:
-        hist_fn = growers.HistogramBuilder(binned)
     grow = _grow_fn(config)
 
     trees: list = []
@@ -293,6 +365,7 @@ def train(ds: Dataset, config: BoostConfig) -> Ensemble:
             trees.append(tree)
             preds += config.learning_rate * _tree_scores(tree, X, len(idx) == n)
 
+    levels = {k: list(v) for k, v in features.levels.items()}
     return Ensemble(trees, base, config.learning_rate, loss,
                     list(binned.feature_names), levels, config_dict(config))
 
@@ -358,17 +431,21 @@ class Classifier:
         return np.asarray(self.classes, dtype=np.float64)[np.argmax(proba, axis=1)]
 
 
-def train_classifier(ds: Dataset, config: BoostConfig) -> Classifier:
+def train_classifier(ds: Dataset, config: BoostConfig,
+                     features: TrainingFeatures | None = None) -> Classifier:
     """Train on an arbitrary-valued (finite) target by mapping to {0,1} or
-    one-vs-rest."""
+    one-vs-rest. Every ensemble trains on the same prepared features (see
+    train for the features argument)."""
     tname = ds.target_name()
     if tname is None:
         raise DatasetError("dataset has no target column")
     config = replace(config, loss="logistic")
     y = ds.columns[tname]
-    values = sorted(float(v) for v in np.unique(y))
+    values = sorted(float(v) for v in np.unique(_finite_target(y)))
     if len(values) < 2:
         raise DatasetError("classification target has fewer than 2 distinct values")
+    if features is None:
+        features = prepare_features(ds, config)
 
     def with_target(binary: np.ndarray) -> Dataset:
         cols = dict(ds.columns)
@@ -376,9 +453,10 @@ def train_classifier(ds: Dataset, config: BoostConfig) -> Classifier:
         return Dataset(list(ds.schema), cols, dict(ds.labels))
 
     if len(values) == 2:
-        ens = train(with_target(y == values[1]), config)
+        ens = train(with_target(y == values[1]), config, features)
         return Classifier(values, [ens])
-    return Classifier(values, [train(with_target(y == v), config) for v in values])
+    return Classifier(values, [train(with_target(y == v), config, features)
+                               for v in values])
 
 
 # --- canonical model JSON ---------------------------------------------------
@@ -458,42 +536,148 @@ def to_json(model) -> str:
     return _emit(doc) + "\n"
 
 
-def _tree_from_doc(doc) -> growers.DecisionTree:
+_KIND_NAMES = {list: "array", dict: "object", str: "string", bool: "boolean",
+               int: "integer"}
+
+
+def _field(doc: dict, key: str, kind, where: str):
+    """doc[key], which must be present and of the given JSON kind."""
+    if key not in doc:
+        raise ModelFormatError(f"{where}: missing {key!r}")
+    value = doc[key]
+    if kind is float:
+        return _finite(value, f"{where}: {key!r}")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ModelFormatError(f"{where}: {key!r} must be a JSON {_KIND_NAMES[kind]}, "
+                               f"got {value!r}")
+    return value
+
+
+def _finite(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{where} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ModelFormatError(f"{where} must be finite, got {value!r}")
+    return x
+
+
+def _strings(values, where: str) -> list[str]:
+    if not all(isinstance(v, str) for v in values):
+        raise ModelFormatError(f"{where} must hold strings only")
+    return list(values)
+
+
+def _below(value: int, bound: int, where: str) -> int:
+    if not 0 <= value < bound:
+        raise ModelFormatError(f"{where} {value} is out of range [0, {bound})")
+    return value
+
+
+def _tree_from_doc(doc, n_features: int, where: str) -> growers.DecisionTree:
+    """One tree, checked at load: field types, finite numbers, feature and
+    child indices in range, every node reached exactly once from the root,
+    and level_splits (oblivious trees) matching the heap-indexed nodes."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{where} must be a JSON object")
+    node_docs = _field(doc, "nodes", list, where)
+    n = len(node_docs)
+    if n == 0:
+        raise ModelFormatError(f"{where}: 'nodes' is empty")
     nodes = []
-    for nd in doc["nodes"]:
+    for i, nd in enumerate(node_docs):
+        at = f"{where} node {i}"
+        if not isinstance(nd, dict):
+            raise ModelFormatError(f"{at} must be a JSON object")
         if "leaf" in nd:
-            nodes.append(growers.TreeNode(is_leaf=True, weight=float(nd["leaf"])))
-        else:
-            nodes.append(growers.TreeNode(
-                is_leaf=False, feature=int(nd["feature"]), threshold=float(nd["threshold"]),
-                default_left=bool(nd["default_left"]), left=int(nd["left"]),
-                right=int(nd["right"]), gain=float(nd.get("gain", 0.0))))
+            nodes.append(growers.TreeNode(is_leaf=True, weight=_field(nd, "leaf", float, at)))
+            continue
+        nodes.append(growers.TreeNode(
+            is_leaf=False,
+            feature=_below(_field(nd, "feature", int, at), n_features, f"{at}: 'feature'"),
+            threshold=_field(nd, "threshold", float, at),
+            default_left=_field(nd, "default_left", bool, at),
+            left=_below(_field(nd, "left", int, at), n, f"{at}: 'left'"),
+            right=_below(_field(nd, "right", int, at), n, f"{at}: 'right'"),
+            gain=_field(nd, "gain", float, at) if "gain" in nd else 0.0))
+    reached = [False] * n
+    reached[0] = True
+    stack = [0]
+    while stack:
+        node = nodes[stack.pop()]
+        if node.is_leaf:
+            continue
+        for child in (node.left, node.right):
+            if reached[child]:
+                raise ModelFormatError(f"{where}: node {child} is reached twice "
+                                       f"(a cycle or a shared child)")
+            reached[child] = True
+            stack.append(child)
+    if not all(reached):
+        raise ModelFormatError(f"{where}: node {reached.index(False)} is not "
+                               f"reachable from the root")
     level_splits = None
     if "level_splits" in doc:
-        level_splits = [(int(f), float(t), bool(d)) for f, t, d in doc["level_splits"]]
+        level_splits = _level_splits(nodes, _field(doc, "level_splits", list, where), where)
     return growers.DecisionTree(nodes, level_splits=level_splits)
 
 
-def _ensemble_from_doc(doc) -> Ensemble:
+def _level_splits(nodes, splits: list, where: str) -> list[tuple[int, float, bool]]:
+    """An oblivious tree's per-level splits, checked against its (already
+    validated) nodes: node (level l, position p) has id 2^l-1+p and children
+    2i+1, 2i+2, every internal node of level l carries splits[l] as
+    [feature, threshold, default_left], and the last level is leaves."""
+    depth = len(splits)
+    if len(nodes) != 2 ** (depth + 1) - 1:
+        raise ModelFormatError(f"{where}: {len(nodes)} nodes do not form the full "
+                               f"tree of depth {depth} its level_splits describe")
+    for i, node in enumerate(nodes):
+        level = (i + 1).bit_length() - 1
+        if level == depth:
+            if not node.is_leaf:
+                raise ModelFormatError(f"{where} node {i}: expected a leaf at depth {depth}")
+        elif (node.is_leaf or (node.left, node.right) != (2 * i + 1, 2 * i + 2)
+              or splits[level] != [node.feature, node.threshold, node.default_left]):
+            raise ModelFormatError(f"{where} node {i}: does not match level split {level}")
+    firsts = [nodes[2 ** level - 1] for level in range(depth)]
+    return [(nd.feature, nd.threshold, nd.default_left) for nd in firsts]
+
+
+def _ensemble_from_doc(doc, where: str = "model") -> Ensemble:
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{where} must be a JSON object")
     if doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"not a model document (format={doc.get('format')!r})")
     if doc.get("version") != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
+    loss = _field(doc, "loss", str, where)
+    if loss not in LOSSES:
+        raise ModelFormatError(f"{where}: unknown loss {loss!r}")
+    names = _strings(_field(doc, "feature_names", list, where), f"{where}: 'feature_names'")
+    levels = _field(doc, "categorical_levels", dict, where) \
+        if "categorical_levels" in doc else {}
     return Ensemble(
-        trees=[_tree_from_doc(t) for t in doc["trees"]],
-        base_score=float(doc["base_score"]),
-        learning_rate=float(doc["learning_rate"]),
-        loss=str(doc["loss"]),
-        feature_names=[str(s) for s in doc["feature_names"]],
-        categorical_levels={k: [str(s) for s in v]
-                            for k, v in doc.get("categorical_levels", {}).items()},
-        config=doc.get("config", {}),
+        trees=[_tree_from_doc(t, len(names), f"{where} tree {i}")
+               for i, t in enumerate(_field(doc, "trees", list, where))],
+        base_score=_field(doc, "base_score", float, where),
+        learning_rate=_field(doc, "learning_rate", float, where),
+        loss=loss,
+        feature_names=names,
+        categorical_levels={
+            k: _strings(_field(levels, k, list, f"{where}: 'categorical_levels'"),
+                        f"{where}: 'categorical_levels' {k!r}")
+            for k in levels},
+        config=_field(doc, "config", dict, where) if "config" in doc else {},
     )
 
 
 def from_json(text: str):
     """Parse a model document; raises ModelFormatError with diagnostics on
-    corruption or version mismatch."""
+    corruption, version mismatch or a malformed field (naming the tree,
+    node and field)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -503,8 +687,14 @@ def from_json(text: str):
     if doc.get("format") == CLASSIFIER_FORMAT:
         if doc.get("version") != MODEL_VERSION:
             raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
-        return Classifier([float(c) for c in doc["classes"]],
-                          [_ensemble_from_doc(e) for e in doc["ensembles"]])
+        classes = [_finite(c, "classifier: class")
+                   for c in _field(doc, "classes", list, "classifier")]
+        docs = _field(doc, "ensembles", list, "classifier")
+        if len(classes) < 2 or len(docs) != (1 if len(classes) == 2 else len(classes)):
+            raise ModelFormatError(f"classifier: {len(docs)} ensembles do not fit "
+                                   f"{len(classes)} classes")
+        return Classifier(classes, [_ensemble_from_doc(e, f"ensemble {i}")
+                                    for i, e in enumerate(docs)])
     return _ensemble_from_doc(doc)
 
 

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .boosting import BoostConfig, Ensemble, train, train_classifier
+from .boosting import (BoostConfig, Ensemble, prepare_features, train,
+                       train_classifier)
 from .dataset import (CATEGORICAL, ColumnSchema, Dataset, DatasetError, RecipeSpec,
                       apply_recipe, parse_cells, retype_target, train_test_split,
                       _Dialect)
@@ -157,7 +158,7 @@ def _merged_importance(ensembles: list[Ensemble]) -> dict[str, float]:
     return merged
 
 
-def _run_analysis(spec: dict, ds: Dataset, seed: int):
+def _run_analysis(spec: dict, ds: Dataset, seed: int, held: dict):
     op = spec["op"]
     if op == "chi2":
         table = stats.contingency_table(ds, spec["a"], spec["b"])
@@ -178,7 +179,7 @@ def _run_analysis(spec: dict, ds: Dataset, seed: int):
         return {"value": spec["value"], "by": spec["by"],
                 "groups": [g.to_dict() for g in groups]}
     if op == "train_importance":
-        return _run_train_importance(spec, ds, seed)
+        return _run_train_importance(spec, ds, seed, held)
     if op == "split_regression":
         return _run_split_regression(spec, ds, seed)
     raise RecipeError(f"unknown analysis op {op!r}")
@@ -198,16 +199,22 @@ def _analysis_config(spec: dict, seed: int) -> BoostConfig:
     )
 
 
-def _run_train_importance(spec: dict, ds: Dataset, seed: int) -> dict:
+def _run_train_importance(spec: dict, ds: Dataset, seed: int, held: dict) -> dict:
+    """held maps one (features, max_bins, efb_max_conflicts) key to its
+    TrainingFeatures; analyses on the same feature columns of ds reuse it."""
     config = _analysis_config(spec, seed)
     sub = ds.select_columns(list(spec["features"]) + [spec["target"]])
     sub = retype_target(sub, spec["target"])
+    key = (tuple(spec["features"]), config.max_bins, config.efb_max_conflicts)
+    if key not in held:
+        held.clear()  # release the previous features before preparing the next
+        held[key] = prepare_features(sub, config)
     if spec.get("task", "regression") == "classification":
-        model = train_classifier(sub, config)
+        model = train_classifier(sub, config, held[key])
         ensembles = model.ensembles
         classes = model.classes
     else:
-        model = train(sub, replace(config, loss="squared_error"))
+        model = train(sub, replace(config, loss="squared_error"), held[key])
         ensembles = [model]
         classes = None
     merged = _merged_importance(ensembles)
@@ -295,6 +302,7 @@ def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
         raise RecipeError("; ".join(warnings))
 
     results: dict[str, dict] = {}
+    held: dict = {}  # at most one TrainingFeatures, kept across train_importance runs
     for spec in recipe.analyses:
         name = spec.get("name", spec["op"])
         absent = _analysis_ready(spec, ds)
@@ -302,7 +310,9 @@ def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
             warnings.append(f"{recipe.name}: skipped analysis {name!r} "
                             f"(missing columns {absent})")
             continue
-        results[name] = _run_analysis(spec, ds, seed)
+        if spec["op"] != "train_importance":
+            held.clear()
+        results[name] = _run_analysis(spec, ds, seed, held)
 
     bundle = {
         "recipe": recipe.name,

@@ -107,16 +107,18 @@ class FeatureBundle:
     widths: list[float]
 
 
-def _nonzero_masks(data) -> tuple[list[str], Dataset, list[np.ndarray]]:
+def _nonzero_matrix(data) -> tuple[list[str], Dataset, np.ndarray]:
+    """Feature names, their source, and a rows x features float64 0/1 matrix
+    marking nonzero (or missing) cells."""
     if isinstance(data, BinnedDataset):
         source, names = data.source, data.feature_names
     else:
         source, names = data, data.numeric_feature_names()
-    masks = []
-    for name in names:
+    nonzero = np.zeros((source.n_rows, len(names)), order="F")
+    for j, name in enumerate(names):
         v = source.column(name)
-        masks.append(np.isnan(v) | (v != 0.0))
-    return names, source, masks
+        nonzero[:, j] = np.isnan(v) | (v != 0.0)
+    return names, source, nonzero
 
 
 def efb_bundle(data, max_conflicts: int = 0) -> list[FeatureBundle]:
@@ -129,14 +131,16 @@ def efb_bundle(data, max_conflicts: int = 0) -> list[FeatureBundle]:
     """
     if max_conflicts < 0:
         raise ValueError("max_conflicts must be >= 0")
-    names, source, masks = _nonzero_masks(data)
+    names, source, nonzero = _nonzero_matrix(data)
     bundleable = []
     for fi, name in enumerate(names):
         v = source.column(name)
         bundleable.append(not np.isnan(v).any() and not (v < 0).any())
-    counts = np.array([m.sum() for m in masks])
-    order = np.argsort(-counts, kind="stable")
-    groups: list[dict] = []  # members, member masks, conflict total, open flag
+    # rows where features i and j are both nonzero: sums of 0/1 products,
+    # exact in float64 below 2**53 rows whatever the summation order
+    co = nonzero.T @ nonzero
+    order = np.argsort(-np.diagonal(co), kind="stable")
+    groups: list[dict] = []  # members, conflict total, open flag
     for fi in order:
         fi = int(fi)
         placed = False
@@ -144,16 +148,14 @@ def efb_bundle(data, max_conflicts: int = 0) -> list[FeatureBundle]:
             for grp in groups:
                 if not grp["open"]:
                     continue
-                added = sum(int((masks[fi] & m).sum()) for m in grp["masks"])
+                added = int(co[fi, grp["members"]].sum())
                 if grp["conflicts"] + added <= max_conflicts:
                     grp["members"].append(fi)
-                    grp["masks"].append(masks[fi])
                     grp["conflicts"] += added
                     placed = True
                     break
         if not placed:
-            groups.append({"members": [fi], "masks": [masks[fi]],
-                           "conflicts": 0, "open": bundleable[fi]})
+            groups.append({"members": [fi], "conflicts": 0, "open": bundleable[fi]})
     out = []
     for grp in groups:
         offsets, widths = [], []

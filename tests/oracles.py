@@ -259,3 +259,46 @@ def bundled_histograms_reference(binned, bundles, indices, g, h, leaf_pos=None, 
                     out[p, fi, default_bin + 1:nb] = seg[default_bin:]
                     out[p, fi, default_bin] = tot[p] - seg.sum()
     return sg, sh, cnt
+
+
+def efb_bundle_reference(data, max_conflicts=0):
+    """Greedy EFB bundling with one boolean-mask intersection per (candidate,
+    bundle member) pair: the loop strategies.efb_bundle replaced with one
+    co-occurrence matrix. Returns (members, offsets, widths) per bundle."""
+    if hasattr(data, "feature_names") and hasattr(data, "source"):
+        source, names = data.source, data.feature_names
+    else:
+        source, names = data, data.numeric_feature_names()
+    masks = [np.isnan(source.column(n)) | (source.column(n) != 0.0) for n in names]
+    bundleable = [not np.isnan(source.column(n)).any() and not (source.column(n) < 0).any()
+                  for n in names]
+    counts = np.array([m.sum() for m in masks])
+    groups = []  # [members, member masks, conflict total, open flag]
+    for fi in np.argsort(-counts, kind="stable"):
+        fi = int(fi)
+        placed = False
+        if bundleable[fi]:
+            for grp in groups:
+                if not grp[3]:
+                    continue
+                added = sum(int((masks[fi] & m).sum()) for m in grp[1])
+                if grp[2] + added <= max_conflicts:
+                    grp[0].append(fi)
+                    grp[1].append(masks[fi])
+                    grp[2] += added
+                    placed = True
+                    break
+        if not placed:
+            groups.append([[fi], [masks[fi]], 0, bundleable[fi]])
+    out = []
+    for members, _, _, _ in groups:
+        offsets, widths, off = [], [], 0.0
+        for fi in members:
+            finite = source.column(names[fi])
+            finite = finite[~np.isnan(finite)]
+            width = max(float(finite.max()) if finite.size else 0.0, 0.0)
+            offsets.append(off)
+            widths.append(width)
+            off += width
+        out.append((members, offsets, widths))
+    return out

@@ -1,13 +1,17 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from boostlab import boosting
 from boostlab.boosting import (BoostConfig, Classifier, ConfigError, Ensemble,
                                ModelFormatError, compute_gradients, from_json,
                                init_base_score, load_model, loss_value,
-                               save_model, to_json, train, train_classifier)
-from boostlab.dataset import CATEGORICAL, TARGET, DatasetError
+                               prepare_features, save_model, to_json, train,
+                               train_classifier)
+from boostlab.dataset import CATEGORICAL, TARGET, Dataset, DatasetError, retype_target
 
 from conftest import make_dataset, regression_dataset
 
@@ -277,3 +281,192 @@ class TestClassifier:
         back = load_model(path)
         assert isinstance(back, Classifier)
         np.testing.assert_array_equal(back.predict_proba(ds), clf.predict_proba(ds))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        ds = make_dataset({"x0": [0.0, 1.0, 2.0] * 10, "t": [0.0, 1.0, 0.0] * 10},
+                          kinds={"t": TARGET})
+        ds.columns["t"][4] = bad
+        with pytest.raises(DatasetError, match="missing|infinite"):
+            train_classifier(ds, BoostConfig(n_trees=2))
+
+
+def _mixed_table(n=240, seed=0):
+    """Sparse nonnegative columns (EFB bundles them), a three-level
+    categorical, a dense column with NaNs and a regression target."""
+    rng = np.random.default_rng(seed)
+    cols = {}
+    for j, density in enumerate((0.1, 0.15, 0.2, 0.3)):
+        cols[f"s{j}"] = np.where(rng.random(n) < density, rng.integers(1, 6, size=n), 0)
+    dense = rng.normal(size=n)
+    cols["c"] = [("a", "b", "c")[k] for k in rng.integers(0, 3, size=n)]
+    y = cols["s0"] - 2.0 * cols["s2"] + dense + rng.normal(scale=0.1, size=n)
+    dense[rng.random(n) < 0.1] = np.nan
+    cols["dense"] = dense
+    cols["y"] = y
+    return make_dataset(cols, kinds={"c": CATEGORICAL, "y": TARGET})
+
+
+PREPARED_CONFIGS = {
+    "level_wise": BoostConfig(n_trees=4, max_depth=4, max_bins=16),
+    "leaf_wise_goss": BoostConfig(n_trees=4, grower="leaf_wise", max_leaves=8,
+                                  max_bins=16, goss_a=0.3, goss_b=0.3),
+    "oblivious": BoostConfig(n_trees=4, grower="oblivious", max_depth=4, max_bins=16),
+    "ordered": BoostConfig(n_trees=3, grower="oblivious", max_depth=3, max_bins=16,
+                           ordered_blocks=3),
+}
+
+
+class TestPreparedFeatures:
+    @pytest.mark.parametrize("efb", [None, 0])
+    @pytest.mark.parametrize("label", sorted(PREPARED_CONFIGS))
+    def test_same_model_bytes(self, label, efb):
+        ds = _mixed_table()
+        cfg = replace(PREPARED_CONFIGS[label], efb_max_conflicts=efb)
+        features = prepare_features(ds, cfg)
+        expected = to_json(train(ds, cfg))
+        assert to_json(train(ds, cfg, features=features)) == expected
+        # reused again, and by a dataset that shares the feature arrays
+        same = retype_target(ds.select_columns(ds.column_names), "y")
+        assert to_json(train(same, cfg, features=features)) == expected
+
+    def test_classifier_prepares_once(self, monkeypatch):
+        ds = _mixed_table()
+        ds.columns["y"] = np.floor(np.clip(ds.columns["y"], -2.0, 2.9)) % 3.0
+        cfg = BoostConfig(n_trees=3, max_depth=3, max_bins=16, efb_max_conflicts=0)
+        expected = to_json(train_classifier(ds, cfg))
+        calls = []
+        bin_features = boosting.bin_features
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return bin_features(*args, **kwargs)
+        monkeypatch.setattr(boosting, "bin_features", counting)
+        clf = train_classifier(ds, cfg)
+        assert len(clf.ensembles) == 3 and len(calls) == 1
+        assert to_json(clf) == expected
+        assert to_json(train_classifier(ds, cfg, prepare_features(ds, cfg))) == expected
+        assert len(calls) == 2
+
+    def test_other_column_arrays_rejected(self):
+        ds = _mixed_table()
+        cfg = PREPARED_CONFIGS["level_wise"]
+        copied = Dataset(list(ds.schema), {k: v.copy() for k, v in ds.columns.items()},
+                         dict(ds.labels))
+        with pytest.raises(DatasetError, match="column arrays"):
+            train(ds, cfg, features=prepare_features(copied, cfg))
+
+    def test_other_feature_columns_rejected(self):
+        ds = _mixed_table()
+        cfg = PREPARED_CONFIGS["level_wise"]
+        fewer = ds.select_columns(["s0", "s1", "y"])
+        with pytest.raises(DatasetError, match="feature columns"):
+            train(ds, cfg, features=prepare_features(fewer, cfg))
+        with pytest.raises(DatasetError, match="feature columns"):
+            train(fewer, cfg, features=prepare_features(ds, cfg))
+
+    def test_other_label_tables_rejected(self):
+        ds = _mixed_table()
+        cfg = PREPARED_CONFIGS["level_wise"]
+        relabelled = Dataset(list(ds.schema), dict(ds.columns), {"c": ["b", "a", "c"]})
+        with pytest.raises(DatasetError, match="label tables"):
+            train(ds, cfg, features=prepare_features(relabelled, cfg))
+
+    @pytest.mark.parametrize("change", [{"max_bins": 8}, {"efb_max_conflicts": 0},
+                                        {"efb_max_conflicts": 5}])
+    def test_other_binning_settings_rejected(self, change):
+        ds = _mixed_table()
+        cfg = replace(PREPARED_CONFIGS["level_wise"], efb_max_conflicts=None)
+        features = prepare_features(ds, replace(cfg, **change))
+        with pytest.raises(ConfigError, match="max_bins"):
+            train(ds, cfg, features=features)
+        with pytest.raises(ConfigError, match="max_bins"):
+            train_classifier(ds, cfg, features=features)
+
+
+def _model_doc(grower="level_wise"):
+    ds = regression_dataset(n=80, seed=2)
+    return json.loads(to_json(train(ds, BoostConfig(n_trees=2, max_depth=3, grower=grower))))
+
+
+def _first_leaf(doc):
+    return next(nd for nd in doc["trees"][0]["nodes"] if "leaf" in nd)
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+MALFORMED = {
+    "missing_trees": (lambda d: d.pop("trees"), r"model: missing 'trees'"),
+    "missing_base_score": (lambda d: d.pop("base_score"), r"missing 'base_score'"),
+    "nodes_not_a_list": (_set(["trees", 0, "nodes"], {"0": {"leaf": 1.0}}),
+                         r"tree 0: 'nodes' must be a JSON array"),
+    "string_leaf": (lambda d: _first_leaf(d).update(leaf="0.5"),
+                    r"tree 0 node \d+: 'leaf' must be a number"),
+    "feature_out_of_range": (_set(["trees", 0, "nodes", 0, "feature"], 99),
+                             r"tree 0 node 0: 'feature' 99 is out of range \[0, 3\)"),
+    "child_out_of_range": (_set(["trees", 0, "nodes", 0, "left"], 999),
+                           r"tree 0 node 0: 'left' 999 is out of range"),
+    "self_loop": (_set(["trees", 0, "nodes", 0, "left"], 0),
+                  r"tree 0: node 0 is reached twice"),
+    "shared_child": (lambda d: d["trees"][1]["nodes"][0].update(
+                         right=d["trees"][1]["nodes"][0]["left"]),
+                     r"tree 1: node \d+ is reached twice"),
+    "missing_threshold": (lambda d: d["trees"][0]["nodes"][0].pop("threshold"),
+                          r"tree 0 node 0: missing 'threshold'"),
+    "bool_default_left": (_set(["trees", 0, "nodes", 0, "default_left"], 1),
+                          r"tree 0 node 0: 'default_left' must be a JSON boolean"),
+}
+
+
+class TestModelDocumentValidation:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_ensemble_rejected_at_load(self, case):
+        mutate, message = MALFORMED[case]
+        doc = _model_doc()
+        mutate(doc)
+        with pytest.raises(ModelFormatError, match=message):
+            from_json(json.dumps(doc))
+
+    def test_overflowing_leaf_rejected(self):
+        doc = _model_doc()
+        _first_leaf(doc)["leaf"] = "BIG"
+        text = json.dumps(doc).replace('"BIG"', "1e400")
+        with pytest.raises(ModelFormatError, match=r"'leaf' must be finite"):
+            from_json(text)
+
+    def test_level_splits_must_match_nodes(self):
+        doc = _model_doc("oblivious")
+        tree = next(i for i, t in enumerate(doc["trees"]) if t["level_splits"])
+        split = doc["trees"][tree]["level_splits"][0]
+        split[0] = (split[0] + 1) % 3
+        with pytest.raises(ModelFormatError, match=rf"tree {tree} node 0: does not match "
+                                                   r"level split 0"):
+            from_json(json.dumps(doc))
+        doc = _model_doc("oblivious")
+        doc["trees"][tree]["level_splits"].append([0, 0.5, True])
+        with pytest.raises(ModelFormatError, match="full tree of depth"):
+            from_json(json.dumps(doc))
+
+    def test_classifier_ensemble_count_checked(self):
+        ds = make_dataset({"x0": [0.0, 1.0, 2.0] * 10, "t": [0.0, 1.0, 2.0] * 10},
+                          kinds={"t": TARGET})
+        doc = json.loads(to_json(train_classifier(ds, BoostConfig(n_trees=2))))
+        doc["ensembles"].pop()
+        with pytest.raises(ModelFormatError, match="2 ensembles do not fit 3 classes"):
+            from_json(json.dumps(doc))
+        doc = json.loads(to_json(train_classifier(ds, BoostConfig(n_trees=2))))
+        doc["ensembles"][2]["trees"][0]["nodes"][0]["leaf"] = None
+        with pytest.raises(ModelFormatError, match=r"ensemble 2 tree 0 node 0: 'leaf'"):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("grower", ["level_wise", "leaf_wise", "oblivious"])
+    def test_valid_documents_still_round_trip(self, grower):
+        text = json.dumps(_model_doc(grower))
+        assert json.loads(to_json(from_json(text))) == json.loads(text)

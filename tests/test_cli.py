@@ -86,6 +86,17 @@ class TestTrainPredict:
         assert main(["predict", "--model", str(model), "--input", str(csv_path),
                      "--output", str(out)]) == 1
 
+    def test_malformed_model_exits_1_at_load(self, tmp_path, capsys):
+        csv_path, schema, model = self.train(tmp_path)
+        doc = json.loads(model.read_text())
+        doc["trees"][0]["nodes"][0]["feature"] = 99
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(model), "--input", str(csv_path),
+                     "--output", str(out)]) == 1
+        assert "tree 0 node 0: 'feature' 99 is out of range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ordered_oblivious_flags_route(self, tmp_path):
         _, _, model = self.train(tmp_path, "--grower", "oblivious",
                                  "--ordered-blocks", "4")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from boostlab import boosting, recipes
 from boostlab.recipes import (RecipeError, available_recipes, load_recipe,
                               run_recipe)
 
@@ -119,6 +120,34 @@ class TestMexicanRecipe:
         imp = bundle["analyses"]["oblivious_100_modified"]
         top5 = [r["feature"] for r in imp["ranking"][:5]]
         assert "diabetes" in top5
+
+    def test_features_prepared_once_per_feature_set(self, tmp_path, monkeypatch):
+        csv_path = write_mexican_csv(tmp_path / "mex.csv", n=60, seed=1)
+        recipe = load_recipe("mexican-covid")
+        recipe.analyses = [a for a in recipe.analyses
+                           if a["op"] == "chi2" or int(a.get("trees", 0)) <= 100]
+        keys = {(tuple(a["features"]), a.get("max_bins"), a.get("efb"))
+                for a in recipe.analyses if a["op"] == "train_importance"}
+        assert len(keys) == 2 and len(recipe.analyses) == 6 + 5
+        calls = []
+        bin_features = boosting.bin_features
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return bin_features(*args, **kwargs)
+        monkeypatch.setattr(boosting, "bin_features", counting)
+        run_recipe(recipe, csv_path, output_dir=tmp_path / "shared")
+        assert len(calls) == len(keys)
+        # with nothing prepared (features=None) every analysis bins its own
+        # features, and the report is the same to the byte
+        monkeypatch.setattr(recipes, "prepare_features", lambda ds, config: None)
+        run_recipe(recipe, csv_path, output_dir=tmp_path / "own")
+        assert len(calls) == len(keys) + 5
+        shared, own = tmp_path / "shared", tmp_path / "own"
+        files = sorted(p.relative_to(shared) for p in shared.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(own) for p in own.rglob("*") if p.is_file())
+        for rel in files:
+            assert (shared / rel).read_bytes() == (own / rel).read_bytes(), rel
 
 
 class TestCovid19Recipe:

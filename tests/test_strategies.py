@@ -11,7 +11,8 @@ from boostlab.growers import build_histogram
 from boostlab.boosting import compute_gradients, _tree_doc
 
 from conftest import make_dataset
-from oracles import bundled_histograms_reference, goss_variance_gain_reference
+from oracles import (bundled_histograms_reference, efb_bundle_reference,
+                     goss_variance_gain_reference)
 
 
 class TestGossSelect:
@@ -150,6 +151,25 @@ class TestEfbBundle:
         ds = make_dataset({"f1": [1.0, 0.0, np.nan], "f2": [0.0, 2.0, 0.0]})
         bundles = efb_bundle(ds, max_conflicts=0)
         assert all(len(b.members) == 1 for b in bundles)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("max_conflicts", [0, 3, 40, 5000])
+    def test_matches_mask_intersection_reference(self, seed, max_conflicts):
+        rng = np.random.default_rng(seed)
+        n = 400
+        cols = {}
+        for j, density in enumerate((0.02, 0.05, 0.1, 0.1, 0.2, 0.3, 0.5, 0.9)):
+            v = np.where(rng.random(n) < density, rng.integers(1, 9, size=n), 0)
+            cols[f"s{j}"] = v.astype(np.float64)
+        cols["zero"] = np.zeros(n)
+        cols["nan"] = np.where(rng.random(n) < 0.05, np.nan, cols["s1"])
+        cols["neg"] = np.where(rng.random(n) < 0.1, -1.0, 0.0)
+        cols["dense"] = rng.normal(size=n)
+        ds = make_dataset(cols)
+        for data in (ds, bin_features(ds, max_bins=16)):
+            got = [(b.members, b.offsets, b.widths) for b in efb_bundle(data, max_conflicts)]
+            assert got == efb_bundle_reference(data, max_conflicts)
+        assert any(len(members) > 1 for members, _, _ in got)
 
 
 class TestEfbEncodeDecode:
