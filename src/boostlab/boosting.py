@@ -185,8 +185,14 @@ class Ensemble:
                 continue
             src, _, label = name.partition("=")
             if label and src in self.categorical_levels and src in data.columns:
-                decoded = data.decoded(src)
-                cols.append((decoded == label).astype(np.float64))
+                # codes against the label's code in data's own table: an unseen
+                # label or a numeric column matches no row, missing (-1) none
+                is_cat = data.schema_for(src).kind == CATEGORICAL
+                table = data.labels[src] if is_cat else []
+                if label in table:
+                    cols.append((data.columns[src] == table.index(label)).astype(np.float64))
+                else:
+                    cols.append(np.zeros(data.n_rows))
                 continue
             raise DatasetError(f"prediction data is missing feature column {name!r}")
         return np.column_stack(cols) if cols else np.empty((data.n_rows, 0))

@@ -22,8 +22,8 @@ from .boosting import (BoostConfig, Classifier, ConfigError, ModelFormatError,
                        load_model, save_model, train, train_classifier)
 from .dataset import (CATEGORICAL, ColumnSchema, Dataset, DatasetError, _Dialect,
                       load_csv, retype_target)
-from .recipes import (RecipeError, _nan_to_none, available_recipes,
-                      load_known_columns, run_recipe)
+from .recipes import (RecipeError, _csv_rows, _nan_to_none, _parse_schema,
+                      available_recipes, load_known_columns, run_recipe)
 from .stats import StatsError
 
 VALIDATION_ERRORS = (DatasetError, ConfigError, StatsError, RecipeError)
@@ -36,8 +36,7 @@ def _load_schema_file(path) -> list[ColumnSchema]:
         raise DatasetError(f"no such schema file: {path}") from None
     except json.JSONDecodeError as exc:
         raise DatasetError(f"schema file {path} is not valid JSON: {exc}") from None
-    return [ColumnSchema(e["name"], e.get("kind", "numeric"), e.get("missing_marker"))
-            for e in doc]
+    return _parse_schema(doc)
 
 
 def _schema_from_model(model) -> list[ColumnSchema]:
@@ -206,9 +205,7 @@ def _cmd_chi2(args) -> int:
     table = stats.contingency_table(ds, args.a, args.b)
     res = stats.chi_squared_test(table)
     result = {"a": args.a, "b": args.b, "table": table.to_dict(), **res.to_dict()}
-    csv_table = (["a", "b", "statistic", "dof", "p_value"],
-                 [[args.a, args.b, res.statistic, res.dof, res.p_value]])
-    _write_result(result, args.output, csv_table)
+    _write_result(result, args.output, _csv_rows(result))
     return 0
 
 
@@ -218,10 +215,8 @@ def _cmd_anova(args) -> int:
         table = stats.two_way_anova(ds, args.response, args.factor, args.factor2)
     else:
         table = stats.one_way_anova(ds, args.response, args.factor)
-    rows = table.to_rows()
-    header = ["term", "sum_sq", "dof", "mean_sq", "F", "p_value"]
-    _write_result({"response": args.response, "rows": rows}, args.output,
-                  (header, [[r[h] for h in header] for r in rows]))
+    result = {"response": args.response, "rows": table.to_rows()}
+    _write_result(result, args.output, _csv_rows(result))
     return 0
 
 
@@ -230,12 +225,7 @@ def _cmd_corr(args) -> int:
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     corr = stats.pearson_correlation_matrix(ds, columns)
     result = corr.to_dict()
-    header = ["matrix", "label"] + result["labels"]
-    rows = []
-    for kind in ("r", "r_squared"):
-        for lbl, vals in zip(result["labels"], result[kind]):
-            rows.append([kind, lbl] + vals)
-    _write_result(result, args.output, (header, rows))
+    _write_result(result, args.output, _csv_rows(result))
     return 0
 
 
@@ -244,10 +234,7 @@ def _cmd_summary(args) -> int:
     by = [c.strip() for c in args.by.split(",") if c.strip()]
     groups = stats.group_summary(ds, args.value, by)
     result = {"value": args.value, "by": by, "groups": [g.to_dict() for g in groups]}
-    header = ["group", "count", "mean", "median", "q1", "q3", "min", "max"]
-    rows = [["|".join(g.group), g.count, g.mean, g.median, g.q1, g.q3,
-             g.minimum, g.maximum] for g in groups]
-    _write_result(result, args.output, (header, rows))
+    _write_result(result, args.output, _csv_rows(result))
     return 0
 
 

@@ -484,10 +484,6 @@ class BinnedDataset:
     def n_rows(self) -> int:
         return self.source.n_rows
 
-    def codes_matrix(self) -> np.ndarray:
-        """Row-major int matrix of bin indices, one column per feature."""
-        return np.column_stack([self.bins[n].astype(np.int64) for n in self.feature_names])
-
 
 def _quantile_boundaries(values: np.ndarray, max_bins: int) -> np.ndarray:
     """Upper bin edges for one feature: midpoints between distinct values,

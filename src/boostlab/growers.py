@@ -5,7 +5,9 @@ oblivious).
 All growers consume per-instance first/second-order statistics (g, h) and a
 BinnedDataset; they return DecisionTree objects whose thresholds are raw
 feature values (bin upper edges for histogram splits), so routing a raw value
-through the tree reproduces the training-time partition exactly.
+through the tree reproduces the training-time partition exactly. Histograms
+come from hist_fn, a HistogramBuilder over the BinnedDataset unless the caller
+passes one (BundledHistograms under EFB); exact level-wise growth builds none.
 """
 
 from __future__ import annotations
@@ -87,10 +89,6 @@ class Histogram:
         return Histogram(self.sum_g - other.sum_g, self.sum_h - other.sum_h,
                          self.count - other.count)
 
-    def feature_totals(self, fi: int) -> NodeStats:
-        return NodeStats(float(self.sum_g[fi].sum()), float(self.sum_h[fi].sum()),
-                         int(self.count[fi].sum()))
-
 
 def build_histogram(indices: np.ndarray, binned: BinnedDataset,
                     g: np.ndarray, h: np.ndarray) -> Histogram:
@@ -112,64 +110,82 @@ def build_histogram(indices: np.ndarray, binned: BinnedDataset,
 
 
 class HistogramBuilder:
-    """build_histogram with a flattened-bincount fast path for small nodes.
+    """The histogram accumulation kernel behind every grower.
 
-    Large nodes pay one bincount per feature over the node's instances; small
-    nodes fold all features into a single bin space so the per-call overhead
-    is paid three times instead of 3m times. Both paths accumulate in
-    ascending instance order and produce identical histograms.
+    It accumulates over units: a unit is a code array in the bins' own dtype
+    (uint8/uint16) plus an (offset, width) span in one flat bin space. Here
+    feature fi is a unit at offset fi * hist_width, so the unit space is the
+    (m, width) feature layout itself; BundledHistograms lays EFB bundles out
+    as units and unpacks them afterwards.
+
+    Small nodes fold all units into one bincount, so the per-call overhead is
+    paid three times instead of three times per unit; large nodes run one
+    bincount per unit over its own codes. Either way every bin sums its rows
+    in ascending instance order, so both paths give the same bits as
+    build_histogram.
     """
 
-    FLAT_LIMIT = 32768  # node_size * n_features below this uses the flat path
+    FLAT_LIMIT = 32768  # node rows * units at or below this use the flat path
 
     def __init__(self, binned: BinnedDataset):
-        self.width = binned.hist_width
         self.m = len(binned.feature_names)
-        self.n_rows = binned.n_rows
-        offsets = (np.arange(self.m, dtype=np.int64) * self.width)[None, :]
-        self.flat = np.column_stack(
-            [binned.bins[n].astype(np.int64) for n in binned.feature_names]) + offsets
-        self.codes64 = [binned.bins[n].astype(np.int64) for n in binned.feature_names]
+        self.width = binned.hist_width
+        self._set_units([binned.bins[n] for n in binned.feature_names],
+                        [fi * self.width for fi in range(self.m)],
+                        [int(nb) + 1 for nb in binned.bin_counts], self.m * self.width)
+
+    def _set_units(self, codes, offsets, widths, total_width):
+        """Unit u has local codes[u] and spans [offsets[u], offsets[u] + widths[u])
+        of a flat bin space total_width wide."""
+        self.unit_codes = codes
+        self.unit_spans = list(zip(offsets, widths))
+        self.n_units = len(codes)
+        self.n_rows = len(codes[0])
+        self.stride = max(widths)  # leaf stride of the per-unit path
+        self.total_width = total_width
+        self.flat = np.column_stack(codes).astype(np.int64) + np.array(offsets, dtype=np.int64)
+
+    def _unit_sums(self, indices, leaf_pos, n_leaves, gi, hi):
+        """Sums of g, h and row counts per unit bin, each (n_leaves, total_width).
+
+        gi/hi are g and h at indices; leaf_pos is ignored when n_leaves is 1.
+        Counts are int64 on the flat path and float64 on the per-unit path,
+        which returns one (3, n_leaves, total_width) array.
+        """
+        tw = self.total_width
+        if len(indices) * self.n_units <= self.FLAT_LIMIT:
+            codes = self.flat[indices]
+            if n_leaves > 1:
+                codes = codes + (leaf_pos.astype(np.int64) * tw)[:, None]
+            codes = codes.ravel()
+            size = n_leaves * tw
+            return tuple(np.bincount(codes, weights=w, minlength=size).reshape(n_leaves, tw)
+                         for w in (np.repeat(gi, self.n_units), np.repeat(hi, self.n_units),
+                                   None))
+        full = len(indices) == self.n_rows  # growers keep indices sorted unique
+        base = leaf_pos.astype(np.int64) * self.stride if n_leaves > 1 else None
+        size = n_leaves * self.stride
+        acc = np.zeros((3, n_leaves, tw))
+        for uc, (off, w) in zip(self.unit_codes, self.unit_spans):
+            codes = uc if full else uc[indices]
+            if base is not None:
+                codes = base + codes
+            for k, weights in enumerate((gi, hi, None)):
+                sums = np.bincount(codes, weights=weights, minlength=size)
+                acc[k, :, off:off + w] = sums.reshape(n_leaves, -1)[:, :w]
+        return acc
 
     def __call__(self, indices, binned, g, h) -> Histogram:
-        if len(indices) * self.m > self.FLAT_LIMIT:
-            return build_histogram(indices, binned, g, h)
-        size = self.m * self.width
-        fc = self.flat[indices].ravel()
-        gi = np.repeat(g[indices], self.m)
-        hi = np.repeat(h[indices], self.m)
-        sg = np.bincount(fc, weights=gi, minlength=size).reshape(self.m, self.width)
-        sh = np.bincount(fc, weights=hi, minlength=size).reshape(self.m, self.width)
-        cnt = np.bincount(fc, minlength=size).reshape(self.m, self.width)
-        return Histogram(sg, sh, cnt)
+        sg, sh, cnt = (a.reshape(self.m, self.width) for a in
+                       self._unit_sums(indices, None, 1, g[indices], h[indices]))
+        return Histogram(sg, sh, cnt.astype(np.int64, copy=False))
 
     def level_histograms(self, indices, leaf_pos, n_leaves, binned, g, h):
         """Stacked (n_leaves, m, width) histograms of one level in bulk."""
-        m, width = self.m, self.width
-        plane = m * width
-        if len(indices) * m <= self.FLAT_LIMIT:
-            fc = (self.flat[indices] + (leaf_pos.astype(np.int64) * plane)[:, None]).ravel()
-            size = n_leaves * plane
-            sg = np.bincount(fc, weights=np.repeat(g[indices], m), minlength=size)
-            sh = np.bincount(fc, weights=np.repeat(h[indices], m), minlength=size)
-            cnt = np.bincount(fc, minlength=size)
-            return (sg.reshape(n_leaves, m, width), sh.reshape(n_leaves, m, width),
-                    cnt.reshape(n_leaves, m, width).astype(np.float64))
-        full = len(indices) == self.n_rows
-        gv = g if full else g[indices]
-        hv = h if full else h[indices]
-        sg = np.zeros((n_leaves, m, width))
-        sh = np.zeros((n_leaves, m, width))
-        cnt = np.zeros((n_leaves, m, width))
-        base = leaf_pos.astype(np.int64) * width
-        size = n_leaves * width
-        for fi in range(m):
-            fc = self.codes64[fi] if full else self.codes64[fi][indices]
-            codes = base + fc
-            sg[:, fi, :] = np.bincount(codes, weights=gv, minlength=size).reshape(n_leaves, width)
-            sh[:, fi, :] = np.bincount(codes, weights=hv, minlength=size).reshape(n_leaves, width)
-            cnt[:, fi, :] = np.bincount(codes, minlength=size).reshape(n_leaves, width)
-        return sg, sh, cnt
+        shape = (n_leaves, self.m, self.width)
+        sg, sh, cnt = (a.reshape(shape) for a in
+                       self._unit_sums(indices, leaf_pos, n_leaves, g[indices], h[indices]))
+        return sg, sh, cnt.astype(np.float64, copy=False)
 
 
 def _prefix_tables(sum_g, sum_h, count, nb: np.ndarray):
@@ -451,11 +467,13 @@ def _child_histograms(parent_hist, left_idx, right_idx, binned, g, h, hist_fn):
 
 def grow_level_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
                     h: np.ndarray, config, exact: bool = False,
-                    hist_fn=build_histogram) -> DecisionTree:
+                    hist_fn=None) -> DecisionTree:
     """Expand every splittable node of the current depth before descending."""
     lam, gamma = config.lambda_, config.gamma
     mch = config.min_child_hessian
     b = _Builder()
+    if not exact and hist_fn is None:
+        hist_fn = HistogramBuilder(binned)
     root_hist = None if exact else hist_fn(indices, binned, g, h)
     frontier = [(0, indices, root_hist)]
     for _ in range(config.max_depth):
@@ -487,7 +505,7 @@ def grow_level_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
 
 
 def grow_leaf_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
-                   h: np.ndarray, config, hist_fn=build_histogram) -> DecisionTree:
+                   h: np.ndarray, config, hist_fn=None) -> DecisionTree:
     """Always split the leaf with the largest gain next (ties: earliest leaf)."""
     lam, gamma = config.lambda_, config.gamma
     mch = config.min_child_hessian
@@ -508,6 +526,8 @@ def grow_leaf_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         heapq.heappush(heap, (-cand.gain, seq, nid, idx, depth, hist, cand, stats))
         seq += 1
 
+    if hist_fn is None:
+        hist_fn = HistogramBuilder(binned)
     root_hist = hist_fn(indices, binned, g, h)
     consider(0, indices, 0, root_hist)
     n_leaves = 1
@@ -552,18 +572,8 @@ def _oblivious_candidates(stacked, leaf_stats, binned, lam, gamma):
         yield missing_left, np.where(valid, gains.sum(axis=0), -np.inf), gains
 
 
-def _level_histograms(hist_fn, indices, leaf_pos, n_leaves, binned, g, h):
-    """Stacked (L, m, W) histogram arrays for every leaf of one level."""
-    if hasattr(hist_fn, "level_histograms"):
-        return hist_fn.level_histograms(indices, leaf_pos, n_leaves, binned, g, h)
-    hists = [hist_fn(indices[leaf_pos == p], binned, g, h) for p in range(n_leaves)]
-    return (np.stack([hs.sum_g for hs in hists]),
-            np.stack([hs.sum_h for hs in hists]),
-            np.stack([hs.count for hs in hists]).astype(np.float64))
-
-
 def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
-                   h: np.ndarray, config, hist_fn=build_histogram) -> DecisionTree:
+                   h: np.ndarray, config, hist_fn=None) -> DecisionTree:
     """One shared (feature, threshold) per level, chosen to maximize the sum of
     split gains over all current leaves; every leaf is split by it, so the tree
     has exactly 2^depth leaves (empty leaves get weight 0).
@@ -575,13 +585,15 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
     min_child_hessian.
     """
     lam, gamma = config.lambda_, config.gamma
+    if hist_fn is None:
+        hist_fn = HistogramBuilder(binned)
     leaf_pos = np.zeros(len(indices), dtype=np.int64)
     n_leaves = 1
     gi = g[indices]
     hi = h[indices]
     level_splits: list[tuple[int, float, bool]] = []
     level_gains: list[list[float]] = []
-    stacked = _level_histograms(hist_fn, indices, leaf_pos, n_leaves, binned, g, h)
+    stacked = hist_fn.level_histograms(indices, leaf_pos, n_leaves, binned, g, h)
     for _ in range(config.max_depth):
         sum_g = np.bincount(leaf_pos, weights=gi, minlength=n_leaves)
         sum_h = np.bincount(leaf_pos, weights=hi, minlength=n_leaves)
@@ -616,8 +628,8 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         n_right = int(np.count_nonzero(~go_left))
         build_right = n_right * 2 <= len(indices)
         side = ~go_left if build_right else go_left
-        built = _level_histograms(hist_fn, indices[side], leaf_pos[side], n_leaves,
-                                  binned, g, h)
+        built = hist_fn.level_histograms(indices[side], leaf_pos[side], n_leaves,
+                                         binned, g, h)
         sibling = tuple(parent - b for parent, b in zip(stacked, built))
         nxt = tuple(np.empty((2 * n_leaves,) + arr.shape[1:]) for arr in built)
         for out, b, s in zip(nxt, built, sibling):

@@ -46,8 +46,19 @@ def available_recipes() -> list[str]:
 
 
 def _parse_schema(entries) -> list[ColumnSchema]:
-    return [ColumnSchema(e["name"], e.get("kind", "numeric"), e.get("missing_marker"))
-            for e in entries]
+    """ColumnSchema list from a JSON list of {"name", "kind", "missing_marker"}
+    objects; a malformed document raises DatasetError naming the entry."""
+    if not isinstance(entries, list):
+        raise DatasetError(f"schema must be a list of column entries, "
+                           f"got {type(entries).__name__}: {entries!r}")
+    out = []
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise DatasetError(f"schema entry {i} is not an object: {e!r}")
+        if not isinstance(e.get("name"), str):
+            raise DatasetError(f"schema entry {i} needs a string \"name\": {e!r}")
+        out.append(ColumnSchema(e["name"], e.get("kind", "numeric"), e.get("missing_marker")))
+    return out
 
 
 def load_recipe(name_or_path) -> ReplicationRecipe:
@@ -258,7 +269,7 @@ def _analysis_ready(spec: dict, ds: Dataset) -> list[str]:
     return [r for r in refs if r not in ds.columns]
 
 
-def _csv_rows(name: str, result: dict) -> tuple[list[str], list[list]]:
+def _csv_rows(result: dict) -> tuple[list[str], list[list]]:
     """Flatten one analysis result into a small CSV table."""
     if "rows" in result:  # ANOVA tables
         header = ["term", "sum_sq", "dof", "mean_sq", "F", "p_value"]
@@ -336,7 +347,7 @@ def _write_bundle(bundle: dict, name: str, output_dir) -> None:
     for analysis, result in bundle["analyses"].items():
         (out / f"{analysis}.json").write_text(
             json.dumps(_nan_to_none(result), indent=2) + "\n", encoding="utf-8")
-        header, rows = _csv_rows(analysis, result)
+        header, rows = _csv_rows(result)
         with open(out / f"{analysis}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, dialect=_Dialect)
             writer.writerow(header)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import BinnedDataset, Dataset
-from .growers import Histogram
+from .growers import Histogram, HistogramBuilder
 
 
 @dataclass
@@ -212,16 +212,14 @@ def efb_decode(value: float, bundle: FeatureBundle) -> tuple[int | None, float]:
     raise ValueError(f"encoded value {value} lies outside every member range")
 
 
-class BundledHistograms:
-    """Histogram accumulation over bundle bins with exact per-feature extraction.
+class BundledHistograms(HistogramBuilder):
+    """EFB's unit layout on the HistogramBuilder kernel, unpacked exactly.
 
-    Each multi-member bundle gets one code array: bin 0 collects rows where
+    Each multi-member bundle is one unit: local bin 0 collects rows where
     every member sits in its own zero bin, the rest are the members' nonzero
     bins laid out consecutively (on a conflicting row the earlier member wins,
-    as in efb_encode). Accumulation units (singleton features and bundles)
-    share one flat bin space; small nodes fold all units into a single
-    bincount, large nodes run one bincount per unit over its contiguous code
-    array. Either way every bin sums its rows in ascending instance order.
+    as in efb_encode). Singleton features are units of their own. Units sit
+    back to back in the kernel's flat bin space.
 
     Extraction back to the per-feature layout follows a gather map built at
     construction: singleton bins and members' nonzero bins are copied with
@@ -234,85 +232,54 @@ class BundledHistograms:
     result equals direct per-feature accumulation.
     """
 
-    FLAT_LIMIT = 32768
-
     def __init__(self, binned: BinnedDataset, bundles: list[FeatureBundle]):
         self.binned = binned
-        self.n_rows = binned.n_rows
         self.m = len(binned.feature_names)
         self.width = binned.hist_width
-        columns = []
+        codes, offsets, widths = [], [], []
         copy_dst, copy_src = [], []   # feature-layout cell <- unit-space cell
         zero_bins = {}                # segment length -> (zero-bin cells, segment starts)
         offset = 0
         for bd in bundles:
             if len(bd.members) < 2:
-                for fi in bd.members:
-                    name = binned.feature_names[fi]
-                    cells = np.arange(binned.n_bins(name) + 1)
-                    copy_dst.append(fi * self.width + cells)
-                    copy_src.append(offset + cells)
-                    columns.append((offset + cells)[binned.bins[name]])
-                    offset += len(cells)
+                fi, = bd.members
+                name = binned.feature_names[fi]
+                cells = np.arange(binned.n_bins(name) + 1)
+                copy_dst.append(fi * self.width + cells)
+                copy_src.append(offset + cells)
+                codes.append(binned.bins[name])
+                offsets.append(offset)
+                widths.append(len(cells))
+                offset += len(cells)
                 continue
             members = []
-            base = offset + 1
+            local = 1
             for fi in bd.members:
                 name = binned.feature_names[fi]
                 nb = binned.n_bins(name)
                 default_bin = int(np.searchsorted(binned.boundaries[name], 0.0, side="left"))
                 default_bin = min(default_bin, nb - 1)
                 cells = np.arange(nb)
-                lut = base + cells - (cells > default_bin)
+                lut = local + cells - (cells > default_bin)
                 copy_dst.append(fi * self.width + np.delete(cells, default_bin))
-                copy_src.append(np.delete(lut, default_bin))
+                copy_src.append(offset + np.delete(lut, default_bin))
                 dsts, starts = zero_bins.setdefault(nb - 1, ([], []))
                 dsts.append(fi * self.width + default_bin)
-                starts.append(base)
+                starts.append(offset + local)
                 members.append((binned.bins[name], default_bin, lut))
-                base += nb - 1
-            codes = np.full(self.n_rows, offset, dtype=np.int64)
+                local += nb - 1
+            unit = np.zeros(binned.n_rows, dtype=np.uint8 if local <= 256 else np.uint16)
             for fc, default_bin, lut in reversed(members):  # earlier members win
-                codes = np.where(fc != default_bin, lut[fc], codes)
-            columns.append(codes)
-            offset = base
-        self.total_width = offset
-        self.n_units = len(columns)
-        self.unit_codes = columns
-        self.flat = np.column_stack(columns)
+                unit = np.where(fc != default_bin, lut.astype(unit.dtype)[fc], unit)
+            codes.append(unit)
+            offsets.append(offset)
+            widths.append(local)
+            offset += local
+        self._set_units(codes, offsets, widths, offset)
         self.copy_dst = np.concatenate(copy_dst)
         self.copy_src = np.concatenate(copy_src)
         self.zero_bins = [(np.array(dsts), np.array(starts)[:, None] + np.arange(k))
                           for k, (dsts, starts) in sorted(zero_bins.items())]
-
-    def _unit_sums(self, indices, leaf_pos, n_leaves, gi, hi):
-        """(3, n_leaves, total_width) sums of g, h and row counts per unit bin.
-
-        leaf_pos is ignored when n_leaves is 1.
-        """
-        tw = self.total_width
-        size = n_leaves * tw
-        if len(indices) * self.n_units <= self.FLAT_LIMIT:
-            codes = self.flat[indices]
-            if n_leaves > 1:
-                codes = codes + (leaf_pos.astype(np.int64) * tw)[:, None]
-            codes = codes.ravel()
-            acc = np.stack([
-                np.bincount(codes, weights=np.repeat(gi, self.n_units), minlength=size),
-                np.bincount(codes, weights=np.repeat(hi, self.n_units), minlength=size),
-                np.bincount(codes, minlength=size)])
-        else:
-            full = len(indices) == self.n_rows  # growers keep indices sorted unique
-            base = leaf_pos.astype(np.int64) * tw if n_leaves > 1 else None
-            acc = np.zeros((3, size))
-            for uc in self.unit_codes:
-                codes = uc if full else uc[indices]
-                if base is not None:
-                    codes = codes + base
-                acc[0] += np.bincount(codes, weights=gi, minlength=size)
-                acc[1] += np.bincount(codes, weights=hi, minlength=size)
-                acc[2] += np.bincount(codes, minlength=size)
-        return acc.reshape(3, n_leaves, tw)
 
     def _unpack(self, acc, totals):
         """(3, L, m, width) per-feature histograms from unit sums and (3, L) leaf totals."""
@@ -329,7 +296,7 @@ class BundledHistograms:
         """Stacked (n_leaves, m, width) extracted histograms for one level."""
         gi = g[indices]
         hi = h[indices]
-        acc = self._unit_sums(indices, leaf_pos, n_leaves, gi, hi)
+        acc = np.asarray(self._unit_sums(indices, leaf_pos, n_leaves, gi, hi), dtype=np.float64)
         totals = np.stack([np.bincount(leaf_pos, weights=gi, minlength=n_leaves),
                            np.bincount(leaf_pos, weights=hi, minlength=n_leaves),
                            np.bincount(leaf_pos, minlength=n_leaves)])
@@ -339,7 +306,7 @@ class BundledHistograms:
     def __call__(self, indices, binned, g, h) -> Histogram:
         gi = g[indices]
         hi = h[indices]
-        acc = self._unit_sums(indices, None, 1, gi, hi)
+        acc = np.asarray(self._unit_sums(indices, None, 1, gi, hi), dtype=np.float64)
         totals = np.array([[gi.sum()], [hi.sum()], [len(indices)]], dtype=np.float64)
         sg, sh, cnt = self._unpack(acc, totals)[:, 0]
         return Histogram(sg, sh, cnt.astype(np.int64))

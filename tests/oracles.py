@@ -302,3 +302,12 @@ def efb_bundle_reference(data, max_conflicts=0):
             off += width
         out.append((members, offsets, widths))
     return out
+
+
+def level_histograms_reference(hist_fn, indices, leaf_pos, n_leaves, binned, g, h):
+    """Stacked (n_leaves, m, width) sum_g, sum_h and float count arrays, one
+    hist_fn call per leaf over the leaf's rows in ascending order."""
+    hists = [hist_fn(indices[leaf_pos == p], binned, g, h) for p in range(n_leaves)]
+    return (np.stack([hs.sum_g for hs in hists]),
+            np.stack([hs.sum_h for hs in hists]),
+            np.stack([hs.count for hs in hists]).astype(np.float64))

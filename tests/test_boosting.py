@@ -174,6 +174,26 @@ class TestPredict:
         expected = ens.base_score + 0.3 * ens.trees[0].predict_matrix(X)
         np.testing.assert_allclose(ens.predict(ds), expected, atol=1e-15)
 
+    def test_one_hot_columns_follow_the_data_label_table(self):
+        rng = np.random.default_rng(4)
+        c = rng.integers(0, 3, size=90)
+        x = rng.normal(size=90)
+        ds = make_dataset({"c": c, "x": x, "y": 2.0 * (c == 1) - (c == 2) + x},
+                          kinds={"c": CATEGORICAL, "y": TARGET}, labels={"c": ["a", "b", "c"]})
+        ens = train(ds, BoostConfig(n_trees=5, max_depth=3))
+        # another label order, a label training never saw, and a missing cell
+        table = ["c", "z", "a", "b"]
+        cells = ["a", "b", "c", "z", None, "c", "b"]
+        xs = np.linspace(-1.0, 1.0, len(cells))
+        new = make_dataset({"c": [table.index(v) if v else -1 for v in cells], "x": xs},
+                           kinds={"c": CATEGORICAL}, labels={"c": table})
+        expected = np.column_stack(
+            [xs if name == "x" else [float(v == name[2:]) for v in cells]
+             for name in ens.feature_names])
+        assert ens.feature_names == ["c=a", "c=b", "c=c", "x"]
+        assert np.array_equal(ens.feature_matrix(new), expected)
+        assert np.array_equal(ens.predict(new), ens.predict(expected))
+
     def test_single_leaf_contribution(self):
         # base 0.5, one tree whose only leaf weighs -0.625, shrinkage 0.3
         from boostlab.growers import DecisionTree, TreeNode

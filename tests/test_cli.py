@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -47,6 +48,28 @@ class TestIngest:
         schema = write_schema(tmp_path / "s.json", REG_SCHEMA)
         assert main(["ingest", "--input", str(tmp_path / "none.csv"),
                      "--schema", str(schema)]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"a": 1},                                      # not a list
+        [{"name": "x0"}, "x1"],                        # an entry that is not an object
+        [{"name": "x0"}, {"kind": "numeric"}],         # an entry without a name
+        [{"name": "x0"}, {"name": 7}],                 # a name that is not a string
+    ])
+    def test_malformed_schema_exits_2(self, tmp_path, capsys, doc):
+        csv_path = make_training_csv(tmp_path / "d.csv")
+        schema = write_schema(tmp_path / "s.json", doc)
+        assert main(["ingest", "--input", str(csv_path), "--schema", str(schema)]) == 2
+        err = capsys.readouterr().err
+        assert "schema" in err and "Error" not in err
+
+    def test_recipe_schema_entry_without_name_exits_2(self, tmp_path, capsys):
+        csv_path = make_training_csv(tmp_path / "d.csv")
+        recipe = tmp_path / "r.json"
+        recipe.write_text(json.dumps({"name": "r", "schema": [{"name": "x0"},
+                                                              {"kind": "numeric"}]}))
+        assert main(["recipe", "--recipe", str(recipe), "--input", str(csv_path),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert "schema entry 1" in capsys.readouterr().err
 
 
 class TestTrainPredict:
@@ -144,6 +167,63 @@ class TestTrainPredict:
                      "--output", str(preds)]) == 0
         header = preds.read_text().splitlines()[0]
         assert header.startswith("class,")
+
+
+EDU_SCHEMA = [{"name": n, "kind": "categorical"}
+              for n in ("Data as of", "Start Date", "End Date", "Sex", "Education", "Race")] \
+    + [{"name": "COVID-19 Deaths"}, {"name": "Total Deaths"}]
+
+
+def _cell(value):
+    """A JSON result value as the CSV writer spells it (None: an empty cell)."""
+    return "" if value is None else str(value)
+
+
+class TestCsvTables:
+    """chi2, anova, corr and summary .csv tables: fixed headers, and rows that
+    carry the same values as the command's JSON result."""
+
+    def run(self, tmp_path, argv):
+        csv_path = write_education_csv(tmp_path / "edu.csv")
+        schema = write_schema(tmp_path / "s.json", EDU_SCHEMA)
+        base = argv + ["--input", str(csv_path), "--schema", str(schema)]
+        assert main(base + ["--output", str(tmp_path / "t.csv")]) == 0
+        assert main(base + ["--output", str(tmp_path / "t.json")]) == 0
+        with open(tmp_path / "t.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        return header, rows, json.loads((tmp_path / "t.json").read_text())
+
+    def test_chi2(self, tmp_path):
+        header, rows, doc = self.run(tmp_path, ["chi2", "--a", "Sex", "--b", "Education"])
+        assert header == ["a", "b", "statistic", "dof", "p_value"]
+        assert rows == [["Sex", "Education", _cell(doc["statistic"]), _cell(doc["dof"]),
+                         _cell(doc["p_value"])]]
+
+    def test_anova(self, tmp_path):
+        header, rows, doc = self.run(tmp_path, ["anova", "--response", "Total Deaths",
+                                                "--factor", "Race", "--factor2", "Sex"])
+        assert header == ["term", "sum_sq", "dof", "mean_sq", "F", "p_value"]
+        assert [r[0] for r in rows] == ["Race", "Sex", "Residual"]
+        assert rows == [[_cell(r[k]) for k in header] for r in doc["rows"]]
+
+    def test_corr(self, tmp_path):
+        header, rows, doc = self.run(tmp_path, ["corr", "--columns",
+                                                "COVID-19 Deaths,Total Deaths"])
+        assert header == ["matrix", "label", "COVID-19 Deaths", "Total Deaths"]
+        assert rows == [[kind, lbl] + [_cell(v) for v in vals]
+                        for kind in ("r", "r_squared")
+                        for lbl, vals in zip(doc["labels"], doc[kind])]
+        assert [r[:2] for r in rows] == [["r", "COVID-19 Deaths"], ["r", "Total Deaths"],
+                                         ["r_squared", "COVID-19 Deaths"],
+                                         ["r_squared", "Total Deaths"]]
+
+    def test_summary(self, tmp_path):
+        header, rows, doc = self.run(tmp_path, ["summary", "--value", "COVID-19 Deaths",
+                                                "--by", "Race,Sex"])
+        assert header == ["group", "count", "mean", "median", "q1", "q3", "min", "max"]
+        assert len(rows) == 6
+        assert rows == [["|".join(g["group"])] + [_cell(g[k]) for k in header[1:]]
+                        for g in doc["groups"]]
 
 
 class TestImportanceAndReport:

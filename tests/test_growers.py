@@ -7,9 +7,11 @@ from boostlab.growers import (HistogramBuilder, NodeStats, build_histogram,
                               grow_leaf_wise, grow_level_wise, grow_oblivious,
                               leaf_weight, node_stats, split_gain)
 from boostlab.boosting import BoostConfig
+from boostlab.strategies import BundledHistograms, FeatureBundle
 
 from conftest import make_dataset
-from oracles import (best_leaf_value, brute_force_best_split, objective_reduction)
+from oracles import (best_leaf_value, brute_force_best_split, level_histograms_reference,
+                     objective_reduction)
 
 
 def config(**kw):
@@ -169,6 +171,79 @@ class TestHistogram:
             ref = build_histogram(idx, b, g, h)
             np.testing.assert_allclose(fast.sum_g, ref.sum_g, atol=1e-12)
             np.testing.assert_array_equal(fast.count, ref.count)
+
+
+class TestHistogramKernel:
+    """HistogramBuilder against build_histogram and the per-leaf loop, bit for bit."""
+
+    N = 6000
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        rng = np.random.default_rng(11)
+        X = np.column_stack([rng.normal(size=self.N),            # > 255 bins: uint16 codes
+                             rng.integers(0, 3, size=self.N),
+                             rng.integers(0, 40, size=self.N),
+                             rng.normal(size=self.N).round(1),
+                             np.zeros(self.N),
+                             rng.exponential(size=self.N)])
+        X[rng.random(X.shape) < 0.07] = np.nan
+        binned = bin_features(feature_dataset(X), max_bins=300)
+        assert {binned.bins[n].dtype.type for n in binned.feature_names} == {np.uint8, np.uint16}
+        return binned, rng.normal(size=self.N) * 10.0, rng.uniform(0.01, 2.0, size=self.N)
+
+    def _node_sizes(self, builder):
+        limit = builder.FLAT_LIMIT // builder.n_units
+        assert limit + 1 < self.N - 5  # both accumulation paths are reached
+        return (1, 37, limit, limit + 1, self.N - 5, self.N)
+
+    def test_call_matches_build_histogram(self, table):
+        binned, g, h = table
+        builder = HistogramBuilder(binned)
+        rng = np.random.default_rng(0)
+        for size in self._node_sizes(builder):
+            idx = np.sort(rng.choice(self.N, size=size, replace=False))
+            got = builder(idx, binned, g, h)
+            ref = build_histogram(idx, binned, g, h)
+            assert np.array_equal(got.sum_g, ref.sum_g)
+            assert np.array_equal(got.sum_h, ref.sum_h)
+            assert got.count.dtype == ref.count.dtype
+            assert np.array_equal(got.count, ref.count)
+
+    @pytest.mark.parametrize("n_leaves", [1, 4, 32])
+    def test_level_histograms_match_per_leaf_loop(self, table, n_leaves):
+        binned, g, h = table
+        builder = HistogramBuilder(binned)
+        rng = np.random.default_rng(n_leaves)
+        for size in self._node_sizes(builder):
+            idx = np.sort(rng.choice(self.N, size=size, replace=False))
+            leaf_pos = rng.integers(0, n_leaves, size=size)
+            got = builder.level_histograms(idx, leaf_pos, n_leaves, binned, g, h)
+            ref = level_histograms_reference(build_histogram, idx, leaf_pos, n_leaves,
+                                             binned, g, h)
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+    def test_singleton_bundles_match_kernel(self, table):
+        binned, g, h = table
+        plain = HistogramBuilder(binned)
+        singles = [FeatureBundle([fi], [0.0], [0.0]) for fi in range(len(binned.feature_names))]
+        bundled = BundledHistograms(binned, singles)
+        assert bundled.n_units == plain.n_units
+        rng = np.random.default_rng(5)
+        for size in self._node_sizes(plain):
+            idx = np.sort(rng.choice(self.N, size=size, replace=False))
+            got, ref = bundled(idx, binned, g, h), plain(idx, binned, g, h)
+            for a, b in ((got.sum_g, ref.sum_g), (got.sum_h, ref.sum_h),
+                         (got.count, ref.count)):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+            leaf_pos = rng.integers(0, 4, size=size)
+            got = bundled.level_histograms(idx, leaf_pos, 4, binned, g, h)
+            ref = plain.level_histograms(idx, leaf_pos, 4, binned, g, h)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
 
 
 class TestHistogramFinder:
