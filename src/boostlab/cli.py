@@ -10,7 +10,6 @@ timestamps.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -20,10 +19,10 @@ import numpy as np
 from . import stats
 from .boosting import (BoostConfig, Classifier, ConfigError, ModelFormatError,
                        load_model, save_model, train, train_classifier)
-from .dataset import (CATEGORICAL, ColumnSchema, Dataset, DatasetError, _Dialect,
-                      load_csv, retype_target)
+from .dataset import (CATEGORICAL, ColumnSchema, Dataset, DatasetError, load_csv,
+                      load_known_columns, retype_target, write_table)
 from .recipes import (RecipeError, _csv_rows, _nan_to_none, _parse_schema,
-                      available_recipes, load_known_columns, run_recipe)
+                      available_recipes, run_recipe)
 from .stats import StatsError
 
 VALIDATION_ERRORS = (DatasetError, ConfigError, StatsError, RecipeError)
@@ -64,11 +63,7 @@ def _write_result(result: dict, output: str | None, csv_table=None) -> None:
     path = Path(output)
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.suffix == ".csv" and csv_table is not None:
-        header, rows = csv_table
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, dialect=_Dialect)
-            writer.writerow(header)
-            writer.writerows(rows)
+        write_table(path, *csv_table)
         return
     path.write_text(json.dumps(_nan_to_none(result), indent=2) + "\n", encoding="utf-8")
 
@@ -163,10 +158,7 @@ def _cmd_predict(args) -> int:
     schema = _load_schema_file(args.schema) if args.schema else _schema_from_model(model)
     ds, _ = load_known_columns(args.input, schema)
     header, rows = _predictions_table(model, ds)
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, dialect=_Dialect)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_table(args.output, header, rows)
     print(f"wrote {len(rows)} predictions -> {args.output}")
     return 0
 

@@ -117,17 +117,6 @@ class Dataset:
             return v == MISSING_CODE
         return np.isnan(v)
 
-    def decoded(self, name: str) -> np.ndarray:
-        """Categorical codes back to label strings (missing -> None)."""
-        c = self.schema_for(name)
-        if c.kind != CATEGORICAL:
-            return self.columns[name]
-        table = self.labels[name]
-        return np.array(
-            [table[i] if i != MISSING_CODE else None for i in self.columns[name]],
-            dtype=object,
-        )
-
     def summary(self) -> dict:
         """JSON-ready description: shape, per-column kind, missing counts, labels."""
         cols = []
@@ -155,16 +144,9 @@ class _Dialect(csv.Dialect):
     quoting = csv.QUOTE_MINIMAL
 
 
-def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
-    """Read a CSV file into a typed Dataset.
-
-    The header must contain exactly the schema's column names (any order).
-    Numeric cells equal to the column's missing_marker become NaN; anything
-    else that fails to parse raises with the offending row and column.
-    """
-    by_name = {c.name: c for c in schema}
-    if len(by_name) != len(schema):
-        raise DatasetError("duplicate column names in schema")
+def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a CSV file, under the one row rule: the header
+    names each column once and every data row has one cell per column."""
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -175,28 +157,66 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: empty file, no header") from None
-        if set(header) != set(by_name):
-            missing = sorted(set(by_name) - set(header))
-            extra = sorted(set(header) - set(by_name))
-            raise DatasetError(
-                f"{path}: header mismatch (missing {missing}, unexpected {extra})"
-            )
-        raw = {name: [] for name in header}
-        for row_i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DatasetError(f"{path}: row {row_i} has {len(row)} cells, expected {len(header)}")
-            for name, cell in zip(header, row):
-                raw[name].append(cell)
+        rows = list(reader)
+    if len(set(header)) != len(header):
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        raise DatasetError(f"{path}: header repeats column(s) {repeated}")
+    width = len(header)
+    for row_i, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise DatasetError(f"{path}: row {row_i} has {len(row)} cells, expected {width}")
+    return header, rows
 
+
+def _parse_columns(path, header: list[str], rows: list[list[str]],
+                   schema: list[ColumnSchema]) -> Dataset:
+    """Dataset of the schema's columns, parsed one column at a time."""
+    pos = {name: i for i, name in enumerate(header)}
     columns: dict[str, np.ndarray] = {}
     labels: dict[str, list[str]] = {}
     for c in schema:
-        parsed = parse_cells(raw[c.name], c, where=str(path))
+        i = pos[c.name]
+        parsed = parse_cells([row[i] for row in rows], c, where=str(path))
         if c.kind == CATEGORICAL:
             columns[c.name], labels[c.name] = parsed
         else:
             columns[c.name] = parsed
     return Dataset(list(schema), columns, labels)
+
+
+def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
+    """Read a CSV file into a typed Dataset.
+
+    The header must contain exactly the schema's column names (any order).
+    Numeric cells equal to the column's missing_marker become NaN; anything
+    else that fails to parse raises with the offending row and column.
+    """
+    names = {c.name for c in schema}
+    if len(names) != len(schema):
+        raise DatasetError("duplicate column names in schema")
+    header, rows = _read_rows(path)
+    if set(header) != names:
+        missing = sorted(names - set(header))
+        extra = sorted(set(header) - names)
+        raise DatasetError(
+            f"{path}: header mismatch (missing {missing}, unexpected {extra})"
+        )
+    return _parse_columns(path, header, rows, schema)
+
+
+def load_known_columns(path, schema: list[ColumnSchema],
+                       optional: list[ColumnSchema] = ()) -> tuple[Dataset, int]:
+    """Projected CSV read: keep schema + optional columns, ignore the rest.
+
+    Returns the Dataset plus the raw column count of the file (for shape
+    checks). Required columns that are absent raise.
+    """
+    header, rows = _read_rows(path)
+    missing = [c.name for c in schema if c.name not in header]
+    if missing:
+        raise DatasetError(f"{path}: missing required columns {missing}")
+    use = list(schema) + [c for c in optional if c.name in header]
+    return _parse_columns(path, header, rows, use), len(header)
 
 
 def parse_cells(cells: list[str], c: ColumnSchema, where: str = "<data>"):
@@ -234,31 +254,31 @@ def parse_cells(cells: list[str], c: ColumnSchema, where: str = "<data>"):
     return vals
 
 
-def write_csv(ds: Dataset, path) -> None:
-    """Write in the canonical dialect so load_csv(write_csv(ds)) round-trips exactly."""
+def write_table(path, header: list[str], rows) -> None:
+    """Write a header row, then each row, in the canonical dialect."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, dialect=_Dialect)
-        writer.writerow(ds.column_names)
-        cells_by_col = []
-        for c in ds.schema:
-            v = ds.columns[c.name]
-            if c.kind == CATEGORICAL:
-                table = ds.labels[c.name]
-                cells = [table[i] if i != MISSING_CODE else (c.missing_marker or "") for i in v]
-            else:
-                cells = []
-                for x in v:
-                    if math.isnan(x):
-                        if c.missing_marker is None:
-                            raise DatasetError(
-                                f"column {c.name!r} has missing values but no missing_marker"
-                            )
-                        cells.append(c.missing_marker)
-                    else:
-                        cells.append(repr(float(x)))
-            cells_by_col.append(cells)
-        for row in zip(*cells_by_col):
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_csv(ds: Dataset, path) -> None:
+    """Write in the canonical dialect so load_csv(write_csv(ds)) round-trips exactly.
+
+    A column with missing values needs a missing_marker to spell them.
+    """
+    cells_by_col = []
+    for c in ds.schema:
+        if c.missing_marker is None and ds.is_missing(c.name).any():
+            raise DatasetError(f"column {c.name!r} has missing values but no missing_marker")
+        v = ds.columns[c.name]
+        if c.kind == CATEGORICAL:
+            table = ds.labels[c.name]
+            cells = [table[i] if i != MISSING_CODE else c.missing_marker for i in v]
+        else:
+            cells = [c.missing_marker if math.isnan(x) else repr(float(x)) for x in v]
+        cells_by_col.append(cells)
+    write_table(path, ds.column_names, zip(*cells_by_col))
 
 
 def add_ratio_column(ds: Dataset, new_name: str, num: str, den: str, scale: float = 1.0) -> Dataset:

@@ -8,7 +8,6 @@ JSON + CSV pair per analysis under <output_dir>/<recipe>/.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -19,9 +18,9 @@ import numpy as np
 from . import stats
 from .boosting import (BoostConfig, Ensemble, prepare_features, train,
                        train_classifier)
-from .dataset import (CATEGORICAL, ColumnSchema, Dataset, DatasetError, RecipeSpec,
-                      apply_recipe, parse_cells, retype_target, train_test_split,
-                      _Dialect)
+from .dataset import (ColumnSchema, Dataset, DatasetError, RecipeSpec, apply_recipe,
+                      load_known_columns, retype_target, train_test_split,
+                      write_table)
 
 RECIPE_DIR = Path(__file__).parent / "recipes"
 
@@ -61,76 +60,85 @@ def _parse_schema(entries) -> list[ColumnSchema]:
     return out
 
 
+# Keys each preprocess op and analysis op reads without a default.
+_PREPROCESS_KEYS = {"add_ratio_column": ("new_name", "num", "den"),
+                    "filter_rows": ("column", "excluded"),
+                    "drop_missing": ()}
+_ANALYSIS_KEYS = {"chi2": ("a", "b"), "anova1": ("response", "factor"),
+                  "anova2": ("response", "factor_a", "factor_b"),
+                  "correlation": ("columns",), "group_summary": ("value", "by"),
+                  "train_importance": ("features", "target"),
+                  "split_regression": ("features", "target")}
+
+
+def _checked_steps(recipe: str, kind: str, steps, required: dict) -> list[dict]:
+    """The steps, once each is an object with a known op and that op's
+    required keys; otherwise RecipeError naming the step's index."""
+    if not isinstance(steps, list):
+        raise RecipeError(f"{recipe}: expected a list of {kind} objects, got {steps!r}")
+    for i, step in enumerate(steps):
+        where = f"{recipe}: {kind} {i}"
+        if not isinstance(step, dict):
+            raise RecipeError(f"{where} is not an object: {step!r}")
+        if "op" not in step:
+            raise RecipeError(f"{where} needs an 'op'")
+        op = step["op"]
+        if not isinstance(op, str) or op not in required:
+            raise RecipeError(f"{where}: unknown op {op!r}")
+        absent = [key for key in required[op] if key not in step]
+        if absent:
+            raise RecipeError(f"{where} ({op}) needs {absent}")
+    return steps
+
+
 def load_recipe(name_or_path) -> ReplicationRecipe:
+    """Load and check a whole recipe document; a malformed one raises
+    RecipeError (or DatasetError for its schema) before any data is read."""
     path = Path(name_or_path)
     if not path.suffix:
         path = RECIPE_DIR / f"{name_or_path}.json"
     if not path.exists():
         raise RecipeError(
             f"unknown recipe {name_or_path!r}; available: {', '.join(available_recipes())}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise RecipeError(f"recipe file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise RecipeError(f"recipe file {path} must hold an object, got {type(doc).__name__}")
+    name = doc.get("name")
+    if not isinstance(name, str):
+        raise RecipeError(f"recipe file {path} needs a string 'name'")
+    if "schema" not in doc:
+        raise RecipeError(f"{name}: recipe needs a 'schema'")
+    preprocess = _checked_steps(name, "preprocess step", doc.get("preprocess", []),
+                                _PREPROCESS_KEYS)
+    analyses = _checked_steps(name, "analysis", doc.get("analyses", []), _ANALYSIS_KEYS)
     derived, filters, dropped = [], [], []
     drop_rows = False
-    for step in doc.get("preprocess", []):
+    for step in preprocess:
         op = step["op"]
         if op == "add_ratio_column":
             derived.append((step["new_name"], step["num"], step["den"],
                             float(step.get("scale", 1.0))))
         elif op == "filter_rows":
             filters.append((step["column"], step["excluded"]))
-        elif op == "drop_missing":
+        else:  # drop_missing
             dropped.extend(step.get("columns", []))
             drop_rows = True
-        else:
-            raise RecipeError(f"{doc['name']}: unknown preprocess op {op!r}")
     expected = doc.get("expected_shape")
-    spec = RecipeSpec(doc["name"], derived, filters, dropped, drop_rows,
+    spec = RecipeSpec(name, derived, filters, dropped, drop_rows,
                       tuple(expected) if expected else None)
     e_in = doc.get("expected_input_shape")
     return ReplicationRecipe(
-        name=doc["name"],
+        name=name,
         description=doc.get("description", ""),
         schema=_parse_schema(doc["schema"]),
         optional_columns=_parse_schema(doc.get("optional_columns", [])),
         expected_input_shape=tuple(e_in) if e_in else None,
         spec=spec,
-        analyses=doc.get("analyses", []),
+        analyses=analyses,
     )
-
-
-def load_known_columns(path, schema: list[ColumnSchema],
-                       optional: list[ColumnSchema] = ()) -> tuple[Dataset, int]:
-    """Lenient CSV read: keep schema + optional columns, ignore the rest.
-
-    Returns the Dataset plus the raw column count of the file (for shape
-    checks). Required columns that are absent raise.
-    """
-    try:
-        fh = open(path, "r", newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise DatasetError(f"no such file: {path}") from None
-    with fh:
-        reader = csv.reader(fh, dialect=_Dialect)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file, no header") from None
-        rows = [row for row in reader]
-    missing = [c.name for c in schema if c.name not in header]
-    if missing:
-        raise DatasetError(f"{path}: missing required columns {missing}")
-    use = list(schema) + [c for c in optional if c.name in header]
-    pos = {name: i for i, name in enumerate(header)}
-    columns, labels = {}, {}
-    for c in use:
-        i = pos[c.name]
-        cells = [row[i] if i < len(row) else "" for row in rows]
-        parsed = parse_cells(cells, c, where=str(path))
-        if c.kind == CATEGORICAL:
-            columns[c.name], labels[c.name] = parsed
-        else:
-            columns[c.name] = parsed
-    return Dataset(use, columns, labels), len(header)
 
 
 def _check_input_shape(recipe: ReplicationRecipe, n_rows: int, n_raw_cols: int) -> list[str]:
@@ -347,8 +355,4 @@ def _write_bundle(bundle: dict, name: str, output_dir) -> None:
     for analysis, result in bundle["analyses"].items():
         (out / f"{analysis}.json").write_text(
             json.dumps(_nan_to_none(result), indent=2) + "\n", encoding="utf-8")
-        header, rows = _csv_rows(result)
-        with open(out / f"{analysis}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, dialect=_Dialect)
-            writer.writerow(header)
-            writer.writerows(rows)
+        write_table(out / f"{analysis}.csv", *_csv_rows(result))

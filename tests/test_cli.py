@@ -350,3 +350,37 @@ class TestRecipeCommand:
         assert main(["recipe", "--recipe", "education-covid", "--input",
                      str(csv_path), "--output-dir", str(tmp_path / "o"),
                      "--strict-shapes"]) == 2
+
+
+TWO_COLUMN_SCHEMA = [{"name": "x0"}, {"name": "x1"}]
+
+
+class TestMalformedRecipe:
+    """A malformed recipe document exits 2 with the step and key named."""
+
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({"schema": TWO_COLUMN_SCHEMA}), "needs a string 'name'"),
+        (json.dumps({"name": "r"}), "r: recipe needs a 'schema'"),
+        (json.dumps({"name": "r", "schema": TWO_COLUMN_SCHEMA,
+                     "preprocess": [{"column": "x0"}]}),
+         "r: preprocess step 0 needs an 'op'"),
+        (json.dumps({"name": "r", "schema": TWO_COLUMN_SCHEMA,
+                     "analyses": [{"op": "chi2", "a": "x0", "b": "x1"},
+                                  {"name": "c", "a": "x0", "b": "x1"}]}),
+         "r: analysis 1 needs an 'op'"),
+        (json.dumps({"name": "r", "schema": TWO_COLUMN_SCHEMA,
+                     "preprocess": [{"op": "filter_rows", "excluded": [1]}]}),
+         "r: preprocess step 0 (filter_rows) needs ['column']"),
+        (json.dumps([{"name": "r", "schema": TWO_COLUMN_SCHEMA}]), "must hold an object"),
+        ('{"name": "r", "schema": [', "is not valid JSON"),
+    ], ids=["no-name", "no-schema", "step-without-op", "analysis-without-op",
+            "filter-without-column", "top-level-list", "invalid-json"])
+    def test_exits_2(self, tmp_path, capsys, text, message):
+        csv_path = make_training_csv(tmp_path / "d.csv")
+        recipe = tmp_path / "r.json"
+        recipe.write_text(text, encoding="utf-8")
+        assert main(["recipe", "--recipe", str(recipe), "--input", str(csv_path),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Error" not in err
+        assert not (tmp_path / "out").exists()

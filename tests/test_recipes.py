@@ -191,3 +191,29 @@ class TestDeterminism:
         run_recipe("education-covid", csv_path, output_dir=out, seed=17)
         report = json.loads((out / "education-covid" / "report.json").read_text())
         assert report["seed"] == 17
+
+
+@pytest.mark.parametrize("analyses, message", [
+    ([{"op": "chi2", "a": "x"}], "r: analysis 0 (chi2) needs ['b']"),
+    ([{"op": "anova2", "response": "x", "factor_a": "f"}],
+     "r: analysis 0 (anova2) needs ['factor_b']"),
+    ([{"op": "group_summary"}], "r: analysis 0 (group_summary) needs ['value', 'by']"),
+    ([{"op": "train_importance", "features": ["x"]}],
+     "r: analysis 0 (train_importance) needs ['target']"),
+    ([{"op": "split_regression", "target": "x"}],
+     "r: analysis 0 (split_regression) needs ['features']"),
+    ([{"op": "chi2", "a": "x", "b": "x"}, {"op": "tukey", "value": "x"}],
+     "r: analysis 1: unknown op 'tukey'"),
+    ({"op": "chi2"}, "r: expected a list of analysis objects, got {'op': 'chi2'}"),
+    (["chi2"], "r: analysis 0 is not an object: 'chi2'"),
+    ([{"op": ["chi2"]}], "r: analysis 0: unknown op ['chi2']"),
+], ids=["chi2-key", "anova2-key", "group_summary-keys", "train_importance-key",
+        "split_regression-key", "unknown-op", "not-a-list", "not-an-object",
+        "op-not-a-string"])
+def test_malformed_analyses_rejected_at_load(tmp_path, analyses, message):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"name": "r", "schema": [{"name": "x"}],
+                                "analyses": analyses}))
+    with pytest.raises(RecipeError) as info:
+        load_recipe(path)
+    assert str(info.value) == message
