@@ -387,7 +387,10 @@ def _train_ordered(y, binned, X, config: BoostConfig, base: float, hist_fn) -> l
         n, config.ordered_permutations, n_blocks, _iteration_seed(config.seed, 0, salt=1))
     grad_fn = functools.partial(compute_gradients, config.loss)
     block_preds = [np.full((n_blocks, n), base) for _ in schedule.permutations]
-    prefix_idx = [[schedule.prefix_indices(p, j) for j in range(n_blocks)]
+    # prefix model j trains on prefix_idx[p][j] (blocks < j); its predictions
+    # are read only on blocks <= j, i.e. prefix_idx[p][j + 1]: by
+    # ordered_gradients on block j and by its own next gradients on blocks < j
+    prefix_idx = [[schedule.prefix_indices(p, j) for j in range(n_blocks + 1)]
                   for p in range(len(schedule.permutations))]
     all_idx = np.arange(n)
     trees = []
@@ -405,7 +408,9 @@ def _train_ordered(y, binned, X, config: BoostConfig, base: float, hist_fn) -> l
                 prefix_tree = growers.grow_oblivious(
                     idx, binned, gj, hj, config, hist_fn=hist_fn)
                 prefix_tree.__dict__.pop("_train_leaf_pos", None)
-                block_preds[p][j] += config.learning_rate * prefix_tree.predict_matrix(X)
+                read = prefix_idx[p][j + 1]
+                block_preds[p][j][read] += (config.learning_rate
+                                            * prefix_tree.predict_matrix(X[read]))
     return trees
 
 

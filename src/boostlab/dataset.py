@@ -265,18 +265,25 @@ def write_table(path, header: list[str], rows) -> None:
 def write_csv(ds: Dataset, path) -> None:
     """Write in the canonical dialect so load_csv(write_csv(ds)) round-trips exactly.
 
-    A column with missing values needs a missing_marker to spell them.
+    A column with missing values needs a missing_marker to spell them, and
+    no present value may be spelled like the column's missing_marker.
     """
     cells_by_col = []
     for c in ds.schema:
-        if c.missing_marker is None and ds.is_missing(c.name).any():
+        has_missing = bool(ds.is_missing(c.name).any())
+        if c.missing_marker is None and has_missing:
             raise DatasetError(f"column {c.name!r} has missing values but no missing_marker")
         v = ds.columns[c.name]
         if c.kind == CATEGORICAL:
             table = ds.labels[c.name]
-            cells = [table[i] if i != MISSING_CODE else c.missing_marker for i in v]
+            cells = [table[i] if i != MISSING_CODE else None for i in v]
         else:
-            cells = [c.missing_marker if math.isnan(x) else repr(float(x)) for x in v]
+            cells = [None if math.isnan(x) else repr(float(x)) for x in v]
+        if c.missing_marker is not None and c.missing_marker in cells:
+            raise DatasetError(f"column {c.name!r} holds the value {c.missing_marker!r}, "
+                               f"which is its missing_marker and would read back as missing")
+        if has_missing:
+            cells = [c.missing_marker if x is None else x for x in cells]
         cells_by_col.append(cells)
     write_table(path, ds.column_names, zip(*cells_by_col))
 
@@ -473,9 +480,13 @@ class BinnedDataset:
     Missing values map to the reserved extra bin n_bins(f).
 
     Derived at construction: bin_counts (n_bins per feature), hist_width (the
-    widest feature's bins plus its missing bin) and threshold_mask, which is
+    widest feature's bins plus its missing bin), threshold_mask, which is
     True at (feature, bin) when the bin's upper edge is a valid split
-    threshold, i.e. bin < n_bins(f) - 1.
+    threshold, i.e. bin < n_bins(f) - 1, and missing_features, the ascending
+    indices of the features with at least one row in their missing bin. Every
+    other feature's missing bin holds exactly 0.0 in any histogram over any
+    subset of the rows, so split scans try the missing-right routing only on
+    missing_features.
     """
 
     source: Dataset
@@ -486,6 +497,7 @@ class BinnedDataset:
     bin_counts: np.ndarray = field(init=False, repr=False, compare=False)
     hist_width: int = field(init=False, repr=False, compare=False)
     threshold_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    missing_features: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.bin_counts = np.array([self.n_bins(n) for n in self.feature_names],
@@ -493,6 +505,8 @@ class BinnedDataset:
         self.hist_width = int(self.bin_counts.max()) + 1
         self.threshold_mask = (np.arange(self.hist_width - 1)[None, :]
                                < (self.bin_counts - 1)[:, None])
+        self.missing_features = np.flatnonzero(
+            [(self.bins[n] == nb).any() for n, nb in zip(self.feature_names, self.bin_counts)])
 
     def n_bins(self, name: str) -> int:
         return len(self.boundaries[name])

@@ -205,49 +205,72 @@ def _prefix_tables(sum_g, sum_h, count, nb: np.ndarray):
     return GL, HL, CL, gm, hm, cm
 
 
-def _routing_gains(GL, HL, CL, GR, HR, CR, gm, hm, cm, parent_term, lam, gamma):
-    """Split gain of every prefix under each missing-value routing.
+def _squared_term(g, h, c, lam):
+    """One side's g * g / (h + lam), 0.0 where the side is empty or its
+    denominator is nonpositive."""
+    d = h + lam
+    t = g * g
+    t /= d
+    ok = c > 0
+    ok &= d > 0
+    np.putmask(t, ~ok, 0.0)
+    return t
 
-    Yields (missing_left, hl, hr, gains) for missing-left, then missing-right.
-    Inputs are non-missing prefix/suffix sums of shape (..., n_thresholds);
-    gm/hm/cm and parent_term broadcast against them. A side's squared term is
-    zero where that side is empty or its denominator is nonpositive.
+
+def _routing_gain(gl, hl, cl, gr, hr, cr, parent_term, lam, gamma):
+    """Split gain of every prefix under one missing-value routing.
+
+    gl/hl/cl are the left side's sums and gr/hr/cr the right side's, each of
+    shape (..., n_thresholds); parent_term broadcasts against them. Callers
+    hold np.errstate(divide="ignore", invalid="ignore").
     """
-    for missing_left in (True, False):
-        if missing_left:
-            gl, hl, cl, gr, hr, cr = GL + gm, HL + hm, CL + cm, GR, HR, CR
-        else:
-            gl, hl, cl, gr, hr, cr = GL, HL, CL, GR + gm, HR + hm, CR + cm
-        dl = hl + lam
-        dr = hr + lam
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tl = np.where((cl > 0) & (dl > 0), gl * gl / dl, 0.0)
-            tr = np.where((cr > 0) & (dr > 0), gr * gr / dr, 0.0)
-        yield missing_left, hl, hr, 0.5 * (tl + tr - parent_term) - gamma
+    tl = _squared_term(gl, hl, cl, lam)
+    tl += _squared_term(gr, hr, cr, lam)
+    tl -= parent_term
+    tl *= 0.5
+    tl -= gamma
+    return tl
+
+
+def _scored_routing(gl, hl, cl, gr, hr, cr, parent_term, lam, gamma,
+                    min_child_hessian, valid):
+    """_routing_gain, -inf where a cell is not valid or a side fails its
+    denominator or min_child_hessian."""
+    gains = _routing_gain(gl, hl, cl, gr, hr, cr, parent_term, lam, gamma)
+    ok = valid & (hl + lam > 0) & (hr + lam > 0) \
+        & (hl >= min_child_hessian) & (hr >= min_child_hessian)
+    np.putmask(gains, ~ok, -np.inf)
+    return gains
 
 
 def _best_routing(GL, HL, CL, GR, HR, CR, gm, hm, cm, parent_term, lam, gamma,
-                  min_child_hessian, valid):
+                  min_child_hessian, valid, missing):
     """Elementwise best gain over the two missing routings (ties keep left).
 
     A cell is -inf unless it is valid, each side has a non-missing instance,
     and both sides have a positive denominator and min_child_hessian.
+    missing indexes the leading axis of the prefix arrays and of gm/hm/cm
+    where the missing sums may be nonzero, or is None where they are all
+    exactly zero. Missing-right is scored there only: elsewhere it repeats
+    missing-left's gains, so the strict tie rule never picks it.
     Returns (gains, missing_left) arrays shaped like GL.
     """
     valid = valid & (CL >= 1) & (CR >= 1)
-    best_gain = best_left = None
-    for missing_left, hl, hr, gains in _routing_gains(
-            GL, HL, CL, GR, HR, CR, gm, hm, cm, parent_term, lam, gamma):
-        ok = valid & (hl + lam > 0) & (hr + lam > 0) \
-            & (hl >= min_child_hessian) & (hr >= min_child_hessian)
-        gains = np.where(ok, gains, -np.inf)
-        if best_gain is None:
-            best_gain, best_left = gains, np.ones(gains.shape, dtype=bool)
-        else:
-            better = gains > best_gain  # strict: ties keep the left routing
-            best_gain = np.where(better, gains, best_gain)
-            best_left = ~better
-    return best_gain, best_left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left_sums = (GL, HL, CL) if missing is None else (GL + gm, HL + hm, CL + cm)
+        gains = _scored_routing(*left_sums, GR, HR, CR, parent_term, lam, gamma,
+                                min_child_hessian, valid)
+        missing_left = np.ones(gains.shape, dtype=bool)
+        if missing is None:
+            return gains, missing_left
+        right = _scored_routing(GL[missing], HL[missing], CL[missing], GR[missing] + gm[missing],
+                                HR[missing] + hm[missing], CR[missing] + cm[missing],
+                                parent_term, lam, gamma, min_child_hessian, valid[missing])
+    left = gains[missing]
+    better = right > left  # strict: ties keep the left routing
+    gains[missing] = np.where(better, right, left)
+    missing_left[missing] = ~better
+    return gains, missing_left
 
 
 def _candidate(fi, threshold, gain, pos, GL, HL, CL, GR, HR, CR, miss, default_left):
@@ -266,9 +289,12 @@ def find_best_split_histogram(hist: Histogram, parent: NodeStats, binned: Binned
                               min_child_hessian: float = 0.0) -> SplitCandidate | None:
     """Scan cumulative bin prefixes of every feature for the max-gain split.
 
-    The missing-value bin is tried on both sides. Ties break toward the lowest
-    feature index, then the lowest threshold. Returns None when no candidate
-    has positive gain. Requires at least one non-missing instance per side.
+    The missing-value bin is tried on both sides for the features that have
+    missing values in the training table (binned.missing_features); every
+    other feature's missing bin is exactly 0.0, so it stays on the left. Ties
+    break toward the lowest feature index, then the lowest threshold, then the
+    left routing. Returns None when no candidate has positive gain. Requires
+    at least one non-missing instance per side.
     """
     dparent = parent.sum_h + lam
     parent_term = parent.sum_g ** 2 / dparent if dparent > 0 else 0.0
@@ -277,9 +303,11 @@ def find_best_split_histogram(hist: Histogram, parent: NodeStats, binned: Binned
     GR = (parent.sum_g - gm)[:, None] - GL
     HR = (parent.sum_h - hm)[:, None] - HL
     CR = (parent.count - cm)[:, None] - CL
+    missing = binned.missing_features
     gains, missing_left = _best_routing(
         GL, HL, CL, GR, HR, CR, gm[:, None], hm[:, None], cm[:, None],
-        parent_term, lam, gamma, min_child_hessian, binned.threshold_mask)
+        parent_term, lam, gamma, min_child_hessian, binned.threshold_mask,
+        missing if missing.size else None)
     flat = int(np.argmax(gains))  # row-major: lowest feature, then lowest bin
     fi, pos = divmod(flat, gains.shape[1])
     gain = float(gains[fi, pos])
@@ -298,7 +326,7 @@ def find_best_split_presorted(indices: np.ndarray, ds, g: np.ndarray, h: np.ndar
                               feature_names: list[str] | None = None) -> SplitCandidate | None:
     """Exact enumeration over all midpoints between consecutive distinct sorted
     feature values. Same tie-breaking and rejection rules as the histogram
-    finder."""
+    finder; missing-right is tried where the node has a missing value."""
     names = feature_names if feature_names is not None else ds.numeric_feature_names()
     stats = node_stats(indices, g, h)
     dparent = stats.sum_h + lam
@@ -328,8 +356,9 @@ def find_best_split_presorted(indices: np.ndarray, ds, g: np.ndarray, h: np.ndar
         missing = NodeStats(float(g[indices][miss].sum()), float(h[indices][miss].sum()),
                             int(miss.sum()))
         gains, missing_left = _best_routing(
-            GL, HL, CL, GR, HR, CR, missing.sum_g, missing.sum_h, missing.count,
-            parent_term, lam, gamma, min_child_hessian, True)
+            GL, HL, CL, GR, HR, CR, np.array([missing.sum_g]), np.array([missing.sum_h]),
+            np.array([missing.count]), parent_term, lam, gamma, min_child_hessian, True,
+            slice(None) if missing.count else None)
         pos = int(np.argmax(gains))  # first max -> lowest threshold
         gain = float(gains[pos])
         if not np.isfinite(gain):
@@ -545,31 +574,55 @@ def grow_leaf_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
     return DecisionTree(b.nodes)
 
 
-def _oblivious_candidates(stacked, leaf_stats, binned, lam, gamma):
-    """Total gain across all leaves for every (feature, bin), per routing.
+def _level_best(gains, valid):
+    """Highest-total (fi, pos) of one routing's (L, m, n_thr) per-leaf gains,
+    the first in row-major order on ties: (total, fi, pos). Zeroes the gains
+    at invalid thresholds in place."""
+    np.copyto(gains, 0.0, where=~valid)
+    totals = gains.sum(axis=0)
+    np.copyto(totals, -np.inf, where=~valid)
+    fi, pos = divmod(int(np.argmax(totals)), totals.shape[1])
+    return float(totals[fi, pos]), fi, pos
 
-    A leaf whose split is degenerate at some threshold (an empty side, or a
-    nonpositive denominator) still contributes 0.5 * 0 - gamma there: the same
-    formula with the offending squared terms forced to zero. Takes stacked
-    (L, m, W) arrays; yields (missing_left, totals, per_leaf_gains) with
-    arrays of shape (m, n_thr) and (L, m, n_thr), missing-left first.
+
+def _oblivious_split(stacked, sum_g, sum_h, counts, binned, lam, gamma):
+    """The shared split of one oblivious level: (total, fi, pos, missing_left,
+    per-leaf gains), or None when no total is finite.
+
+    A total sums one (feature, bin)'s gain over all L leaves, whose sums are
+    sum_g, sum_h and counts. A leaf whose split is degenerate at some threshold
+    (an empty side, or a nonpositive denominator) still contributes
+    0.5 * 0 - gamma there: the same formula with the offending squared terms
+    forced to zero. Takes stacked (L, m, W) histograms. Within each routing
+    ties go to the lowest feature, then the lowest bin; missing-right is
+    scored on binned.missing_features only and must strictly beat the best
+    missing-left total.
     """
     valid = binned.threshold_mask
+    missing = binned.missing_features
     GL, HL, CL, gm, hm, cm = _prefix_tables(*stacked, binned.bin_counts)
-    pg = np.array([s.sum_g for s in leaf_stats])
-    ph = np.array([s.sum_h for s in leaf_stats])
-    pc = np.array([s.count for s in leaf_stats], dtype=np.float64)
-    dpar = ph + lam
+    pc = counts.astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        parent_term = np.where((dpar > 0) & (pc > 0), pg * pg / dpar, 0.0)  # (L,)
-    GR = (pg[:, None] - gm)[:, :, None] - GL
-    HR = (ph[:, None] - hm)[:, :, None] - HL
-    CR = (pc[:, None] - cm)[:, :, None] - CL
-    for missing_left, _, _, gains in _routing_gains(
-            GL, HL, CL, GR, HR, CR, gm[:, :, None], hm[:, :, None], cm[:, :, None],
-            parent_term[:, None, None], lam, gamma):
-        gains = np.where(valid, gains, 0.0)
-        yield missing_left, np.where(valid, gains.sum(axis=0), -np.inf), gains
+        dpar = sum_h + lam
+        parent_term = np.where((dpar > 0) & (pc > 0), sum_g * sum_g / dpar, 0.0)
+        parent_term = parent_term[:, None, None]
+        GR = (sum_g[:, None] - gm)[:, :, None] - GL
+        HR = (sum_h[:, None] - hm)[:, :, None] - HL
+        CR = (pc[:, None] - cm)[:, :, None] - CL
+        gm, hm, cm = gm[:, :, None], hm[:, :, None], cm[:, :, None]
+        left_sums = (GL + gm, HL + hm, CL + cm) if missing.size else (GL, HL, CL)
+        gains = _routing_gain(*left_sums, GR, HR, CR, parent_term, lam, gamma)
+        total, fi, pos = _level_best(gains, valid)
+        best = (total, fi, pos, True, gains[:, fi, pos]) if np.isfinite(total) else None
+        if missing.size:
+            sub = (slice(None), missing)
+            right = _routing_gain(GL[sub], HL[sub], CL[sub], GR[sub] + gm[sub],
+                                  HR[sub] + hm[sub], CR[sub] + cm[sub],
+                                  parent_term, lam, gamma)
+            total, k, pos = _level_best(right, valid[missing])
+            if np.isfinite(total) and (best is None or total > best[0]):
+                best = (total, int(missing[k]), pos, False, right[:, k, pos])
+    return best
 
 
 def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
@@ -580,7 +633,8 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
 
     Ties break toward the lowest feature, then the lowest threshold, within
     each missing-value routing. The two routings are compared as wholes, so a
-    missing-right candidate must strictly beat the best missing-left total.
+    missing-right candidate must strictly beat the best missing-left total;
+    it is scored only for features with missing values in the training table.
     Like CatBoost's symmetric trees, this grower does not apply
     min_child_hessian.
     """
@@ -595,22 +649,11 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
     level_gains: list[list[float]] = []
     stacked = hist_fn.level_histograms(indices, leaf_pos, n_leaves, binned, g, h)
     for _ in range(config.max_depth):
-        sum_g = np.bincount(leaf_pos, weights=gi, minlength=n_leaves)
-        sum_h = np.bincount(leaf_pos, weights=hi, minlength=n_leaves)
-        counts = np.bincount(leaf_pos, minlength=n_leaves)
-        leaf_stats = [NodeStats(float(sum_g[p]), float(sum_h[p]), int(counts[p]))
-                      for p in range(n_leaves)]
-        best = None  # (total, fi, pos, missing_left, per_leaf_gains)
-        for missing_left, totals, gains in _oblivious_candidates(
-                stacked, leaf_stats, binned, lam, gamma):
-            flat = int(np.argmax(totals))  # row-major: lowest feature, lowest bin
-            fi, pos = divmod(flat, totals.shape[1])
-            total = float(totals[fi, pos])
-            if not np.isfinite(total):
-                continue
-            if best is None or total > best[0]:
-                best = (total, fi, pos, missing_left,
-                        [float(x) for x in gains[:, fi, pos]])
+        best = _oblivious_split(stacked,
+                                np.bincount(leaf_pos, weights=gi, minlength=n_leaves),
+                                np.bincount(leaf_pos, weights=hi, minlength=n_leaves),
+                                np.bincount(leaf_pos, minlength=n_leaves),
+                                binned, lam, gamma)
         if best is None or best[0] <= 0.0:
             break
         total, fi, pos, missing_left, gains_here = best
@@ -619,7 +662,7 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         go_left = _goes_left(binned.source.column(name)[indices], thr, missing_left)
         new_leaf_pos = 2 * leaf_pos + (~go_left).astype(np.int64)
         level_splits.append((fi, thr, missing_left))
-        level_gains.append(gains_here)
+        level_gains.append(gains_here.tolist())
         if len(level_splits) == config.max_depth:
             leaf_pos = new_leaf_pos
             n_leaves *= 2
@@ -630,15 +673,12 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         side = ~go_left if build_right else go_left
         built = hist_fn.level_histograms(indices[side], leaf_pos[side], n_leaves,
                                          binned, g, h)
-        sibling = tuple(parent - b for parent, b in zip(stacked, built))
+        built_at = slice(int(build_right), None, 2)  # right children sit at odd slots
+        sibling_at = slice(1 - int(build_right), None, 2)
         nxt = tuple(np.empty((2 * n_leaves,) + arr.shape[1:]) for arr in built)
-        for out, b, s in zip(nxt, built, sibling):
-            if build_right:
-                out[1::2] = b
-                out[::2] = s
-            else:
-                out[::2] = b
-                out[1::2] = s
+        for out, parent, b in zip(nxt, stacked, built):
+            out[built_at] = b
+            np.subtract(parent, b, out=out[sibling_at])
         stacked = nxt
         leaf_pos = new_leaf_pos
         n_leaves *= 2

@@ -71,9 +71,38 @@ _ANALYSIS_KEYS = {"chi2": ("a", "b"), "anova1": ("response", "factor"),
                   "split_regression": ("features", "target")}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# What the value of each typed key must be, wherever a step holds it.
+_VALUE_RULES = {
+    "trees": (_is_int, "an integer"),
+    "max_depth": (_is_int, "an integer"),
+    "max_bins": (_is_int, "an integer"),
+    "max_leaves": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "learning_rate": (_is_number, "a number"),
+    "train_fraction": (_is_number, "a number"),
+    "scale": (_is_number, "a number"),
+    "columns": (_is_names, "a list of strings"),
+    "features": (_is_names, "a list of strings"),
+    "by": (_is_names, "a list of strings"),
+    "excluded": (lambda v: isinstance(v, list), "a list"),
+}
+
+
 def _checked_steps(recipe: str, kind: str, steps, required: dict) -> list[dict]:
-    """The steps, once each is an object with a known op and that op's
-    required keys; otherwise RecipeError naming the step's index."""
+    """The steps, once each is an object with a known op, that op's required
+    keys and well-typed values; otherwise RecipeError naming the step's
+    index and the key."""
     if not isinstance(steps, list):
         raise RecipeError(f"{recipe}: expected a list of {kind} objects, got {steps!r}")
     for i, step in enumerate(steps):
@@ -88,7 +117,24 @@ def _checked_steps(recipe: str, kind: str, steps, required: dict) -> list[dict]:
         absent = [key for key in required[op] if key not in step]
         if absent:
             raise RecipeError(f"{where} ({op}) needs {absent}")
+        for key, (ok, what) in _VALUE_RULES.items():
+            if key in step and not ok(step[key]):
+                raise RecipeError(f"{where} ({op}): {key!r} must be {what}, "
+                                  f"got {step[key]!r}")
     return steps
+
+
+def _shape(recipe: str, doc: dict, key: str):
+    """The document's (rows, columns) pair under key, each an integer or
+    null, or None when the key is absent or null."""
+    value = doc.get(key)
+    if value is None:
+        return None
+    if not (isinstance(value, list) and len(value) == 2
+            and all(v is None or _is_int(v) for v in value)):
+        raise RecipeError(f"{recipe}: {key!r} must be a pair of integers or nulls, "
+                          f"got {value!r}")
+    return tuple(value)
 
 
 def load_recipe(name_or_path) -> ReplicationRecipe:
@@ -126,16 +172,14 @@ def load_recipe(name_or_path) -> ReplicationRecipe:
         else:  # drop_missing
             dropped.extend(step.get("columns", []))
             drop_rows = True
-    expected = doc.get("expected_shape")
     spec = RecipeSpec(name, derived, filters, dropped, drop_rows,
-                      tuple(expected) if expected else None)
-    e_in = doc.get("expected_input_shape")
+                      _shape(name, doc, "expected_shape"))
     return ReplicationRecipe(
         name=name,
         description=doc.get("description", ""),
         schema=_parse_schema(doc["schema"]),
         optional_columns=_parse_schema(doc.get("optional_columns", [])),
-        expected_input_shape=tuple(e_in) if e_in else None,
+        expected_input_shape=_shape(name, doc, "expected_input_shape"),
         spec=spec,
         analyses=analyses,
     )

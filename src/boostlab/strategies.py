@@ -55,9 +55,18 @@ def goss_select(g: np.ndarray, a: float, b: float, seed) -> GossSample:
         raise ValueError("a < 1 requires b > 0")
     n = len(g)
     k = int(math.ceil(a * n))
-    order = np.argsort(-np.abs(g), kind="stable")  # ties -> lower index first
-    top = np.sort(order[:k])
-    rest = np.sort(order[k:])
+    # the k largest |g|, ties at the k-th value going to the lower index first:
+    # the first k of a stable argsort of -|g|, found without sorting
+    neg = -np.abs(g)
+    if k < n:
+        kth = np.partition(neg, k - 1)[k - 1]
+        in_top = neg < kth
+        ties = np.flatnonzero(neg == kth)
+        in_top[ties[:k - np.count_nonzero(in_top)]] = True
+    else:
+        in_top = np.ones(n, dtype=bool)
+    top = np.flatnonzero(in_top)
+    rest = np.flatnonzero(~in_top)
     n_b = int(math.floor(b * len(rest) + 0.5))
     if a < 1.0 and n_b == 0:
         raise ValueError("sample of small-gradient instances is empty; amplification undefined")
@@ -351,9 +360,10 @@ def ordered_gradients(schedule: OrderedSchedule, gradient_fn, targets: np.ndarra
     """Gradients evaluated at each instance's own prefix-model prediction.
 
     block_preds[p] is (n_blocks, n): row j holds the prefix model trained on
-    blocks < j of permutation p, evaluated on every instance (row 0 is the
-    base score). Returns the permutation-averaged (g, h) plus the per-
-    permutation pairs used to advance each permutation's prefix models.
+    blocks < j of permutation p (row 0 is the base score); only its entries on
+    instances in block j are read here. Returns the permutation-averaged
+    (g, h) plus the per-permutation pairs used to advance each permutation's
+    prefix models.
     """
     n = schedule.n
     rows = np.arange(n)

@@ -311,3 +311,197 @@ def level_histograms_reference(hist_fn, indices, leaf_pos, n_leaves, binned, g, 
     return (np.stack([hs.sum_g for hs in hists]),
             np.stack([hs.sum_h for hs in hists]),
             np.stack([hs.count for hs in hists]).astype(np.float64))
+
+
+# The split scan as it was before missing-right was restricted to features
+# with missing values: both routings scored on the padded (..., m, W - 1)
+# grid for every feature, one np.where chain per routing. The library's
+# finders must return exactly what these return.
+
+def _padded_prefix_tables(sum_g, sum_h, count, nb):
+    rows = np.arange(len(nb))
+    gm = sum_g[..., rows, nb]
+    hm = sum_h[..., rows, nb]
+    cm = count[..., rows, nb]
+    GL = np.cumsum(sum_g, axis=-1)[..., :-1]
+    HL = np.cumsum(sum_h, axis=-1)[..., :-1]
+    CL = np.cumsum(count, axis=-1)[..., :-1]
+    return GL, HL, CL, gm, hm, cm
+
+
+def _both_routing_gains(GL, HL, CL, GR, HR, CR, gm, hm, cm, parent_term, lam, gamma):
+    """(missing_left, hl, hr, gains) for missing-left, then missing-right."""
+    for missing_left in (True, False):
+        if missing_left:
+            gl, hl, cl, gr, hr, cr = GL + gm, HL + hm, CL + cm, GR, HR, CR
+        else:
+            gl, hl, cl, gr, hr, cr = GL, HL, CL, GR + gm, HR + hm, CR + cm
+        dl = hl + lam
+        dr = hr + lam
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tl = np.where((cl > 0) & (dl > 0), gl * gl / dl, 0.0)
+            tr = np.where((cr > 0) & (dr > 0), gr * gr / dr, 0.0)
+        yield missing_left, hl, hr, 0.5 * (tl + tr - parent_term) - gamma
+
+
+def _both_routing_best(GL, HL, CL, GR, HR, CR, gm, hm, cm, parent_term, lam, gamma,
+                       min_child_hessian, valid):
+    valid = valid & (CL >= 1) & (CR >= 1)
+    best_gain = best_left = None
+    for missing_left, hl, hr, gains in _both_routing_gains(
+            GL, HL, CL, GR, HR, CR, gm, hm, cm, parent_term, lam, gamma):
+        ok = valid & (hl + lam > 0) & (hr + lam > 0) \
+            & (hl >= min_child_hessian) & (hr >= min_child_hessian)
+        gains = np.where(ok, gains, -np.inf)
+        if best_gain is None:
+            best_gain, best_left = gains, np.ones(gains.shape, dtype=bool)
+        else:
+            better = gains > best_gain
+            best_gain = np.where(better, gains, best_gain)
+            best_left = ~better
+    return best_gain, best_left
+
+
+def _padded_candidate(fi, threshold, gain, pos, GL, HL, CL, GR, HR, CR, miss, default_left):
+    from boostlab.growers import NodeStats, SplitCandidate
+
+    left = NodeStats(float(GL[pos]), float(HL[pos]), int(CL[pos]))
+    right = NodeStats(float(GR[pos]), float(HR[pos]), int(CR[pos]))
+    if default_left:
+        left = left + miss
+    else:
+        right = right + miss
+    return SplitCandidate(fi, threshold, gain, left, right, default_left)
+
+
+def histogram_split_reference(hist, parent, binned, lam, gamma, min_child_hessian=0.0):
+    """find_best_split_histogram with both routings tried on every feature."""
+    from boostlab.growers import NodeStats
+
+    dparent = parent.sum_h + lam
+    parent_term = parent.sum_g ** 2 / dparent if dparent > 0 else 0.0
+    GL, HL, CL, gm, hm, cm = _padded_prefix_tables(hist.sum_g, hist.sum_h, hist.count,
+                                                   binned.bin_counts)
+    GR = (parent.sum_g - gm)[:, None] - GL
+    HR = (parent.sum_h - hm)[:, None] - HL
+    CR = (parent.count - cm)[:, None] - CL
+    gains, missing_left = _both_routing_best(
+        GL, HL, CL, GR, HR, CR, gm[:, None], hm[:, None], cm[:, None],
+        parent_term, lam, gamma, min_child_hessian, binned.threshold_mask)
+    fi, pos = divmod(int(np.argmax(gains)), gains.shape[1])
+    gain = float(gains[fi, pos])
+    if not np.isfinite(gain) or gain <= 0.0:
+        return None
+    miss = NodeStats(float(gm[fi]), float(hm[fi]), int(cm[fi]))
+    name = binned.feature_names[fi]
+    return _padded_candidate(fi, float(binned.boundaries[name][pos]), gain, pos,
+                             GL[fi], HL[fi], CL[fi], GR[fi], HR[fi], CR[fi], miss,
+                             bool(missing_left[fi, pos]))
+
+
+def presorted_split_reference(indices, ds, g, h, lam, gamma, min_child_hessian=0.0,
+                              feature_names=None):
+    """find_best_split_presorted with both routings tried on every feature."""
+    from boostlab.growers import NodeStats
+
+    names = feature_names if feature_names is not None else ds.numeric_feature_names()
+    sg, sh = float(g[indices].sum()), float(h[indices].sum())
+    dparent = sh + lam
+    parent_term = sg ** 2 / dparent if dparent > 0 else 0.0
+    best = None
+    for fi, name in enumerate(names):
+        v = ds.column(name)[indices]
+        miss = np.isnan(v)
+        vv = v[~miss]
+        if len(vv) < 2:
+            continue
+        order = np.argsort(vv, kind="stable")
+        sv = vv[order]
+        gg = g[indices][~miss][order]
+        hh = h[indices][~miss][order]
+        cut = np.flatnonzero(sv[:-1] != sv[1:])
+        if not cut.size:
+            continue
+        cg = np.cumsum(gg)
+        ch = np.cumsum(hh)
+        GL, HL, CL = cg[cut], ch[cut], (cut + 1).astype(np.int64)
+        GR, HR, CR = cg[-1] - GL, ch[-1] - HL, len(sv) - CL
+        missing = NodeStats(float(g[indices][miss].sum()), float(h[indices][miss].sum()),
+                            int(miss.sum()))
+        gains, missing_left = _both_routing_best(
+            GL, HL, CL, GR, HR, CR, missing.sum_g, missing.sum_h, missing.count,
+            parent_term, lam, gamma, min_child_hessian, True)
+        pos = int(np.argmax(gains))
+        gain = float(gains[pos])
+        if not np.isfinite(gain):
+            continue
+        if best is None or gain > best.gain:
+            thr = float((sv[cut[pos]] + sv[cut[pos] + 1]) / 2.0)
+            best = _padded_candidate(fi, thr, gain, pos, GL, HL, CL, GR, HR, CR, missing,
+                                     bool(missing_left[pos]))
+    if best is None or best.gain <= 0.0:
+        return None
+    return best
+
+
+def oblivious_split_reference(stacked, sum_g, sum_h, counts, binned, lam, gamma):
+    """One oblivious level's shared split, both routings on every feature:
+    (total, fi, pos, missing_left, per-leaf gains array), or None."""
+    valid = binned.threshold_mask
+    GL, HL, CL, gm, hm, cm = _padded_prefix_tables(*stacked, binned.bin_counts)
+    pg = np.array([float(x) for x in sum_g])
+    ph = np.array([float(x) for x in sum_h])
+    pc = np.array([int(x) for x in counts], dtype=np.float64)
+    dpar = ph + lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parent_term = np.where((dpar > 0) & (pc > 0), pg * pg / dpar, 0.0)
+    GR = (pg[:, None] - gm)[:, :, None] - GL
+    HR = (ph[:, None] - hm)[:, :, None] - HL
+    CR = (pc[:, None] - cm)[:, :, None] - CL
+    best = None
+    for missing_left, _, _, gains in _both_routing_gains(
+            GL, HL, CL, GR, HR, CR, gm[:, :, None], hm[:, :, None], cm[:, :, None],
+            parent_term[:, None, None], lam, gamma):
+        gains = np.where(valid, gains, 0.0)
+        totals = np.where(valid, gains.sum(axis=0), -np.inf)
+        fi, pos = divmod(int(np.argmax(totals)), totals.shape[1])
+        total = float(totals[fi, pos])
+        if not np.isfinite(total):
+            continue
+        if best is None or total > best[0]:
+            best = (total, fi, pos, missing_left, gains[:, fi, pos])
+    return best
+
+
+def ordered_trees_reference(ds, config):
+    """Ordered boosting with every prefix model routed over all n rows, as
+    before each model was routed only over the rows that read it. Returns the
+    trained trees."""
+    from boostlab import growers, strategies
+    from boostlab.boosting import compute_gradients, init_base_score, prepare_features
+
+    features = prepare_features(ds, config)
+    y = ds.columns[ds.target_name()]
+    n, n_blocks = len(y), config.ordered_blocks
+    base = init_base_score(config.loss, y)
+    sched = strategies.ordered_schedule(n, config.ordered_permutations, n_blocks,
+                                        (config.seed & 0xFFFFFFFF, 0, 1))
+
+    def grad_fn(targets, preds):
+        return compute_gradients(config.loss, targets, preds)
+
+    block_preds = [np.full((n_blocks, n), base) for _ in sched.permutations]
+    gj, hj = np.zeros(n), np.zeros(n)
+    trees = []
+    for _ in range(config.n_trees):
+        g, h, _ = strategies.ordered_gradients(sched, grad_fn, y, block_preds)
+        trees.append(growers.grow_oblivious(np.arange(n), features.binned, g, h, config,
+                                            hist_fn=features.hist_fn))
+        for p in range(len(sched.permutations)):
+            for j in range(1, n_blocks):
+                idx = sched.prefix_indices(p, j)
+                gj[idx], hj[idx] = grad_fn(y[idx], block_preds[p][j][idx])
+                tree = growers.grow_oblivious(idx, features.binned, gj, hj, config,
+                                              hist_fn=features.hist_fn)
+                block_preds[p][j] += config.learning_rate * tree.predict_matrix(features.X)
+    return trees

@@ -384,3 +384,35 @@ class TestMalformedRecipe:
         err = capsys.readouterr().err
         assert message in err and "Error" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestRecipeValueTypes:
+    """A recipe value of the wrong type exits 2 at load, naming the analysis
+    index and the key, before any data is read."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"analyses": [{"op": "correlation", "columns": ["x0", "x1"]},
+                       {"op": "train_importance", "features": ["x0"], "target": "x1",
+                        "trees": "many"}]},
+         "r: analysis 1 (train_importance): 'trees' must be an integer, got 'many'"),
+        ({"expected_shape": 5},
+         "r: 'expected_shape' must be a pair of integers or nulls, got 5"),
+        ({"analyses": [{"op": "correlation", "columns": "x0"}]},
+         "r: analysis 0 (correlation): 'columns' must be a list of strings, got 'x0'"),
+        ({"analyses": [{"op": "split_regression", "features": ["x0"], "target": "x1",
+                        "train_fraction": "0.5"}]},
+         "r: analysis 0 (split_regression): 'train_fraction' must be a number, got '0.5'"),
+        ({"analyses": [{"op": "train_importance", "features": [0], "target": "x1"}]},
+         "r: analysis 0 (train_importance): 'features' must be a list of strings, got [0]"),
+    ], ids=["trees-string", "expected-shape-int", "columns-string",
+            "train-fraction-string", "features-not-strings"])
+    def test_exits_2(self, tmp_path, capsys, doc, message):
+        csv_path = make_training_csv(tmp_path / "d.csv")
+        recipe = tmp_path / "r.json"
+        recipe.write_text(json.dumps({"name": "r", "schema": TWO_COLUMN_SCHEMA, **doc}),
+                          encoding="utf-8")
+        assert main(["recipe", "--recipe", str(recipe), "--input", str(csv_path),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Error" not in err
+        assert not (tmp_path / "out").exists()

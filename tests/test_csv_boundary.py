@@ -125,3 +125,32 @@ class TestWriteTable:
         assert bundle["analyses"]
         for name, result in bundle["analyses"].items():
             assert (out / f"{name}.csv").read_bytes() == reference_table(*_csv_rows(result))
+
+
+class TestMarkerSpelledValue:
+    """write_csv refuses a present value spelled like its column's
+    missing_marker, which load_csv would read back as missing."""
+
+    @pytest.mark.parametrize("schema, columns, labels", [
+        ([ColumnSchema("b", CATEGORICAL, missing_marker="NA")],
+         {"b": np.array([0, -1, 1], dtype=np.int32)}, {"b": ["NA", "y"]}),
+        ([ColumnSchema("a", NUMERIC, missing_marker="0.0")],
+         {"a": np.array([1.5, 0.0, np.nan])}, {}),
+    ], ids=["categorical-label", "numeric-value"])
+    def test_rejected_before_the_file_is_opened(self, tmp_path, schema, columns, labels):
+        path = tmp_path / "out.csv"
+        with pytest.raises(DatasetError, match="missing_marker"):
+            write_csv(Dataset(schema, columns, labels), path)
+        assert not path.exists()
+
+    def test_marker_unused_by_values_round_trips(self, tmp_path):
+        schema = [ColumnSchema("a", NUMERIC, missing_marker="0"),
+                  ColumnSchema("b", CATEGORICAL, missing_marker="NA")]
+        ds = Dataset(schema, {"a": np.array([0.0, np.nan, 2.5]),
+                              "b": np.array([0, -1, 1], dtype=np.int32)},
+                     {"b": ["n/a", "y"]})
+        write_csv(ds, tmp_path / "out.csv")
+        back = load_csv(tmp_path / "out.csv", schema)
+        np.testing.assert_array_equal(back.columns["a"], ds.columns["a"])
+        np.testing.assert_array_equal(back.columns["b"], ds.columns["b"])
+        assert back.labels["b"] == ["n/a", "y"]

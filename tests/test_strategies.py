@@ -63,6 +63,31 @@ class TestGossSelect:
         assert not set(s.top_set) & set(s.sampled_set)
 
 
+class TestGossTopByPartition:
+    """goss_select finds the top set without sorting; it must keep exactly the
+    first k of a stable argsort of -|g|, ties at the k-th |g| going to the
+    lower index first."""
+
+    @pytest.mark.parametrize("a", [0.05, 0.2, 0.37, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_stable_argsort_under_ties(self, seed, a):
+        rng = np.random.default_rng(seed)
+        # few distinct magnitudes, both signs: long runs of ties everywhere,
+        # including around the k-th value
+        g = rng.integers(-4, 5, size=503) * 0.25
+        n = len(g)
+        k = int(np.ceil(a * n))
+        order = np.argsort(-np.abs(g), kind="stable")
+        s = goss_select(g, a, 0.5, seed=3)
+        np.testing.assert_array_equal(s.top_set, np.sort(order[:k]))
+        assert len(s.top_set) == k
+        rest = np.sort(order[k:])
+        assert np.isin(s.sampled_set, rest).all()
+        n_b = int(np.floor(0.5 * len(rest) + 0.5))
+        np.testing.assert_array_equal(
+            s.sampled_set, np.sort(np.random.default_rng(3).choice(rest, n_b, replace=False)))
+
+
 class TestGossVarianceGain:
     def test_documented_value(self):
         # top = {g=4 at x<=d, g=-3 at x>d}, sampled = {g=1 at x>d}, one
