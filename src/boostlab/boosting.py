@@ -239,15 +239,6 @@ def _grow_fn(config: BoostConfig):
     return growers.grow_oblivious
 
 
-def _tree_scores(tree, X: np.ndarray, trained_on_all: bool) -> np.ndarray:
-    """Per-row tree output, reusing the grower's own leaf assignment when the
-    tree was fit on every row (oblivious growth records it)."""
-    cached = tree.__dict__.pop("_train_leaf_pos", None)
-    if cached is not None and trained_on_all and len(cached) == len(X):
-        return tree.leaf_weight_vector()[cached]
-    return tree.predict_matrix(X)
-
-
 @dataclass(frozen=True, eq=False)
 class TrainingFeatures:
     """The feature side of training, derived from a dataset's feature columns,
@@ -367,9 +358,14 @@ def train(ds: Dataset, config: BoostConfig,
                 idx = sample.kept
                 g = g * w
                 h = h * w
-            tree = grow(idx, binned, g, h, config, hist_fn=hist_fn)
+            if len(idx) == n:  # a tree grown on every row scores them from its leaf slots
+                tree, slots = grow(idx, binned, g, h, config, hist_fn=hist_fn, with_slots=True)
+                scores = tree.node_weights()[slots]
+            else:
+                tree = grow(idx, binned, g, h, config, hist_fn=hist_fn)
+                scores = tree.predict_matrix(X)
             trees.append(tree)
-            preds += config.learning_rate * _tree_scores(tree, X, len(idx) == n)
+            preds += config.learning_rate * scores
 
     levels = {k: list(v) for k, v in features.levels.items()}
     return Ensemble(trees, base, config.learning_rate, loss,
@@ -388,29 +384,30 @@ def _train_ordered(y, binned, X, config: BoostConfig, base: float, hist_fn) -> l
     grad_fn = functools.partial(compute_gradients, config.loss)
     block_preds = [np.full((n_blocks, n), base) for _ in schedule.permutations]
     # prefix model j trains on prefix_idx[p][j] (blocks < j); its predictions
-    # are read only on blocks <= j, i.e. prefix_idx[p][j + 1]: by
-    # ordered_gradients on block j and by its own next gradients on blocks < j
-    prefix_idx = [[schedule.prefix_indices(p, j) for j in range(n_blocks + 1)]
+    # are read only on blocks <= j: by ordered_gradients on block j
+    # (block_idx[p][j]) and by its own next gradients on blocks < j
+    prefix_idx = [[schedule.prefix_indices(p, j) for j in range(n_blocks)]
                   for p in range(len(schedule.permutations))]
+    block_idx = [[np.flatnonzero(block_of == j) for j in range(n_blocks)]
+                 for block_of in schedule.block_of]
     all_idx = np.arange(n)
     trees = []
     gj = np.zeros(n)
     hj = np.zeros(n)
     for _ in range(config.n_trees):
         g, h, _ = strategies.ordered_gradients(schedule, grad_fn, y, block_preds)
-        tree = growers.grow_oblivious(all_idx, binned, g, h, config, hist_fn=hist_fn)
-        tree.__dict__.pop("_train_leaf_pos", None)
-        trees.append(tree)
+        trees.append(growers.grow_oblivious(all_idx, binned, g, h, config, hist_fn=hist_fn))
         for p in range(len(schedule.permutations)):
             for j in range(1, n_blocks):
                 idx = prefix_idx[p][j]
                 gj[idx], hj[idx] = grad_fn(y[idx], block_preds[p][j][idx])
-                prefix_tree = growers.grow_oblivious(
-                    idx, binned, gj, hj, config, hist_fn=hist_fn)
-                prefix_tree.__dict__.pop("_train_leaf_pos", None)
-                read = prefix_idx[p][j + 1]
-                block_preds[p][j][read] += (config.learning_rate
-                                            * prefix_tree.predict_matrix(X[read]))
+                prefix_tree, slots = growers.grow_oblivious(
+                    idx, binned, gj, hj, config, hist_fn=hist_fn, with_slots=True)
+                # the prefix rows score from their leaf slots; only block j is routed
+                block = block_idx[p][j]
+                preds = block_preds[p][j]
+                preds[idx] += config.learning_rate * prefix_tree.node_weights()[slots]
+                preds[block] += config.learning_rate * prefix_tree.predict_matrix(X[block])
     return trees
 
 

@@ -9,6 +9,7 @@ transform returns a new Dataset.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -144,20 +145,15 @@ class _Dialect(csv.Dialect):
     quoting = csv.QUOTE_MINIMAL
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows of a CSV file, under the one row rule: the header
+def _read_rows(path, text: str) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a CSV text, under the one row rule: the header
     names each column once and every data row has one cell per column."""
+    reader = csv.reader(io.StringIO(text, newline=""), dialect=_Dialect)
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise DatasetError(f"no such file: {path}") from None
-    with fh:
-        reader = csv.reader(fh, dialect=_Dialect)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file, no header") from None
-        rows = list(reader)
+        header = next(reader)
+    except StopIteration:
+        raise DatasetError(f"{path}: empty file, no header") from None
+    rows = list(reader)
     if len(set(header)) != len(header):
         repeated = sorted({name for name in header if header.count(name) > 1})
         raise DatasetError(f"{path}: header repeats column(s) {repeated}")
@@ -168,15 +164,167 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _parse_columns(path, header: list[str], rows: list[list[str]],
-                   schema: list[ColumnSchema]) -> Dataset:
+class _RowTable:
+    """A file read by csv.reader: any file the byte tokenizer does not take."""
+
+    def __init__(self, path, text: str):
+        self.header, self.rows = _read_rows(path, text)
+
+    def column(self, i: int, c: ColumnSchema, where: str):
+        return parse_cells([row[i] for row in self.rows], c, where)
+
+
+# _MASKS[k] keeps the first k bytes of a little-endian 8-byte word
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_SHORT = 16  # longest cell, in bytes, coded from packed words
+_FEW = 16    # most distinct keys peeled off one comparison at a time
+
+
+class _ByteTable:
+    """A quote-free file as byte spans: ends[i, r] is the offset of the ','
+    or '\n' that ends cell i of line r, line 0 being the header, and a cell
+    starts one byte after the cell before it."""
+
+    def __init__(self, raw: bytes, ends: np.ndarray, crlf: bool):
+        self.raw = raw  # the file, a final newline if it had none, _SHORT zero bytes
+        self.buf = np.frombuffer(raw, dtype=np.uint8)
+        self.line_starts = ends[-1, :-1] + 1  # of the data lines
+        if crlf:  # a line's last cell stops before its '\r'
+            ends[-1] -= self.buf[ends[-1] - 1] == 13
+        self.ends = ends
+        head_ends = ends[:, 0]
+        self.head_starts = np.concatenate(([0], head_ends[:-1] + 1))
+        self.header = [raw[a:b].decode("utf-8")
+                       for a, b in zip(self.head_starts.tolist(), head_ends.tolist())]
+
+    def column(self, i: int, c: ColumnSchema, where: str):
+        starts = self.ends[i - 1, 1:] + 1 if i else self.line_starts
+        ends = self.ends[i, 1:]
+        lengths = ends - starts
+        if len(lengths) and int(lengths.max()) > _SHORT:
+            cells = [self.raw[a:b].decode("utf-8") for a, b in zip(starts.tolist(),
+                                                                   ends.tolist())]
+            return parse_cells(cells, c, where)
+        return _typed_column(*_code_spans(self.raw, self.buf, starts, lengths), c, where)
+
+
+def _tokenize(data: bytes) -> _ByteTable | None:
+    """The byte tokenizer: the cells of a file that holds no '"', no NUL and
+    no '\r' outside '\r\n', that names each column once and keeps the row
+    rule. Returns None for any other file, which csv.reader then reads."""
+    if not data or b'"' in data or b"\0" in data:
+        return None
+    raw = data + (b"" if data.endswith(b"\n") else b"\n") + bytes(_SHORT)
+    buf = np.frombuffer(raw, dtype=np.uint8)[:len(raw) - _SHORT]
+    width = raw.count(b",", 0, raw.index(b"\n")) + 1
+    newline = buf == 10
+    seps = np.flatnonzero(newline | (buf == 44))
+    line_ends = seps[width - 1::width]
+    # every width-th separator ends a line, and no other separator does
+    if len(seps) % width or np.count_nonzero(newline) != len(line_ends) \
+            or not np.all(buf[line_ends] == 10):
+        return None  # a short, long or (for width > 1) blank line
+    crlf = b"\r" in data
+    if crlf and np.count_nonzero(buf == 13) != np.count_nonzero(buf[line_ends - 1] == 13):
+        return None  # a '\r' that does not end a line
+    table = _ByteTable(raw, np.ascontiguousarray(seps.reshape(-1, width).T), crlf)
+    if width == 1 and (table.head_starts[0] == table.ends[0, 0]
+                       or np.any(table.line_starts == table.ends[0, 1:])):
+        return None  # a blank line: a row of no cells, not of one empty cell
+    if len(set(table.header)) != width:
+        return None
+    return table
+
+
+def _code_spans(raw: bytes, buf: np.ndarray, starts: np.ndarray,
+                lengths: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Code cells of at most 16 bytes by their distinct byte strings: int32
+    codes into the decoded labels, both in first-seen order.
+
+    A cell is keyed by its bytes packed into a little-endian word, and by a
+    second word for its bytes 9-16; a file holds no NUL, so zero padding
+    keeps keys distinct."""
+    n = len(starts)
+    if n == 0:
+        return np.empty(0, dtype=np.int32), []
+    longest = int(lengths.max())
+    if longest <= 1:  # an empty cell starts at its separator
+        keys = [np.where(lengths > 0, buf[starts], 0)]
+    else:
+        word = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
+        keys = [word[starts] & _MASKS[np.minimum(lengths, 8)]]
+        if longest > 8:
+            keys.append(word[starts + 8] & _MASKS[np.clip(lengths - 8, 0, 8)])
+    codes, rows = _peel(keys, n) or _first_seen(keys, n)
+    words = np.column_stack([k[rows] for k in keys]).astype("<u8")
+    labels = words.view(f"S{8 * len(keys)}").ravel().tolist()
+    return codes, list(map(bytes.decode, labels))
+
+
+def _peel(keys: list[np.ndarray], n: int):
+    """First-seen codes and first rows of a column with at most _FEW distinct
+    keys, one comparison pass per key; None for any other column."""
+    if len(set(zip(*(k[:4 * _FEW].tolist() for k in keys)))) > _FEW:
+        return None
+    codes = np.zeros(n, dtype=np.int32)  # a row's code counts the peels it outlived
+    unseen = np.ones(n, dtype=bool)
+    rows = []
+    row = 0
+    for _ in range(_FEW):
+        same = keys[0] == keys[0][row]
+        for k in keys[1:]:
+            same &= k == k[row]
+        np.greater(unseen, same, out=unseen)
+        rows.append(row)
+        row = int(np.argmax(unseen))
+        if not unseen[row]:
+            return codes, np.array(rows)
+        codes += unseen
+    return None
+
+
+def _first_seen(keys: list[np.ndarray], n: int):
+    """int32 codes of n keys (one or two words per cell) numbered in
+    first-seen order, and the row where each code first appears."""
+    if len(keys) == 1:
+        key = keys[0]
+    else:  # the pair of words, through each word's distinct values
+        _, head = np.unique(keys[0], return_inverse=True)
+        tail_keys, tail = np.unique(keys[1], return_inverse=True)
+        key = head * len(tail_keys) + tail
+    distinct, inverse = np.unique(key, return_inverse=True)
+    first = np.full(len(distinct), n)
+    np.minimum.at(first, inverse, np.arange(n))
+    order = np.argsort(first)
+    rank = np.empty(len(distinct), dtype=np.int32)
+    rank[order] = np.arange(len(distinct), dtype=np.int32)
+    return rank[inverse], first[order]
+
+
+def _read_table(path) -> _ByteTable | _RowTable:
+    """The file at path, through the byte tokenizer when it takes the file
+    and through csv.reader otherwise. Either way the result is the same."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise DatasetError(f"no such file: {path}") from None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    table = _tokenize(data)
+    return table if table is not None else _RowTable(path, data.decode("utf-8"))
+
+
+def _parse_columns(path, table, schema: list[ColumnSchema]) -> Dataset:
     """Dataset of the schema's columns, parsed one column at a time."""
-    pos = {name: i for i, name in enumerate(header)}
+    pos = {name: i for i, name in enumerate(table.header)}
     columns: dict[str, np.ndarray] = {}
     labels: dict[str, list[str]] = {}
     for c in schema:
-        i = pos[c.name]
-        parsed = parse_cells([row[i] for row in rows], c, where=str(path))
+        parsed = table.column(pos[c.name], c, str(path))
         if c.kind == CATEGORICAL:
             columns[c.name], labels[c.name] = parsed
         else:
@@ -194,14 +342,14 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
     names = {c.name for c in schema}
     if len(names) != len(schema):
         raise DatasetError("duplicate column names in schema")
-    header, rows = _read_rows(path)
-    if set(header) != names:
-        missing = sorted(names - set(header))
-        extra = sorted(set(header) - names)
+    table = _read_table(path)
+    if set(table.header) != names:
+        missing = sorted(names - set(table.header))
+        extra = sorted(set(table.header) - names)
         raise DatasetError(
             f"{path}: header mismatch (missing {missing}, unexpected {extra})"
         )
-    return _parse_columns(path, header, rows, schema)
+    return _parse_columns(path, table, schema)
 
 
 def load_known_columns(path, schema: list[ColumnSchema],
@@ -211,12 +359,13 @@ def load_known_columns(path, schema: list[ColumnSchema],
     Returns the Dataset plus the raw column count of the file (for shape
     checks). Required columns that are absent raise.
     """
-    header, rows = _read_rows(path)
+    table = _read_table(path)
+    header = table.header
     missing = [c.name for c in schema if c.name not in header]
     if missing:
         raise DatasetError(f"{path}: missing required columns {missing}")
     use = list(schema) + [c for c in optional if c.name in header]
-    return _parse_columns(path, header, rows, use), len(header)
+    return _parse_columns(path, table, use), len(header)
 
 
 def parse_cells(cells: list[str], c: ColumnSchema, where: str = "<data>"):
@@ -225,33 +374,38 @@ def parse_cells(cells: list[str], c: ColumnSchema, where: str = "<data>"):
     Returns a float64 array for numeric/target columns, or a (codes, labels)
     pair for categorical ones.
     """
+    seen: dict[str, int] = {}
+    codes = np.fromiter((seen.setdefault(cell, len(seen)) for cell in cells),
+                        dtype=np.int32, count=len(cells))
+    return _typed_column(codes, list(seen), c, where)
+
+
+def _typed_column(codes: np.ndarray, labels: list[str], c: ColumnSchema, where: str):
+    """A column coded by distinct cell (int32 codes into labels, both in
+    first-seen order) as parse_cells returns it. Each label is converted once:
+    float() of one string always gives the same bits."""
+    marker = c.missing_marker
+    at = labels.index(marker) if marker in labels else None
     if c.kind == CATEGORICAL:
-        table: list[str] = []
-        seen: dict[str, int] = {}
-        codes = np.empty(len(cells), dtype=np.int32)
-        for i, cell in enumerate(cells):
-            if c.missing_marker is not None and cell == c.missing_marker:
-                codes[i] = MISSING_CODE
-                continue
-            code = seen.get(cell)
-            if code is None:
-                code = len(table)
-                seen[cell] = code
-                table.append(cell)
-            codes[i] = code
-        return codes, table
-    vals = np.empty(len(cells), dtype=np.float64)
-    for i, cell in enumerate(cells):
-        if c.missing_marker is not None and cell == c.missing_marker:
-            vals[i] = np.nan
+        if at is None:
+            return codes, labels
+        remap = np.arange(-1, len(labels) - 1, dtype=np.int32)
+        remap[:at] += 1
+        remap[at] = MISSING_CODE
+        return remap[codes], labels[:at] + labels[at + 1:]
+    values = np.empty(len(labels), dtype=np.float64)
+    for k, label in enumerate(labels):
+        if k == at:
+            values[k] = np.nan
             continue
         try:
-            vals[i] = float(cell)
+            values[k] = float(label)
         except ValueError:
+            row = int(np.argmax(codes == k)) + 1  # the label's first row
             raise DatasetError(
-                f"{where}: row {i + 1}, column {c.name!r}: cannot parse {cell!r} as a number"
+                f"{where}: row {row}, column {c.name!r}: cannot parse {label!r} as a number"
             ) from None
-    return vals
+    return values[codes]
 
 
 def write_table(path, header: list[str], rows) -> None:
@@ -519,13 +673,15 @@ class BinnedDataset:
         return self.source.n_rows
 
 
-def _quantile_boundaries(values: np.ndarray, max_bins: int) -> np.ndarray:
+def _quantile_boundaries(values: np.ndarray, max_bins: int, name: str) -> np.ndarray:
     """Upper bin edges for one feature: midpoints between distinct values,
     thinned to at most max_bins equal-mass bins when there are too many."""
     finite = values[~np.isnan(values)]
     if finite.size == 0:
         return np.array([np.inf])
     u = np.unique(finite)
+    if np.isinf(u[0]) or np.isinf(u[-1]):
+        raise DatasetError(f"feature column {name!r} contains infinite values")
     if len(u) <= max_bins:
         inner = (u[:-1] + u[1:]) / 2.0
         return np.append(inner, u[-1])
@@ -550,7 +706,11 @@ def _quantile_boundaries(values: np.ndarray, max_bins: int) -> np.ndarray:
 
 
 def bin_features(ds: Dataset, max_bins: int) -> BinnedDataset:
-    """Quantile-bin every numeric feature column (target and categoricals excluded)."""
+    """Quantile-bin every numeric feature column (target and categoricals excluded).
+
+    NaN is a missing value. An infinite value raises: a split beside it would
+    take an infinite threshold, which no model document can hold.
+    """
     if max_bins < 2:
         raise DatasetError(f"max_bins must be >= 2, got {max_bins}")
     names = ds.numeric_feature_names()
@@ -560,7 +720,7 @@ def bin_features(ds: Dataset, max_bins: int) -> BinnedDataset:
     bounds: dict[str, np.ndarray] = {}
     for name in names:
         v = ds.columns[name]
-        edges = _quantile_boundaries(v, max_bins)
+        edges = _quantile_boundaries(v, max_bins, name)
         nb = len(edges)
         dtype = np.uint8 if nb + 1 <= 256 else np.uint16
         idx = np.searchsorted(edges, v, side="left").astype(dtype)

@@ -5,7 +5,10 @@ oblivious).
 All growers consume per-instance first/second-order statistics (g, h) and a
 BinnedDataset; they return DecisionTree objects whose thresholds are raw
 feature values (bin upper edges for histogram splits), so routing a raw value
-through the tree reproduces the training-time partition exactly. Histograms
+through the tree reproduces the training-time partition exactly. Asked
+with_slots=True, a grower also hands back the training rows' leaf slots: the
+leaf node id of each of its indices, so the caller can score those rows from
+DecisionTree.node_weights() without routing them again. Histograms
 come from hist_fn, a HistogramBuilder over the BinnedDataset unless the caller
 passes one (BundledHistograms under EFB); exact level-wise growth builds none.
 """
@@ -440,6 +443,11 @@ class DecisionTree:
             stack.append((node.right, idx[~go_left]))
         return out
 
+    def node_weights(self) -> np.ndarray:
+        """Every node's weight by node id, read at the leaf slots a grower
+        hands back (internal nodes hold 0.0)."""
+        return np.array([node.weight for node in self.nodes])
+
     def leaf_weight_vector(self) -> np.ndarray:
         """Leaf weights in routing order (balanced trees only)."""
         depth = len(self.level_splits)
@@ -461,13 +469,22 @@ def _partition(indices: np.ndarray, binned: BinnedDataset, cand: SplitCandidate)
 class _Builder:
     """Accumulates TreeNode records with deterministic ids."""
 
-    def __init__(self):
+    def __init__(self, slot_rows: int | None = None):
         self.nodes: list[TreeNode] = [TreeNode(is_leaf=True)]
+        # leaf node id by row, over slot_rows rows, when the caller wants slots
+        self.slot = None if slot_rows is None else np.empty(slot_rows, dtype=np.int32)
 
-    def make_leaf(self, nid: int, stats: NodeStats, lam: float) -> None:
+    def make_leaf(self, nid: int, idx: np.ndarray, stats: NodeStats, lam: float) -> None:
         n = self.nodes[nid]
         n.is_leaf = True
         n.weight = leaf_weight(stats, lam)
+        if self.slot is not None:
+            self.slot[idx] = nid
+
+    def result(self, indices: np.ndarray):
+        """The tree, plus the leaf slot of each of indices when slots were asked for."""
+        tree = DecisionTree(self.nodes)
+        return tree if self.slot is None else (tree, self.slot[indices])
 
     def make_split(self, nid: int, cand: SplitCandidate, binned: BinnedDataset) -> tuple[int, int]:
         lid = len(self.nodes)
@@ -496,11 +513,11 @@ def _child_histograms(parent_hist, left_idx, right_idx, binned, g, h, hist_fn):
 
 def grow_level_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
                     h: np.ndarray, config, exact: bool = False,
-                    hist_fn=None) -> DecisionTree:
+                    hist_fn=None, with_slots: bool = False):
     """Expand every splittable node of the current depth before descending."""
     lam, gamma = config.lambda_, config.gamma
     mch = config.min_child_hessian
-    b = _Builder()
+    b = _Builder(len(g) if with_slots else None)
     if not exact and hist_fn is None:
         hist_fn = HistogramBuilder(binned)
     root_hist = None if exact else hist_fn(indices, binned, g, h)
@@ -515,7 +532,7 @@ def grow_level_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
             else:
                 cand = find_best_split_histogram(hist, stats, binned, lam, gamma, mch)
             if cand is None:
-                b.make_leaf(nid, stats, lam)
+                b.make_leaf(nid, idx, stats, lam)
                 continue
             left_idx, right_idx = _partition(idx, binned, cand)
             lid, rid = b.make_split(nid, cand, binned)
@@ -529,17 +546,17 @@ def grow_level_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         if not frontier:
             break
     for nid, idx, _ in frontier:
-        b.make_leaf(nid, node_stats(idx, g, h), lam)
-    return DecisionTree(b.nodes)
+        b.make_leaf(nid, idx, node_stats(idx, g, h), lam)
+    return b.result(indices)
 
 
 def grow_leaf_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
-                   h: np.ndarray, config, hist_fn=None) -> DecisionTree:
+                   h: np.ndarray, config, hist_fn=None, with_slots: bool = False):
     """Always split the leaf with the largest gain next (ties: earliest leaf)."""
     lam, gamma = config.lambda_, config.gamma
     mch = config.min_child_hessian
     max_leaves = config.max_leaves if config.max_leaves else 2 ** config.max_depth
-    b = _Builder()
+    b = _Builder(len(g) if with_slots else None)
     seq = 0
     heap = []
 
@@ -550,7 +567,7 @@ def grow_leaf_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         if depth < config.max_depth:
             cand = find_best_split_histogram(hist, stats, binned, lam, gamma, mch)
         if cand is None:
-            b.make_leaf(nid, stats, lam)
+            b.make_leaf(nid, idx, stats, lam)
             return
         heapq.heappush(heap, (-cand.gain, seq, nid, idx, depth, hist, cand, stats))
         seq += 1
@@ -570,8 +587,8 @@ def grow_leaf_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         n_leaves += 1
     while heap:
         _, _, nid, idx, _, _, _, stats = heapq.heappop(heap)
-        b.make_leaf(nid, stats, lam)
-    return DecisionTree(b.nodes)
+        b.make_leaf(nid, idx, stats, lam)
+    return b.result(indices)
 
 
 def _level_best(gains, valid):
@@ -626,7 +643,7 @@ def _oblivious_split(stacked, sum_g, sum_h, counts, binned, lam, gamma):
 
 
 def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
-                   h: np.ndarray, config, hist_fn=None) -> DecisionTree:
+                   h: np.ndarray, config, hist_fn=None, with_slots: bool = False):
     """One shared (feature, threshold) per level, chosen to maximize the sum of
     split gains over all current leaves; every leaf is split by it, so the tree
     has exactly 2^depth leaves (empty leaves get weight 0).
@@ -685,8 +702,10 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
 
     tree = _assemble_oblivious(indices, leaf_pos, n_leaves, level_splits, level_gains,
                                gi, hi, lam)
-    tree._train_leaf_pos = leaf_pos  # lets the boosting loop skip re-routing
-    return tree
+    if not with_slots:
+        return tree
+    leaf_pos += n_leaves - 1  # leaf p of the last level is node n_leaves - 1 + p
+    return tree, leaf_pos
 
 
 def _assemble_oblivious(indices, leaf_pos, n_leaves, level_splits, level_gains,

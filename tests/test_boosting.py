@@ -151,6 +151,18 @@ class TestTrain:
         with pytest.raises(DatasetError, match="infinite"):
             train(ds, BoostConfig(n_trees=1))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_feature_rejected_before_binning(self, bad):
+        # a split beside -inf would need threshold -inf, which no model
+        # document can hold; NaN stays a missing value
+        ds = make_dataset({"x": [bad, 1.0, 2.0, 3.0, 4.0, 5.0, np.nan],
+                           "y": [10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
+                          kinds={"y": TARGET})
+        with pytest.raises(DatasetError, match="feature column 'x' contains infinite values"):
+            train(ds, BoostConfig(n_trees=3))
+        ds.columns["x"][0] = np.nan
+        train(ds, BoostConfig(n_trees=3))
+
     def test_categorical_features_are_encoded(self):
         ds = make_dataset(
             {"c": ["a", "b", "a", "b"] * 5, "y": [1.0, 2.0, 1.0, 2.0] * 5},

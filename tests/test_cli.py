@@ -150,6 +150,17 @@ class TestTrainPredict:
         assert code == 2
         assert not (tmp_path / "m.json").exists()
 
+    def test_infinite_feature_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("x,y\n-inf,10\n1,0\n2,0\n3,0\n4,0\n5,0\n", encoding="utf-8")
+        schema = write_schema(tmp_path / "s.json", [{"name": "x"},
+                                                    {"name": "y", "kind": "target"}])
+        code = main(["train", "--input", str(csv_path), "--schema", str(schema),
+                     "--output", str(tmp_path / "m.json"), "--trees", "3"])
+        assert code == 2
+        assert "feature column 'x' contains infinite values" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_classification_via_target_flag(self, tmp_path):
         csv_path = write_mexican_csv(tmp_path / "mex.csv", n=60)
         schema_entries = [{"name": n, "kind": "categorical"}

@@ -595,3 +595,32 @@ def test_binned_dataset_is_not_mutated(rng):
     after = vars(b)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+class TestLeafSlots:
+    """with_slots=True hands back each training row's leaf node id; reading
+    node_weights() there equals routing the row through the tree."""
+
+    GROWERS = {
+        "level_wise": lambda *a: grow_level_wise(*a, config(max_depth=4), with_slots=True),
+        "exact": lambda *a: grow_level_wise(*a, config(max_depth=4), exact=True,
+                                            with_slots=True),
+        "leaf_wise": lambda *a: grow_leaf_wise(*a, config(max_depth=5, max_leaves=9),
+                                               with_slots=True),
+        "oblivious": lambda *a: grow_oblivious(*a, config(max_depth=3), with_slots=True),
+    }
+
+    @pytest.mark.parametrize("grower", GROWERS)
+    @pytest.mark.parametrize("subset", [False, True], ids=["all-rows", "subset"])
+    def test_slots_equal_routing(self, rng, grower, subset):
+        n = 300
+        X = rng.normal(size=(n, 4))
+        X[rng.random((n, 4)) < 0.1] = np.nan
+        g = rng.normal(size=n)
+        h = rng.uniform(0.5, 1.5, size=n)
+        b = bin_features(feature_dataset(X), max_bins=16)
+        idx = np.flatnonzero(rng.random(n) < 0.6) if subset else np.arange(n)
+        tree, slots = self.GROWERS[grower](idx, b, g, h)
+        assert slots.shape == idx.shape
+        assert all(tree.nodes[s].is_leaf for s in np.unique(slots))
+        assert tree.node_weights()[slots].tobytes() == tree.predict_matrix(X[idx]).tobytes()
