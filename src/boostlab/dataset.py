@@ -151,9 +151,11 @@ def _read_rows(path, text: str) -> tuple[list[str], list[list[str]]]:
     reader = csv.reader(io.StringIO(text, newline=""), dialect=_Dialect)
     try:
         header = next(reader)
+        rows = list(reader)
     except StopIteration:
         raise DatasetError(f"{path}: empty file, no header") from None
-    rows = list(reader)
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(set(header)) != len(header):
         repeated = sorted({name for name in header if header.count(name) > 1})
         raise DatasetError(f"{path}: header repeats column(s) {repeated}")
@@ -210,8 +212,10 @@ class _ByteTable:
 
 def _tokenize(data: bytes) -> _ByteTable | None:
     """The byte tokenizer: the cells of a file that holds no '"', no NUL and
-    no '\r' outside '\r\n', that names each column once and keeps the row
-    rule. Returns None for any other file, which csv.reader then reads."""
+    no '\r' outside '\r\n', that names each column once, keeps the row
+    rule and has no cell longer than csv.field_size_limit() bytes. Returns
+    None for any other file, which csv.reader then reads (and for an
+    over-long cell rejects)."""
     if not data or b'"' in data or b"\0" in data:
         return None
     raw = data + (b"" if data.endswith(b"\n") else b"\n") + bytes(_SHORT)
@@ -224,6 +228,8 @@ def _tokenize(data: bytes) -> _ByteTable | None:
     if len(seps) % width or np.count_nonzero(newline) != len(line_ends) \
             or not np.all(buf[line_ends] == 10):
         return None  # a short, long or (for width > 1) blank line
+    if int(np.diff(seps, prepend=-1).max()) - 1 > csv.field_size_limit():
+        return None
     crlf = b"\r" in data
     if crlf and np.count_nonzero(buf == 13) != np.count_nonzero(buf[line_ends - 1] == 13):
         return None  # a '\r' that does not end a line

@@ -11,6 +11,10 @@ leaf node id of each of its indices, so the caller can score those rows from
 DecisionTree.node_weights() without routing them again. Histograms
 come from hist_fn, a HistogramBuilder over the BinnedDataset unless the caller
 passes one (BundledHistograms under EFB); exact level-wise growth builds none.
+
+Level-wise and leaf-wise growth are one best-first loop, _grow, with two
+expansion orders: open nodes by depth, or by the gain of their best split
+under a leaf budget. A node that can never be split gets no histogram.
 """
 
 from __future__ import annotations
@@ -466,129 +470,91 @@ def _partition(indices: np.ndarray, binned: BinnedDataset, cand: SplitCandidate)
     return indices[go_left], indices[~go_left]
 
 
-class _Builder:
-    """Accumulates TreeNode records with deterministic ids."""
+def _grow(indices, binned, g, h, config, priority, max_leaves, exact, hist_fn, with_slots):
+    """The loop behind level-wise and leaf-wise growth: split the open node
+    with the lowest (priority(depth, cand), node id) until none is left or
+    the tree has max_leaves leaves.
 
-    def __init__(self, slot_rows: int | None = None):
-        self.nodes: list[TreeNode] = [TreeNode(is_leaf=True)]
-        # leaf node id by row, over slot_rows rows, when the caller wants slots
-        self.slot = None if slot_rows is None else np.empty(slot_rows, dtype=np.int32)
+    Child ids are given out as their parent is split, so the node-id
+    tie-break is the order in which nodes were opened. A node at max_depth,
+    or a child of the split that fills max_leaves, can never be split: it
+    gets no histogram and no scan and becomes a leaf at once.
+    """
+    lam, gamma = config.lambda_, config.gamma
+    mch = config.min_child_hessian
+    nodes = [TreeNode(is_leaf=True)]
+    slot = np.empty(len(g), dtype=np.int32) if with_slots else None
+    heap = []
 
-    def make_leaf(self, nid: int, idx: np.ndarray, stats: NodeStats, lam: float) -> None:
-        n = self.nodes[nid]
-        n.is_leaf = True
-        n.weight = leaf_weight(stats, lam)
-        if self.slot is not None:
-            self.slot[idx] = nid
+    def make_leaf(nid, idx, stats):
+        nodes[nid].weight = leaf_weight(stats, lam)
+        if slot is not None:
+            slot[idx] = nid
 
-    def result(self, indices: np.ndarray):
-        """The tree, plus the leaf slot of each of indices when slots were asked for."""
-        tree = DecisionTree(self.nodes)
-        return tree if self.slot is None else (tree, self.slot[indices])
+    def open_node(nid, idx, depth, hist, splittable):
+        stats = node_stats(idx, g, h)
+        cand = None
+        if splittable and exact:
+            cand = find_best_split_presorted(idx, binned.source, g, h, lam, gamma, mch,
+                                             binned.feature_names)
+        elif splittable:
+            cand = find_best_split_histogram(hist, stats, binned, lam, gamma, mch)
+        if cand is None:
+            make_leaf(nid, idx, stats)
+        else:
+            heapq.heappush(heap, (priority(depth, cand), nid, idx, depth, hist, cand, stats))
 
-    def make_split(self, nid: int, cand: SplitCandidate, binned: BinnedDataset) -> tuple[int, int]:
-        lid = len(self.nodes)
-        self.nodes.append(TreeNode(is_leaf=True))
-        rid = len(self.nodes)
-        self.nodes.append(TreeNode(is_leaf=True))
-        n = self.nodes[nid]
-        n.is_leaf = False
-        n.feature = cand.feature
-        n.threshold = cand.threshold
-        n.default_left = cand.default_left
-        n.left = lid
-        n.right = rid
-        n.gain = cand.gain
-        return lid, rid
+    def can_split(depth, n_leaves):
+        return depth < config.max_depth and n_leaves < max_leaves
 
-
-def _child_histograms(parent_hist, left_idx, right_idx, binned, g, h, hist_fn):
-    """Build the smaller child directly and get the sibling by subtraction."""
-    if len(left_idx) <= len(right_idx):
-        hl = hist_fn(left_idx, binned, g, h)
-        return hl, parent_hist.subtract(hl)
-    hr = hist_fn(right_idx, binned, g, h)
-    return parent_hist.subtract(hr), hr
+    if not exact and hist_fn is None:
+        hist_fn = HistogramBuilder(binned)
+    splittable = can_split(0, 1)
+    root_hist = hist_fn(indices, binned, g, h) if splittable and not exact else None
+    open_node(0, indices, 0, root_hist, splittable)
+    n_leaves = 1
+    while heap and n_leaves < max_leaves:
+        _, nid, idx, depth, hist, cand, _ = heapq.heappop(heap)
+        left_idx, right_idx = _partition(idx, binned, cand)
+        lid = len(nodes)
+        nodes[nid] = TreeNode(is_leaf=False, feature=cand.feature, threshold=cand.threshold,
+                              default_left=cand.default_left, left=lid, right=lid + 1,
+                              gain=cand.gain)
+        nodes += [TreeNode(is_leaf=True), TreeNode(is_leaf=True)]
+        n_leaves += 1
+        splittable = can_split(depth + 1, n_leaves)
+        hl = hr = None
+        if splittable and not exact:
+            # build the smaller child, get its sibling by subtraction
+            if len(left_idx) <= len(right_idx):
+                hl = hist_fn(left_idx, binned, g, h)
+                hr = hist.subtract(hl)
+            else:
+                hr = hist_fn(right_idx, binned, g, h)
+                hl = hist.subtract(hr)
+        open_node(lid, left_idx, depth + 1, hl, splittable)
+        open_node(lid + 1, right_idx, depth + 1, hr, splittable)
+    for _, nid, idx, _, _, _, stats in heap:
+        make_leaf(nid, idx, stats)
+    tree = DecisionTree(nodes)
+    return tree if slot is None else (tree, slot[indices])
 
 
 def grow_level_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
                     h: np.ndarray, config, exact: bool = False,
                     hist_fn=None, with_slots: bool = False):
     """Expand every splittable node of the current depth before descending."""
-    lam, gamma = config.lambda_, config.gamma
-    mch = config.min_child_hessian
-    b = _Builder(len(g) if with_slots else None)
-    if not exact and hist_fn is None:
-        hist_fn = HistogramBuilder(binned)
-    root_hist = None if exact else hist_fn(indices, binned, g, h)
-    frontier = [(0, indices, root_hist)]
-    for _ in range(config.max_depth):
-        nxt = []
-        for nid, idx, hist in frontier:
-            stats = node_stats(idx, g, h)
-            if exact:
-                cand = find_best_split_presorted(idx, binned.source, g, h, lam, gamma,
-                                                 mch, binned.feature_names)
-            else:
-                cand = find_best_split_histogram(hist, stats, binned, lam, gamma, mch)
-            if cand is None:
-                b.make_leaf(nid, idx, stats, lam)
-                continue
-            left_idx, right_idx = _partition(idx, binned, cand)
-            lid, rid = b.make_split(nid, cand, binned)
-            if exact:
-                hl = hr = None
-            else:
-                hl, hr = _child_histograms(hist, left_idx, right_idx, binned, g, h, hist_fn)
-            nxt.append((lid, left_idx, hl))
-            nxt.append((rid, right_idx, hr))
-        frontier = nxt
-        if not frontier:
-            break
-    for nid, idx, _ in frontier:
-        b.make_leaf(nid, idx, node_stats(idx, g, h), lam)
-    return b.result(indices)
+    return _grow(indices, binned, g, h, config, lambda depth, cand: depth,
+                 2 ** config.max_depth, exact, hist_fn, with_slots)
 
 
 def grow_leaf_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
                    h: np.ndarray, config, hist_fn=None, with_slots: bool = False):
-    """Always split the leaf with the largest gain next (ties: earliest leaf)."""
-    lam, gamma = config.lambda_, config.gamma
-    mch = config.min_child_hessian
+    """Always split the leaf with the largest gain next (ties: earliest-created
+    leaf, the lowest node id)."""
     max_leaves = config.max_leaves if config.max_leaves else 2 ** config.max_depth
-    b = _Builder(len(g) if with_slots else None)
-    seq = 0
-    heap = []
-
-    def consider(nid, idx, depth, hist):
-        nonlocal seq
-        stats = node_stats(idx, g, h)
-        cand = None
-        if depth < config.max_depth:
-            cand = find_best_split_histogram(hist, stats, binned, lam, gamma, mch)
-        if cand is None:
-            b.make_leaf(nid, idx, stats, lam)
-            return
-        heapq.heappush(heap, (-cand.gain, seq, nid, idx, depth, hist, cand, stats))
-        seq += 1
-
-    if hist_fn is None:
-        hist_fn = HistogramBuilder(binned)
-    root_hist = hist_fn(indices, binned, g, h)
-    consider(0, indices, 0, root_hist)
-    n_leaves = 1
-    while heap and n_leaves < max_leaves:
-        _, _, nid, idx, depth, hist, cand, stats = heapq.heappop(heap)
-        left_idx, right_idx = _partition(idx, binned, cand)
-        lid, rid = b.make_split(nid, cand, binned)
-        hl, hr = _child_histograms(hist, left_idx, right_idx, binned, g, h, hist_fn)
-        consider(lid, left_idx, depth + 1, hl)
-        consider(rid, right_idx, depth + 1, hr)
-        n_leaves += 1
-    while heap:
-        _, _, nid, idx, _, _, _, stats = heapq.heappop(heap)
-        b.make_leaf(nid, idx, stats, lam)
-    return b.result(indices)
+    return _grow(indices, binned, g, h, config, lambda depth, cand: -cand.gain,
+                 max_leaves, False, hist_fn, with_slots)
 
 
 def _level_best(gains, valid):

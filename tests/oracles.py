@@ -4,9 +4,14 @@ masks, numeric quadrature, parabola vertices) so they share no code with the
 library's own formulas.
 """
 
+import heapq
 import math
 
 import numpy as np
+
+from boostlab.growers import (DecisionTree, HistogramBuilder, TreeNode, _partition,
+                              find_best_split_histogram, find_best_split_presorted,
+                              leaf_weight, node_stats)
 
 
 def parabola_min(f):
@@ -505,3 +510,129 @@ def ordered_trees_reference(ds, config):
                                               hist_fn=features.hist_fn)
                 block_preds[p][j] += config.learning_rate * tree.predict_matrix(features.X)
     return trees
+
+
+# Level-wise and leaf-wise growth as two separate loops, as they were before
+# both became one best-first loop: every child gets a histogram, including
+# children that can never be split. The library's growers must return the
+# same nodes and the same leaf slots.
+
+class _Builder:
+    """Accumulates TreeNode records with deterministic ids."""
+
+    def __init__(self, slot_rows=None):
+        self.nodes = [TreeNode(is_leaf=True)]
+        self.slot = None if slot_rows is None else np.empty(slot_rows, dtype=np.int32)
+
+    def make_leaf(self, nid, idx, stats, lam):
+        n = self.nodes[nid]
+        n.is_leaf = True
+        n.weight = leaf_weight(stats, lam)
+        if self.slot is not None:
+            self.slot[idx] = nid
+
+    def result(self, indices):
+        tree = DecisionTree(self.nodes)
+        return tree if self.slot is None else (tree, self.slot[indices])
+
+    def make_split(self, nid, cand):
+        lid = len(self.nodes)
+        self.nodes.append(TreeNode(is_leaf=True))
+        rid = len(self.nodes)
+        self.nodes.append(TreeNode(is_leaf=True))
+        n = self.nodes[nid]
+        n.is_leaf = False
+        n.feature = cand.feature
+        n.threshold = cand.threshold
+        n.default_left = cand.default_left
+        n.left = lid
+        n.right = rid
+        n.gain = cand.gain
+        return lid, rid
+
+
+def _child_histograms(parent_hist, left_idx, right_idx, binned, g, h, hist_fn):
+    """Build the smaller child directly and get the sibling by subtraction."""
+    if len(left_idx) <= len(right_idx):
+        hl = hist_fn(left_idx, binned, g, h)
+        return hl, parent_hist.subtract(hl)
+    hr = hist_fn(right_idx, binned, g, h)
+    return parent_hist.subtract(hr), hr
+
+
+def level_wise_reference(indices, binned, g, h, config, exact=False, hist_fn=None,
+                         with_slots=False):
+    """Expand every splittable node of the current depth before descending."""
+    lam, gamma = config.lambda_, config.gamma
+    mch = config.min_child_hessian
+    b = _Builder(len(g) if with_slots else None)
+    if not exact and hist_fn is None:
+        hist_fn = HistogramBuilder(binned)
+    root_hist = None if exact else hist_fn(indices, binned, g, h)
+    frontier = [(0, indices, root_hist)]
+    for _ in range(config.max_depth):
+        nxt = []
+        for nid, idx, hist in frontier:
+            stats = node_stats(idx, g, h)
+            if exact:
+                cand = find_best_split_presorted(idx, binned.source, g, h, lam, gamma,
+                                                 mch, binned.feature_names)
+            else:
+                cand = find_best_split_histogram(hist, stats, binned, lam, gamma, mch)
+            if cand is None:
+                b.make_leaf(nid, idx, stats, lam)
+                continue
+            left_idx, right_idx = _partition(idx, binned, cand)
+            lid, rid = b.make_split(nid, cand)
+            if exact:
+                hl = hr = None
+            else:
+                hl, hr = _child_histograms(hist, left_idx, right_idx, binned, g, h, hist_fn)
+            nxt.append((lid, left_idx, hl))
+            nxt.append((rid, right_idx, hr))
+        frontier = nxt
+        if not frontier:
+            break
+    for nid, idx, _ in frontier:
+        b.make_leaf(nid, idx, node_stats(idx, g, h), lam)
+    return b.result(indices)
+
+
+def leaf_wise_reference(indices, binned, g, h, config, hist_fn=None, with_slots=False):
+    """Always split the leaf with the largest gain next (ties: earliest leaf)."""
+    lam, gamma = config.lambda_, config.gamma
+    mch = config.min_child_hessian
+    max_leaves = config.max_leaves if config.max_leaves else 2 ** config.max_depth
+    b = _Builder(len(g) if with_slots else None)
+    seq = 0
+    heap = []
+
+    def consider(nid, idx, depth, hist):
+        nonlocal seq
+        stats = node_stats(idx, g, h)
+        cand = None
+        if depth < config.max_depth:
+            cand = find_best_split_histogram(hist, stats, binned, lam, gamma, mch)
+        if cand is None:
+            b.make_leaf(nid, idx, stats, lam)
+            return
+        heapq.heappush(heap, (-cand.gain, seq, nid, idx, depth, hist, cand, stats))
+        seq += 1
+
+    if hist_fn is None:
+        hist_fn = HistogramBuilder(binned)
+    root_hist = hist_fn(indices, binned, g, h)
+    consider(0, indices, 0, root_hist)
+    n_leaves = 1
+    while heap and n_leaves < max_leaves:
+        _, _, nid, idx, depth, hist, cand, stats = heapq.heappop(heap)
+        left_idx, right_idx = _partition(idx, binned, cand)
+        lid, rid = b.make_split(nid, cand)
+        hl, hr = _child_histograms(hist, left_idx, right_idx, binned, g, h, hist_fn)
+        consider(lid, left_idx, depth + 1, hl)
+        consider(rid, right_idx, depth + 1, hr)
+        n_leaves += 1
+    while heap:
+        _, _, nid, idx, _, _, _, stats = heapq.heappop(heap)
+        b.make_leaf(nid, idx, stats, lam)
+    return b.result(indices)

@@ -154,3 +154,37 @@ class TestMarkerSpelledValue:
         np.testing.assert_array_equal(back.columns["a"], ds.columns["a"])
         np.testing.assert_array_equal(back.columns["b"], ds.columns["b"])
         assert back.labels["b"] == ["n/a", "y"]
+
+
+class TestFieldLimit:
+    """A cell longer than csv.field_size_limit() is refused the same way
+    whether or not the file is quoted: csv.reader decides for both readers."""
+
+    def test_plain_and_quoted_fail_alike(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        p = tmp_path / "t.csv"
+        schema = tmp_path / "s.json"
+        schema.write_text(json.dumps([{"name": "a"}, {"name": "b", "kind": "categorical"}]))
+        rows = [["a", "b"], ["1", "x"], ["2", "y" * (limit + 1)]]
+        messages = []
+        for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+            with open(p, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(rows)
+            assert (b'"' in p.read_bytes()) == (quoting == csv.QUOTE_ALL)
+            for load in (load_csv, load_known_columns):
+                with pytest.raises(DatasetError) as info:
+                    load(p, SCHEMA)
+                messages.append(str(info.value))
+            assert main(["ingest", "--input", str(p), "--schema", str(schema)]) == 2
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == f"{p}: line 3: field larger than field limit ({limit})"
+        assert messages[2] == f"error: {messages[0]}\n"
+        assert messages == messages[:3] * 2
+        assert csv.field_size_limit() == limit
+
+    def test_a_cell_at_the_limit_loads(self, tmp_path):
+        limit = csv.field_size_limit()
+        p = tmp_path / "t.csv"
+        p.write_text(f"a,b\n1,{'y' * limit}\n", encoding="utf-8")
+        ds = load_csv(p, SCHEMA)
+        assert ds.labels["b"] == ["y" * limit]
