@@ -11,12 +11,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field, fields, replace
 
 import numpy as np
 
 from . import growers, strategies
-from .dataset import (CATEGORICAL, TARGET, BinnedDataset, ColumnSchema, Dataset,
+from .dataset import (CATEGORICAL, MAX_BINS, TARGET, BinnedDataset, ColumnSchema, Dataset,
                       DatasetError, bin_features, one_hot_encode)
 
 LOSSES = ("squared_error", "logistic")
@@ -134,6 +134,9 @@ class BoostConfig:
             raise ConfigError("min_child_hessian must be >= 0")
         if self.max_bins < 2:
             raise ConfigError("max_bins must be >= 2")
+        if self.max_bins > MAX_BINS:
+            raise ConfigError(f"max_bins must be <= {MAX_BINS}: bin codes are uint16 and "
+                              f"the missing bin takes one, got {self.max_bins}")
         if self.grower not in GROWERS:
             raise ConfigError(f"unknown grower {self.grower!r}")
         LossSpec(self.loss)
@@ -153,6 +156,10 @@ class BoostConfig:
                 raise ConfigError("ordered_blocks must be >= 1")
         if self.ordered_permutations < 1:
             raise ConfigError("ordered_permutations must be >= 1")
+        for f in fields(self):  # what the range checks above let through, e.g. inf
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -236,7 +243,8 @@ def _grow_fn(config: BoostConfig):
         return growers.grow_level_wise
     if config.grower == "leaf_wise":
         return growers.grow_leaf_wise
-    return growers.grow_oblivious
+    # every oblivious fit of one training run shares one scratch workspace
+    return functools.partial(growers.grow_oblivious, workspace=growers.ObliviousWorkspace())
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,6 +338,9 @@ def train(ds: Dataset, config: BoostConfig,
         raise DatasetError("dataset has no target column")
     if ds.n_rows < 2:
         raise DatasetError("need at least 2 rows to train")
+    if config.ordered_blocks is not None and config.ordered_blocks > ds.n_rows:
+        raise ConfigError(f"ordered_blocks={config.ordered_blocks} exceeds the "
+                          f"{ds.n_rows} training rows")
     y = _finite_target(ds.columns[tname])
     if features is None:
         features = prepare_features(ds, config)
@@ -339,7 +350,6 @@ def train(ds: Dataset, config: BoostConfig,
 
     loss = config.loss
     base = 0.0 if config.zero_base_score else init_base_score(loss, y)
-    grow = _grow_fn(config)
 
     trees: list = []
     n = ds.n_rows
@@ -347,6 +357,7 @@ def train(ds: Dataset, config: BoostConfig,
     if config.ordered_blocks is not None:
         trees = _train_ordered(y, binned, X, config, base, hist_fn)
     else:
+        grow = _grow_fn(config)
         preds = np.full(n, base)
         for t in range(config.n_trees):
             g, h = compute_gradients(loss, y, preds)
@@ -394,15 +405,18 @@ def _train_ordered(y, binned, X, config: BoostConfig, base: float, hist_fn) -> l
     trees = []
     gj = np.zeros(n)
     hj = np.zeros(n)
+    workspace = growers.ObliviousWorkspace()  # one for every fit of this run
     for _ in range(config.n_trees):
         g, h, _ = strategies.ordered_gradients(schedule, grad_fn, y, block_preds)
-        trees.append(growers.grow_oblivious(all_idx, binned, g, h, config, hist_fn=hist_fn))
+        trees.append(growers.grow_oblivious(all_idx, binned, g, h, config, hist_fn=hist_fn,
+                                            workspace=workspace))
         for p in range(len(schedule.permutations)):
             for j in range(1, n_blocks):
                 idx = prefix_idx[p][j]
                 gj[idx], hj[idx] = grad_fn(y[idx], block_preds[p][j][idx])
                 prefix_tree, slots = growers.grow_oblivious(
-                    idx, binned, gj, hj, config, hist_fn=hist_fn, with_slots=True)
+                    idx, binned, gj, hj, config, hist_fn=hist_fn, with_slots=True,
+                    workspace=workspace)
                 # the prefix rows score from their leaf slots; only block j is routed
                 block = block_idx[p][j]
                 preds = block_preds[p][j]
@@ -707,8 +721,9 @@ def from_json(text: str):
 
 
 def save_model(model, path) -> None:
+    text = to_json(model)  # a model that cannot be written leaves the path untouched
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(model))
+        fh.write(text)
 
 
 def load_model(path):

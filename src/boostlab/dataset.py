@@ -711,6 +711,9 @@ def _quantile_boundaries(values: np.ndarray, max_bins: int, name: str) -> np.nda
     return np.append(inner, u[-1])
 
 
+MAX_BINS = 65535  # bin codes are uint16, and the missing bin takes one code
+
+
 def bin_features(ds: Dataset, max_bins: int) -> BinnedDataset:
     """Quantile-bin every numeric feature column (target and categoricals excluded).
 
@@ -719,6 +722,9 @@ def bin_features(ds: Dataset, max_bins: int) -> BinnedDataset:
     """
     if max_bins < 2:
         raise DatasetError(f"max_bins must be >= 2, got {max_bins}")
+    if max_bins > MAX_BINS:
+        raise DatasetError(f"max_bins must be <= {MAX_BINS} (bin codes are uint16), "
+                           f"got {max_bins}")
     names = ds.numeric_feature_names()
     if not names:
         raise DatasetError("dataset has no numeric feature columns to bin")

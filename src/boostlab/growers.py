@@ -15,11 +15,18 @@ passes one (BundledHistograms under EFB); exact level-wise growth builds none.
 Level-wise and leaf-wise growth are one best-first loop, _grow, with two
 expansion orders: open nodes by depth, or by the gain of their best split
 under a leaf budget. A node that can never be split gets no histogram.
+
+Oblivious growth scans one whole level at a time. Its level-sized arrays, the
+scan's intermediates and the level histograms, live in an ObliviousWorkspace
+that a training run passes to every fit, so a warm level loop allocates
+nothing level-sized. The scan writes into the workspace with the same
+operations a fresh array would get, so the trees do not depend on it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,27 +219,37 @@ def _prefix_tables(sum_g, sum_h, count, nb: np.ndarray):
     return GL, HL, CL, gm, hm, cm
 
 
-def _squared_term(g, h, c, lam):
+def _squared_term(g, h, c, lam, out=None):
     """One side's g * g / (h + lam), 0.0 where the side is empty or its
-    denominator is nonpositive."""
-    d = h + lam
-    t = g * g
+    denominator is nonpositive.
+
+    out, if given, is (t, d, ok, pos): arrays shaped like g that receive the
+    term, the denominators h + lam and two bool masks. t may be g and d may
+    be h, which are then overwritten.
+    """
+    t, d, ok, pos = (None,) * 4 if out is None else out
+    d = np.add(h, lam, out=d)
+    t = np.multiply(g, g, out=t)
     t /= d
-    ok = c > 0
-    ok &= d > 0
-    np.putmask(t, ~ok, 0.0)
+    ok = np.greater(c, 0, out=ok)
+    ok &= np.greater(d, 0, out=pos)
+    np.logical_not(ok, out=ok)
+    np.putmask(t, ok, 0.0)
     return t
 
 
-def _routing_gain(gl, hl, cl, gr, hr, cr, parent_term, lam, gamma):
+def _routing_gain(gl, hl, cl, gr, hr, cr, parent_term, lam, gamma, out=None):
     """Split gain of every prefix under one missing-value routing.
 
     gl/hl/cl are the left side's sums and gr/hr/cr the right side's, each of
-    shape (..., n_thresholds); parent_term broadcasts against them. Callers
-    hold np.errstate(divide="ignore", invalid="ignore").
+    shape (..., n_thresholds); parent_term broadcasts against them. out, if
+    given, is the (left, right) pair of _squared_term buffers; the gains land
+    in the left side's term. Callers hold np.errstate(divide="ignore",
+    invalid="ignore").
     """
-    tl = _squared_term(gl, hl, cl, lam)
-    tl += _squared_term(gr, hr, cr, lam)
+    left, right = (None, None) if out is None else out
+    tl = _squared_term(gl, hl, cl, lam, left)
+    tl += _squared_term(gr, hr, cr, lam, right)
     tl -= parent_term
     tl *= 0.5
     tl -= gamma
@@ -557,13 +574,119 @@ def grow_leaf_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
                  max_leaves, False, hist_fn, with_slots)
 
 
-def _level_best(gains, valid):
+@dataclass(slots=True)
+class _WorkspaceLevel:
+    """One level size's views of an ObliviousWorkspace arena: the level's
+    stacked histograms and the scan's scratch. It unpacks like the
+    (sum_g, sum_h, count) triple of its histograms."""
+
+    hist: np.ndarray        # (3, L, m, W) histograms of g, h and count
+    prefix: np.ndarray      # (3, L, m, W - 1) left sums GL, HL, CL
+    right: np.ndarray       # (3, L, m, W - 1) right sums GR, HR, CR
+    miss_left: np.ndarray   # (3, L, k, W - 1) missing-right routing, left side
+    miss_right: np.ndarray  # (3, L, k, W - 1) missing-right routing, right side
+    flags: tuple            # two (L, m, W - 1) bool masks
+    flags_k: tuple          # the same memory as two (L, k, W - 1) masks
+    totals: np.ndarray      # (m, W - 1) per-threshold totals
+    totals_k: np.ndarray    # the same memory as (k, W - 1)
+
+    def __iter__(self):
+        return iter(self.hist)
+
+
+class ObliviousWorkspace:
+    """Scratch arrays of grow_oblivious's level loop, reused across levels and
+    fits.
+
+    Every level-sized intermediate of the split scan, and the two level
+    histogram buffers the loop alternates between, are views of one float
+    arena and one bool arena sized for the deepest level. The views of each
+    level size are carved once and cached. The scan writes into them with
+    the same operations in the same order as fresh arrays would get, so the
+    bits do not depend on the workspace.
+
+    A workspace serves one training run on one thread: train and ordered
+    boosting make one per run and drop it when they return, and
+    grow_oblivious called without one makes its own. It keeps no reference
+    to the data.
+    """
+
+    RESERVE_LEAVES = 1024  # bind reserves levels up to this size; deeper ones grow the arena
+
+    def __init__(self):
+        self._dims = None       # (m, width, n_missing) the arena is laid out for
+        self._capacity = 0      # leaves of the deepest level the arena holds
+        self._arena = self._flags = None
+        self._levels: dict[int, _WorkspaceLevel] = {}
+
+    def bind(self, binned: BinnedDataset, max_leaves: int = 1) -> None:
+        """Lay the workspace out for binned's histograms and reserve levels of
+        up to max_leaves leaves (at most RESERVE_LEAVES).
+
+        Reserving the deepest level a fit may reach costs address space
+        only: pages are touched as levels reach them. It spares the first
+        fit a bigger arena at each level while the last one still holds
+        the current histograms.
+        """
+        dims = (len(binned.feature_names), binned.hist_width, len(binned.missing_features))
+        if dims != self._dims:
+            self._dims, self._capacity, self._levels = dims, 0, {}
+            self._arena = self._flags = None
+        max_leaves = min(max_leaves, self.RESERVE_LEAVES)
+        if max_leaves > self._capacity:
+            self._allocate(max_leaves)
+
+    def level(self, n_leaves: int) -> _WorkspaceLevel:
+        """The views for a level of n_leaves leaves, growing the arena (and
+        dropping every cached view) past the reserved depth."""
+        views = self._levels.get(n_leaves)
+        if views is None:
+            if n_leaves > self._capacity:
+                self._allocate(n_leaves)
+            views = self._levels[n_leaves] = self._carve(n_leaves)
+        return views
+
+    def _allocate(self, capacity: int) -> None:
+        m, w, k = self._dims
+        self._arena = np.empty(capacity * (6 * m * w + 3 * (m + 2 * k) * (w - 1))
+                               + m * (w - 1))
+        self._flags = np.empty(2 * capacity * m * (w - 1), dtype=bool)
+        self._capacity = capacity
+        self._levels = {}
+
+    def _carve(self, n: int) -> _WorkspaceLevel:
+        """Arena layout: two histogram buffers, the right sums, the two sides
+        of the missing-right routing, the totals. A level of n = 2^d leaves
+        keeps its histograms in buffer d % 2; the other buffer holds the
+        previous level's, which are dead during this level's scan and
+        become its prefix sums, and takes the next level's afterwards."""
+        m, w, k = self._dims
+        t = w - 1  # thresholds per feature
+        cap = self._capacity
+        starts = np.cumsum([0] + [3 * cap * m * w] * 2 + [3 * cap * m * t]
+                           + [3 * cap * k * t] * 2)
+
+        def region(i, shape):
+            return self._arena[starts[i]:starts[i] + math.prod(shape)].reshape(shape)
+
+        d = n.bit_length() - 1
+        totals = self._arena[starts[-1]:]
+        flags = self._flags.reshape(2, -1)
+        return _WorkspaceLevel(
+            region(d % 2, (3, n, m, w)), region(1 - d % 2, (3, n, m, t)),
+            region(2, (3, n, m, t)), region(3, (3, n, k, t)), region(4, (3, n, k, t)),
+            tuple(f[:n * m * t].reshape(n, m, t) for f in flags),
+            tuple(f[:n * k * t].reshape(n, k, t) for f in flags),
+            totals.reshape(m, t), totals[:k * t].reshape(k, t))
+
+
+def _level_best(gains, invalid, totals):
     """Highest-total (fi, pos) of one routing's (L, m, n_thr) per-leaf gains,
     the first in row-major order on ties: (total, fi, pos). Zeroes the gains
-    at invalid thresholds in place."""
-    np.copyto(gains, 0.0, where=~valid)
-    totals = gains.sum(axis=0)
-    np.copyto(totals, -np.inf, where=~valid)
+    at invalid thresholds in place and sums them into totals."""
+    np.copyto(gains, 0.0, where=invalid)
+    np.sum(gains, axis=0, out=totals)
+    np.copyto(totals, -np.inf, where=invalid)
     fi, pos = divmod(int(np.argmax(totals)), totals.shape[1])
     return float(totals[fi, pos]), fi, pos
 
@@ -576,40 +699,61 @@ def _oblivious_split(stacked, sum_g, sum_h, counts, binned, lam, gamma):
     sum_g, sum_h and counts. A leaf whose split is degenerate at some threshold
     (an empty side, or a nonpositive denominator) still contributes
     0.5 * 0 - gamma there: the same formula with the offending squared terms
-    forced to zero. Takes stacked (L, m, W) histograms. Within each routing
-    ties go to the lowest feature, then the lowest bin; missing-right is
-    scored on binned.missing_features only and must strictly beat the best
-    missing-left total.
+    forced to zero. stacked holds the level's (L, m, W) histograms of g, h and
+    count: a workspace level, whose scratch arrays take every level-sized
+    intermediate, or three arrays (or one (3, L, m, W) array), scanned in a
+    fresh workspace. Within each routing ties go to the lowest feature, then
+    the lowest bin; missing-right is scored on binned.missing_features only
+    and must strictly beat the best missing-left total.
     """
-    valid = binned.threshold_mask
+    if isinstance(stacked, _WorkspaceLevel):
+        ws = stacked
+    else:
+        workspace = ObliviousWorkspace()
+        workspace.bind(binned)
+        ws = workspace.level(len(sum_g))
+        np.copyto(ws.hist, stacked)
+    stacked = ws.hist
+    invalid = ~binned.threshold_mask
     missing = binned.missing_features
-    GL, HL, CL, gm, hm, cm = _prefix_tables(*stacked, binned.bin_counts)
+    nb = binned.bin_counts
+    # prefix j sums bins 0..j; the missing bin nb[f] lies past every valid
+    # threshold (j < nb[f] - 1), so it never enters a valid prefix
+    miss = stacked[:, :, np.arange(len(nb)), nb]  # (3, L, m) missing-bin sums
+    prefix = np.cumsum(stacked[..., :-1], axis=-1, out=ws.prefix)
     pc = counts.astype(np.float64)
+    best = None
     with np.errstate(divide="ignore", invalid="ignore"):
         dpar = sum_h + lam
         parent_term = np.where((dpar > 0) & (pc > 0), sum_g * sum_g / dpar, 0.0)
         parent_term = parent_term[:, None, None]
-        GR = (sum_g[:, None] - gm)[:, :, None] - GL
-        HR = (sum_h[:, None] - hm)[:, :, None] - HL
-        CR = (pc[:, None] - cm)[:, :, None] - CL
-        gm, hm, cm = gm[:, :, None], hm[:, :, None], cm[:, :, None]
-        left_sums = (GL + gm, HL + hm, CL + cm) if missing.size else (GL, HL, CL)
-        gains = _routing_gain(*left_sums, GR, HR, CR, parent_term, lam, gamma)
-        total, fi, pos = _level_best(gains, valid)
-        best = (total, fi, pos, True, gains[:, fi, pos]) if np.isfinite(total) else None
+        rest = np.stack((sum_g, sum_h, pc))[:, :, None] - miss
+        right = np.subtract(rest[..., None], prefix, out=ws.right)
         if missing.size:
-            sub = (slice(None), missing)
-            right = _routing_gain(GL[sub], HL[sub], CL[sub], GR[sub] + gm[sub],
-                                  HR[sub] + hm[sub], CR[sub] + cm[sub],
-                                  parent_term, lam, gamma)
-            total, k, pos = _level_best(right, valid[missing])
-            if np.isfinite(total) and (best is None or total > best[0]):
-                best = (total, int(missing[k]), pos, False, right[:, k, pos])
+            # missing-right first: it reads the prefixes before they take the
+            # missing sums for missing-left
+            ml = np.take(prefix, missing, axis=2, out=ws.miss_left, mode="clip")
+            mr = np.take(right, missing, axis=2, out=ws.miss_right, mode="clip")
+            mr += miss[:, :, missing, None]
+            gains = _routing_gain(*ml, *mr, parent_term, lam, gamma,
+                                  out=((ml[0], ml[1], *ws.flags_k),
+                                       (mr[0], mr[1], *ws.flags_k)))
+            total, k, pos = _level_best(gains, invalid[missing], ws.totals_k)
+            if np.isfinite(total):
+                best = (total, int(missing[k]), pos, False, gains[:, k, pos].copy())
+            prefix += miss[..., None]
+        gains = _routing_gain(*prefix, *right, parent_term, lam, gamma,
+                              out=((prefix[0], prefix[1], *ws.flags),
+                                   (right[0], right[1], *ws.flags)))
+        total, fi, pos = _level_best(gains, invalid, ws.totals)
+    if np.isfinite(total) and (best is None or not best[0] > total):
+        best = (total, fi, pos, True, gains[:, fi, pos].copy())
     return best
 
 
 def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
-                   h: np.ndarray, config, hist_fn=None, with_slots: bool = False):
+                   h: np.ndarray, config, hist_fn=None, with_slots: bool = False,
+                   workspace: ObliviousWorkspace | None = None):
     """One shared (feature, threshold) per level, chosen to maximize the sum of
     split gains over all current leaves; every leaf is split by it, so the tree
     has exactly 2^depth leaves (empty leaves get weight 0).
@@ -619,20 +763,27 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
     missing-right candidate must strictly beat the best missing-left total;
     it is scored only for features with missing values in the training table.
     Like CatBoost's symmetric trees, this grower does not apply
-    min_child_hessian.
+    min_child_hessian. The level loop's scratch arrays come from workspace,
+    an ObliviousWorkspace that one caller reuses across fits (a fresh one
+    when None); it changes no bit of the tree.
     """
     lam, gamma = config.lambda_, config.gamma
     if hist_fn is None:
         hist_fn = HistogramBuilder(binned)
+    if workspace is None:
+        workspace = ObliviousWorkspace()
+    workspace.bind(binned, 2 ** (config.max_depth - 1))  # the deepest level scanned
     leaf_pos = np.zeros(len(indices), dtype=np.int64)
     n_leaves = 1
     gi = g[indices]
     hi = h[indices]
     level_splits: list[tuple[int, float, bool]] = []
     level_gains: list[list[float]] = []
-    stacked = hist_fn.level_histograms(indices, leaf_pos, n_leaves, binned, g, h)
+    level = workspace.level(1)
+    np.stack(hist_fn.level_histograms(indices, leaf_pos, n_leaves, binned, g, h),
+             out=level.hist)
     for _ in range(config.max_depth):
-        best = _oblivious_split(stacked,
+        best = _oblivious_split(level,
                                 np.bincount(leaf_pos, weights=gi, minlength=n_leaves),
                                 np.bincount(leaf_pos, weights=hi, minlength=n_leaves),
                                 np.bincount(leaf_pos, minlength=n_leaves),
@@ -651,6 +802,7 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
             n_leaves *= 2
             break
         # build only the globally smaller side; siblings come by subtraction
+        # into the histogram buffer the current level does not occupy
         n_right = int(np.count_nonzero(~go_left))
         build_right = n_right * 2 <= len(indices)
         side = ~go_left if build_right else go_left
@@ -658,11 +810,11 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
                                          binned, g, h)
         built_at = slice(int(build_right), None, 2)  # right children sit at odd slots
         sibling_at = slice(1 - int(build_right), None, 2)
-        nxt = tuple(np.empty((2 * n_leaves,) + arr.shape[1:]) for arr in built)
-        for out, parent, b in zip(nxt, stacked, built):
+        nxt = workspace.level(2 * n_leaves)
+        for out, parent, b in zip(nxt.hist, level.hist, built):
             out[built_at] = b
             np.subtract(parent, b, out=out[sibling_at])
-        stacked = nxt
+        level = nxt
         leaf_pos = new_leaf_pos
         n_leaves *= 2
 

@@ -99,6 +99,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=">= 0"):
             BoostConfig(**{field: float("nan")}).validate()
 
+    @pytest.mark.parametrize("changes", [
+        {"lambda_": math.inf}, {"gamma": math.inf}, {"min_child_hessian": math.inf},
+        {"grower": "leaf_wise", "goss_a": 0.2, "goss_b": math.nan},
+    ], ids=["lambda", "gamma", "min_child_hessian", "goss_b"])
+    def test_non_finite_values_rejected(self, changes):
+        name = next(k for k in changes if k != "grower" and k != "goss_a")
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            BoostConfig(**changes).validate()
+
+    def test_infinite_min_child_hessian_rejected_by_train(self):
+        with pytest.raises(ConfigError, match="min_child_hessian must be finite"):
+            train(regression_dataset(n=20), BoostConfig(n_trees=1, min_child_hessian=math.inf))
+
+    def test_max_bins_limited_by_bin_code_width(self):
+        BoostConfig(max_bins=65535).validate()
+        with pytest.raises(ConfigError, match="max_bins must be <= 65535"):
+            BoostConfig(max_bins=65536).validate()
+
 
 class TestTrain:
     def test_zero_trees_predicts_base_score(self):
@@ -239,6 +257,14 @@ class TestPredict:
 
 
 class TestDeterminismAndPersistence:
+    def test_unwritable_model_leaves_the_file_untouched(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("previous model", encoding="utf-8")
+        ens = train(regression_dataset(n=20), BoostConfig(n_trees=1))
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            save_model(replace(ens, base_score=math.inf), path)
+        assert path.read_text(encoding="utf-8") == "previous model"
+
     def test_identical_runs_serialize_identically(self):
         for grower, extra in (("level_wise", {}), ("leaf_wise", {}),
                               ("oblivious", {}),

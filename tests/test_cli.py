@@ -427,3 +427,48 @@ class TestRecipeValueTypes:
         err = capsys.readouterr().err
         assert message in err and "Error" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestTrainConfigBoundary:
+    """Config values that used to train into a stray exception, or into a model
+    whose config echo could not be written, exit 2 before a model file exists."""
+
+    def run_train(self, tmp_path, csv_path, *flags):
+        schema = write_schema(tmp_path / "s.json", REG_SCHEMA)
+        code = main(["train", "--input", str(csv_path), "--schema", str(schema),
+                     "--output", str(tmp_path / "m.json"), "--trees", "2", *flags])
+        assert not (tmp_path / "m.json").exists()
+        return code
+
+    def test_nan_goss_b_exits_2(self, tmp_path, capsys):
+        csv_path = make_training_csv(tmp_path / "d.csv")
+        assert self.run_train(tmp_path, csv_path, "--grower", "leaf_wise",
+                              "--goss-a", "0.2", "--goss-b", "nan") == 2
+        assert "goss_b must be finite, got nan" in capsys.readouterr().err
+
+    def test_infinite_gamma_exits_2(self, tmp_path, capsys):
+        csv_path = make_training_csv(tmp_path / "d.csv")
+        assert self.run_train(tmp_path, csv_path, "--gamma", "inf") == 2
+        assert "gamma must be finite, got inf" in capsys.readouterr().err
+
+    def test_infinite_lambda_exits_2(self, tmp_path, capsys):
+        csv_path = make_training_csv(tmp_path / "d.csv")
+        assert self.run_train(tmp_path, csv_path, "--lambda", "inf") == 2
+        assert "lambda_ must be finite, got inf" in capsys.readouterr().err
+
+    def test_more_ordered_blocks_than_rows_exits_2(self, tmp_path, capsys):
+        csv_path = make_training_csv(tmp_path / "d.csv", n=10)
+        assert self.run_train(tmp_path, csv_path, "--grower", "oblivious",
+                              "--ordered-blocks", "20") == 2
+        err = capsys.readouterr().err
+        assert "ordered_blocks=20 exceeds the 10 training rows" in err
+        assert "Error" not in err
+
+    def test_max_bins_beyond_uint16_codes_exits_2(self, tmp_path, capsys):
+        # more distinct values than a uint16 bin code can index
+        csv_path = make_training_csv(tmp_path / "d.csv", n=66_000)
+        assert self.run_train(tmp_path, csv_path, "--max-bins", "70000",
+                              "--max-depth", "1") == 2
+        err = capsys.readouterr().err
+        assert "max_bins must be <= 65535" in err
+        assert "Error" not in err
