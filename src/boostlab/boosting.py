@@ -120,6 +120,11 @@ class BoostConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):  # fields annotated int, and int | None unless None
+            value = getattr(self, f.name)
+            if f.type == "int" or (f.type == "int | None" and value is not None):
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.n_trees < 0:
             raise ConfigError("n_trees must be >= 0")
         if not 0.0 < self.learning_rate <= 1.0:

@@ -12,6 +12,10 @@ DecisionTree.node_weights() without routing them again. Histograms
 come from hist_fn, a HistogramBuilder over the BinnedDataset unless the caller
 passes one (BundledHistograms under EFB); exact level-wise growth builds none.
 
+A node's or a level's bin sums are one float64 array with a leading axis of 3
+(g, h, row count) from the kernel, which writes into the caller's buffer,
+through subtraction and _split_sums to both split scans.
+
 Level-wise and leaf-wise growth are one best-first loop, _grow, with two
 expansion orders: open nodes by depth, or by the gain of their best split
 under a leaf budget. A node that can never be split gets no histogram.
@@ -88,39 +92,47 @@ class SplitCandidate:
 
 @dataclass
 class Histogram:
-    """Per-feature (sum_g, sum_h, count) accumulated by bin.
+    """Per-feature sums of g, h and row counts by bin, stacked in one float64
+    (3, n_features, width) array; width covers every feature's bins plus its
+    reserved missing bin, and unused trailing cells stay zero. Counts are
+    exact in float64 below 2**53 rows; count reads them back as int64."""
 
-    Arrays are (n_features, width) where width covers every feature's bins
-    plus its reserved missing bin; unused trailing cells stay zero.
-    """
-
-    sum_g: np.ndarray
-    sum_h: np.ndarray
-    count: np.ndarray
+    stats: np.ndarray
+    sum_g = property(lambda self: self.stats[0])
+    sum_h = property(lambda self: self.stats[1])
+    count = property(lambda self: self.stats[2].astype(np.int64))
 
     def subtract(self, other: "Histogram") -> "Histogram":
         """Sibling histogram via parent - child."""
-        return Histogram(self.sum_g - other.sum_g, self.sum_h - other.sum_h,
-                         self.count - other.count)
+        return Histogram(self.stats - other.stats)
 
 
 def build_histogram(indices: np.ndarray, binned: BinnedDataset,
                     g: np.ndarray, h: np.ndarray) -> Histogram:
     """Accumulate the node's gradient histogram (ascending instance order)."""
-    width = binned.hist_width
-    m = len(binned.feature_names)
-    sg = np.zeros((m, width))
-    sh = np.zeros((m, width))
-    cnt = np.zeros((m, width), dtype=np.int64)
-    gi = g[indices]
-    hi = h[indices]
+    stats = np.zeros((3, len(binned.feature_names), binned.hist_width))
+    gi, hi = g[indices], h[indices]
     for fi, name in enumerate(binned.feature_names):
         codes = binned.bins[name][indices]
         nb = binned.n_bins(name) + 1
-        sg[fi, :nb] = np.bincount(codes, weights=gi, minlength=nb)
-        sh[fi, :nb] = np.bincount(codes, weights=hi, minlength=nb)
-        cnt[fi, :nb] = np.bincount(codes, minlength=nb)
-    return Histogram(sg, sh, cnt)
+        for k, weights in enumerate((gi, hi, None)):
+            stats[k, fi, :nb] = np.bincount(codes, weights=weights, minlength=nb)
+    return Histogram(stats)
+
+
+def _leaf_sums(leaf_pos, n_leaves, gi, hi) -> np.ndarray:
+    """(3, n_leaves) sums of g, h and row counts per leaf, by np.bincount."""
+    return np.stack([np.bincount(leaf_pos, weights=w, minlength=n_leaves)
+                     for w in (gi, hi, None)])
+
+
+def _merged(out: np.ndarray, shape) -> np.ndarray:
+    """out reshaped to shape as a view of its memory; raises ValueError where
+    its axes cannot merge without a copy, so writes always reach out."""
+    view = out.reshape(shape)
+    if not np.may_share_memory(view, out):
+        raise ValueError(f"out {out.shape} {out.strides} cannot be viewed as {shape}")
+    return view
 
 
 class HistogramBuilder:
@@ -136,7 +148,8 @@ class HistogramBuilder:
     paid three times instead of three times per unit; large nodes run one
     bincount per unit over its own codes. Either way every bin sums its rows
     in ascending instance order, so both paths give the same bits as
-    build_histogram.
+    build_histogram. The sums land in one stacked float64 (3, ...) array of
+    g, h and counts, written into a caller's buffer where one is given.
     """
 
     FLAT_LIMIT = 32768  # node rows * units at or below this use the flat path
@@ -159,13 +172,10 @@ class HistogramBuilder:
         self.total_width = total_width
         self.flat = np.column_stack(codes).astype(np.int64) + np.array(offsets, dtype=np.int64)
 
-    def _unit_sums(self, indices, leaf_pos, n_leaves, gi, hi):
-        """Sums of g, h and row counts per unit bin, each (n_leaves, total_width).
-
-        gi/hi are g and h at indices; leaf_pos is ignored when n_leaves is 1.
-        Counts are int64 on the flat path and float64 on the per-unit path,
-        which returns one (3, n_leaves, total_width) array.
-        """
+    def _unit_sums(self, indices, leaf_pos, n_leaves, gi, hi, out):
+        """Write the sums of g, h and row counts per unit bin into out, a
+        float64 (3, n_leaves, total_width) array or view. gi/hi are g and h
+        at indices; leaf_pos is ignored when n_leaves is 1."""
         tw = self.total_width
         if len(indices) * self.n_units <= self.FLAT_LIMIT:
             codes = self.flat[indices]
@@ -173,50 +183,49 @@ class HistogramBuilder:
                 codes = codes + (leaf_pos.astype(np.int64) * tw)[:, None]
             codes = codes.ravel()
             size = n_leaves * tw
-            return tuple(np.bincount(codes, weights=w, minlength=size).reshape(n_leaves, tw)
-                         for w in (np.repeat(gi, self.n_units), np.repeat(hi, self.n_units),
-                                   None))
+            for k, weights in enumerate((np.repeat(gi, self.n_units),
+                                         np.repeat(hi, self.n_units), None)):
+                out[k] = np.bincount(codes, weights=weights, minlength=size).reshape(n_leaves, tw)
+            return
         full = len(indices) == self.n_rows  # growers keep indices sorted unique
         base = leaf_pos.astype(np.int64) * self.stride if n_leaves > 1 else None
         size = n_leaves * self.stride
-        acc = np.zeros((3, n_leaves, tw))
+        out.fill(0.0)
         for uc, (off, w) in zip(self.unit_codes, self.unit_spans):
             codes = uc if full else uc[indices]
             if base is not None:
                 codes = base + codes
             for k, weights in enumerate((gi, hi, None)):
                 sums = np.bincount(codes, weights=weights, minlength=size)
-                acc[k, :, off:off + w] = sums.reshape(n_leaves, -1)[:, :w]
-        return acc
+                out[k, :, off:off + w] = sums.reshape(n_leaves, -1)[:, :w]
 
     def __call__(self, indices, binned, g, h) -> Histogram:
-        sg, sh, cnt = (a.reshape(self.m, self.width) for a in
-                       self._unit_sums(indices, None, 1, g[indices], h[indices]))
-        return Histogram(sg, sh, cnt.astype(np.int64, copy=False))
+        stats = np.empty((3, self.m, self.width))
+        self._unit_sums(indices, None, 1, g[indices], h[indices],
+                        stats.reshape(3, 1, self.total_width))
+        return Histogram(stats)
 
-    def level_histograms(self, indices, leaf_pos, n_leaves, binned, g, h):
-        """Stacked (n_leaves, m, width) histograms of one level in bulk."""
-        shape = (n_leaves, self.m, self.width)
-        sg, sh, cnt = (a.reshape(shape) for a in
-                       self._unit_sums(indices, leaf_pos, n_leaves, g[indices], h[indices]))
-        return sg, sh, cnt.astype(np.float64, copy=False)
+    def level_histograms(self, indices, leaf_pos, n_leaves, binned, g, h, out=None):
+        """Stacked (3, n_leaves, m, width) histograms of one level in bulk, written
+        into out when given (any view whose trailing (m, width) axes merge)."""
+        if out is None:
+            out = np.empty((3, n_leaves, self.m, self.width))
+        self._unit_sums(indices, leaf_pos, n_leaves, g[indices], h[indices],
+                        _merged(out, (3, n_leaves, self.total_width)))
+        return out
 
 
-def _prefix_tables(sum_g, sum_h, count, nb: np.ndarray):
-    """Cumulative bin prefixes over the last axis plus the missing-bin stats.
-
-    Arrays are (..., m, width); prefix j sums bins 0..j. The missing bin nb[f]
-    lies past every valid threshold (j < nb[f] - 1), so it never enters a
-    valid prefix and needs no masking here.
-    """
-    rows = np.arange(len(nb))
-    gm = sum_g[..., rows, nb]
-    hm = sum_h[..., rows, nb]
-    cm = count[..., rows, nb]
-    GL = np.cumsum(sum_g, axis=-1)[..., :-1]
-    HL = np.cumsum(sum_h, axis=-1)[..., :-1]
-    CL = np.cumsum(count, axis=-1)[..., :-1]
-    return GL, HL, CL, gm, hm, cm
+def _split_sums(stacked, totals, nb, out=None):
+    """(left, right, missing) sums of stacked (3, ..., m, W) histograms whose
+    nodes sum to totals (3, ...): left prefix j sums bins 0..j, right is the
+    rest less the missing bin. The missing bin nb[f] lies past every valid
+    threshold (j < nb[f] - 1), so it never enters a valid prefix. out, if
+    given, is the (left, right) pair of (3, ..., m, W - 1) buffers."""
+    left_out, right_out = (None, None) if out is None else out
+    missing = stacked[..., np.arange(len(nb)), nb]
+    left = np.cumsum(stacked[..., :-1], axis=-1, out=left_out)
+    right = np.subtract((totals[..., None] - missing)[..., None], left, out=right_out)
+    return left, right, missing
 
 
 def _squared_term(g, h, c, lam, out=None):
@@ -238,69 +247,69 @@ def _squared_term(g, h, c, lam, out=None):
     return t
 
 
-def _routing_gain(gl, hl, cl, gr, hr, cr, parent_term, lam, gamma, out=None):
+def _routing_gain(left, right, parent_term, lam, gamma, out=None):
     """Split gain of every prefix under one missing-value routing.
 
-    gl/hl/cl are the left side's sums and gr/hr/cr the right side's, each of
-    shape (..., n_thresholds); parent_term broadcasts against them. out, if
-    given, is the (left, right) pair of _squared_term buffers; the gains land
-    in the left side's term. Callers hold np.errstate(divide="ignore",
-    invalid="ignore").
+    left and right are the two sides' stacked (g, h, count) sums, each of
+    shape (3, ..., n_thresholds); parent_term broadcasts against one side's
+    sums. out, if given, is the (left, right) pair of _squared_term buffers;
+    the gains land in the left side's term. Callers hold
+    np.errstate(divide="ignore", invalid="ignore").
     """
-    left, right = (None, None) if out is None else out
-    tl = _squared_term(gl, hl, cl, lam, left)
-    tl += _squared_term(gr, hr, cr, lam, right)
+    out_left, out_right = (None, None) if out is None else out
+    tl = _squared_term(*left, lam, out_left)
+    tl += _squared_term(*right, lam, out_right)
     tl -= parent_term
     tl *= 0.5
     tl -= gamma
     return tl
 
 
-def _scored_routing(gl, hl, cl, gr, hr, cr, parent_term, lam, gamma,
-                    min_child_hessian, valid):
+def _scored_routing(left, right, parent_term, lam, gamma, min_child_hessian, valid):
     """_routing_gain, -inf where a cell is not valid or a side fails its
     denominator or min_child_hessian."""
-    gains = _routing_gain(gl, hl, cl, gr, hr, cr, parent_term, lam, gamma)
-    ok = valid & (hl + lam > 0) & (hr + lam > 0) \
-        & (hl >= min_child_hessian) & (hr >= min_child_hessian)
+    gains = _routing_gain(left, right, parent_term, lam, gamma)
+    ok = valid & (left[1] + lam > 0) & (right[1] + lam > 0) \
+        & (left[1] >= min_child_hessian) & (right[1] >= min_child_hessian)
     np.putmask(gains, ~ok, -np.inf)
     return gains
 
 
-def _best_routing(GL, HL, CL, GR, HR, CR, gm, hm, cm, parent_term, lam, gamma,
-                  min_child_hessian, valid, missing):
+def _best_routing(left, right, miss, parent_term, lam, gamma, min_child_hessian, valid,
+                  missing):
     """Elementwise best gain over the two missing routings (ties keep left).
 
+    left and right are the (3, ..., n_thresholds) prefix and right-side sums
+    of g, h and count; miss, the missing-bin sums, broadcasts against them.
     A cell is -inf unless it is valid, each side has a non-missing instance,
     and both sides have a positive denominator and min_child_hessian.
-    missing indexes the leading axis of the prefix arrays and of gm/hm/cm
-    where the missing sums may be nonzero, or is None where they are all
-    exactly zero. Missing-right is scored there only: elsewhere it repeats
-    missing-left's gains, so the strict tie rule never picks it.
-    Returns (gains, missing_left) arrays shaped like GL.
+    missing indexes the axis after the stacked one where the missing sums
+    may be nonzero, or is None where they are all exactly zero. Missing-right
+    is scored there only: elsewhere it repeats missing-left's gains, so the
+    strict tie rule never picks it. Returns (gains, missing_left).
     """
-    valid = valid & (CL >= 1) & (CR >= 1)
+    valid = valid & (left[2] >= 1) & (right[2] >= 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        left_sums = (GL, HL, CL) if missing is None else (GL + gm, HL + hm, CL + cm)
-        gains = _scored_routing(*left_sums, GR, HR, CR, parent_term, lam, gamma,
-                                min_child_hessian, valid)
+        gains = _scored_routing(left if missing is None else left + miss, right,
+                                parent_term, lam, gamma, min_child_hessian, valid)
         missing_left = np.ones(gains.shape, dtype=bool)
         if missing is None:
             return gains, missing_left
-        right = _scored_routing(GL[missing], HL[missing], CL[missing], GR[missing] + gm[missing],
-                                HR[missing] + hm[missing], CR[missing] + cm[missing],
-                                parent_term, lam, gamma, min_child_hessian, valid[missing])
-    left = gains[missing]
-    better = right > left  # strict: ties keep the left routing
-    gains[missing] = np.where(better, right, left)
+        to_right = _scored_routing(left[:, missing], right[:, missing] + miss[:, missing],
+                                   parent_term, lam, gamma, min_child_hessian,
+                                   valid[missing])
+    kept = gains[missing]
+    better = to_right > kept  # strict: ties keep the left routing
+    gains[missing] = np.where(better, to_right, kept)
     missing_left[missing] = ~better
     return gains, missing_left
 
 
-def _candidate(fi, threshold, gain, pos, GL, HL, CL, GR, HR, CR, miss, default_left):
-    """SplitCandidate at prefix `pos`, the missing stats joined to their side."""
-    left = NodeStats(float(GL[pos]), float(HL[pos]), int(CL[pos]))
-    right = NodeStats(float(GR[pos]), float(HR[pos]), int(CR[pos]))
+def _candidate(fi, threshold, gain, left, right, miss, default_left):
+    """SplitCandidate from one threshold's stacked (g, h, count) side sums,
+    the missing sums joined to their side."""
+    left, right, miss = (NodeStats(float(sg), float(sh), int(c)) for sg, sh, c in
+                         (left, right, miss))
     if default_left:
         left = left + miss
     else:
@@ -322,26 +331,20 @@ def find_best_split_histogram(hist: Histogram, parent: NodeStats, binned: Binned
     """
     dparent = parent.sum_h + lam
     parent_term = parent.sum_g ** 2 / dparent if dparent > 0 else 0.0
-    GL, HL, CL, gm, hm, cm = _prefix_tables(hist.sum_g, hist.sum_h, hist.count,
-                                            binned.bin_counts)
-    GR = (parent.sum_g - gm)[:, None] - GL
-    HR = (parent.sum_h - hm)[:, None] - HL
-    CR = (parent.count - cm)[:, None] - CL
+    totals = np.array([parent.sum_g, parent.sum_h, parent.count], dtype=np.float64)
+    left, right, miss = _split_sums(hist.stats, totals, binned.bin_counts)
     missing = binned.missing_features
     gains, missing_left = _best_routing(
-        GL, HL, CL, GR, HR, CR, gm[:, None], hm[:, None], cm[:, None],
-        parent_term, lam, gamma, min_child_hessian, binned.threshold_mask,
-        missing if missing.size else None)
-    flat = int(np.argmax(gains))  # row-major: lowest feature, then lowest bin
-    fi, pos = divmod(flat, gains.shape[1])
+        left, right, miss[..., None], parent_term, lam, gamma, min_child_hessian,
+        binned.threshold_mask, missing if missing.size else None)
+    # row-major: lowest feature, then lowest bin
+    fi, pos = divmod(int(np.argmax(gains)), gains.shape[1])
     gain = float(gains[fi, pos])
     if not np.isfinite(gain) or gain <= 0.0:
         return None
-    miss = NodeStats(float(gm[fi]), float(hm[fi]), int(cm[fi]))
     name = binned.feature_names[fi]
-    return _candidate(fi, float(binned.boundaries[name][pos]), gain, pos,
-                      GL[fi], HL[fi], CL[fi], GR[fi], HR[fi], CR[fi], miss,
-                      bool(missing_left[fi, pos]))
+    return _candidate(fi, float(binned.boundaries[name][pos]), gain, left[:, fi, pos],
+                      right[:, fi, pos], miss[:, fi], bool(missing_left[fi, pos]))
 
 
 def find_best_split_presorted(indices: np.ndarray, ds, g: np.ndarray, h: np.ndarray,
@@ -355,6 +358,7 @@ def find_best_split_presorted(indices: np.ndarray, ds, g: np.ndarray, h: np.ndar
     stats = node_stats(indices, g, h)
     dparent = stats.sum_h + lam
     parent_term = stats.sum_g ** 2 / dparent if dparent > 0 else 0.0
+    gi, hi = g[indices], h[indices]
     best: SplitCandidate | None = None
     for fi, name in enumerate(names):
         v = ds.column(name)[indices]
@@ -364,32 +368,26 @@ def find_best_split_presorted(indices: np.ndarray, ds, g: np.ndarray, h: np.ndar
             continue
         order = np.argsort(vv, kind="stable")
         sv = vv[order]
-        gg = g[indices][~miss][order]
-        hh = h[indices][~miss][order]
         cut = np.flatnonzero(sv[:-1] != sv[1:])  # prefix lengths cut+1
         if not cut.size:
             continue
-        cg = np.cumsum(gg)
-        ch = np.cumsum(hh)
-        GL = cg[cut]
-        HL = ch[cut]
-        CL = (cut + 1).astype(np.int64)
-        GR = cg[-1] - GL
-        HR = ch[-1] - HL
-        CR = len(sv) - CL
-        missing = NodeStats(float(g[indices][miss].sum()), float(h[indices][miss].sum()),
-                            int(miss.sum()))
+        # prefixes of g, h and the row count, one cumsum over the stacked rows
+        prefix = np.cumsum(np.stack((gi[~miss][order], hi[~miss][order], np.ones(len(sv)))),
+                           axis=1)
+        left = prefix[:, cut]
+        right = prefix[:, -1:] - left
+        n_miss = np.count_nonzero(miss)
+        missing = np.array([[gi[miss].sum()], [hi[miss].sum()], [n_miss]], dtype=np.float64)
         gains, missing_left = _best_routing(
-            GL, HL, CL, GR, HR, CR, np.array([missing.sum_g]), np.array([missing.sum_h]),
-            np.array([missing.count]), parent_term, lam, gamma, min_child_hessian, True,
-            slice(None) if missing.count else None)
+            left, right, missing, parent_term, lam, gamma, min_child_hessian, True,
+            slice(None) if n_miss else None)
         pos = int(np.argmax(gains))  # first max -> lowest threshold
         gain = float(gains[pos])
         if not np.isfinite(gain):
             continue
         if best is None or gain > best.gain:
             thr = float((sv[cut[pos]] + sv[cut[pos] + 1]) / 2.0)
-            best = _candidate(fi, thr, gain, pos, GL, HL, CL, GR, HR, CR, missing,
+            best = _candidate(fi, thr, gain, left[:, pos], right[:, pos], missing[:, 0],
                               bool(missing_left[pos]))
     if best is None or best.gain <= 0.0:
         return None
@@ -699,9 +697,9 @@ def _oblivious_split(stacked, sum_g, sum_h, counts, binned, lam, gamma):
     sum_g, sum_h and counts. A leaf whose split is degenerate at some threshold
     (an empty side, or a nonpositive denominator) still contributes
     0.5 * 0 - gamma there: the same formula with the offending squared terms
-    forced to zero. stacked holds the level's (L, m, W) histograms of g, h and
-    count: a workspace level, whose scratch arrays take every level-sized
-    intermediate, or three arrays (or one (3, L, m, W) array), scanned in a
+    forced to zero. stacked holds the level's (3, L, m, W) histograms of g, h
+    and count: a workspace level, whose scratch arrays take every level-sized
+    intermediate, or an array (or its three (L, m, W) parts), scanned in a
     fresh workspace. Within each routing ties go to the lowest feature, then
     the lowest bin; missing-right is scored on binned.missing_features only
     and must strictly beat the best missing-left total.
@@ -713,36 +711,28 @@ def _oblivious_split(stacked, sum_g, sum_h, counts, binned, lam, gamma):
         workspace.bind(binned)
         ws = workspace.level(len(sum_g))
         np.copyto(ws.hist, stacked)
-    stacked = ws.hist
     invalid = ~binned.threshold_mask
     missing = binned.missing_features
-    nb = binned.bin_counts
-    # prefix j sums bins 0..j; the missing bin nb[f] lies past every valid
-    # threshold (j < nb[f] - 1), so it never enters a valid prefix
-    miss = stacked[:, :, np.arange(len(nb)), nb]  # (3, L, m) missing-bin sums
-    prefix = np.cumsum(stacked[..., :-1], axis=-1, out=ws.prefix)
-    pc = counts.astype(np.float64)
+    totals = np.stack((sum_g, sum_h, counts))
+    prefix, right, miss = _split_sums(ws.hist, totals, binned.bin_counts,
+                                      out=(ws.prefix, ws.right))
     best = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        dpar = sum_h + lam
-        parent_term = np.where((dpar > 0) & (pc > 0), sum_g * sum_g / dpar, 0.0)
-        parent_term = parent_term[:, None, None]
-        rest = np.stack((sum_g, sum_h, pc))[:, :, None] - miss
-        right = np.subtract(rest[..., None], prefix, out=ws.right)
+        parent_term = _squared_term(*totals, lam)[:, None, None]
         if missing.size:
             # missing-right first: it reads the prefixes before they take the
             # missing sums for missing-left
             ml = np.take(prefix, missing, axis=2, out=ws.miss_left, mode="clip")
             mr = np.take(right, missing, axis=2, out=ws.miss_right, mode="clip")
             mr += miss[:, :, missing, None]
-            gains = _routing_gain(*ml, *mr, parent_term, lam, gamma,
+            gains = _routing_gain(ml, mr, parent_term, lam, gamma,
                                   out=((ml[0], ml[1], *ws.flags_k),
                                        (mr[0], mr[1], *ws.flags_k)))
             total, k, pos = _level_best(gains, invalid[missing], ws.totals_k)
             if np.isfinite(total):
                 best = (total, int(missing[k]), pos, False, gains[:, k, pos].copy())
             prefix += miss[..., None]
-        gains = _routing_gain(*prefix, *right, parent_term, lam, gamma,
+        gains = _routing_gain(prefix, right, parent_term, lam, gamma,
                               out=((prefix[0], prefix[1], *ws.flags),
                                    (right[0], right[1], *ws.flags)))
         total, fi, pos = _level_best(gains, invalid, ws.totals)
@@ -775,18 +765,13 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
     workspace.bind(binned, 2 ** (config.max_depth - 1))  # the deepest level scanned
     leaf_pos = np.zeros(len(indices), dtype=np.int64)
     n_leaves = 1
-    gi = g[indices]
-    hi = h[indices]
+    gi, hi = g[indices], h[indices]
     level_splits: list[tuple[int, float, bool]] = []
     level_gains: list[list[float]] = []
     level = workspace.level(1)
-    np.stack(hist_fn.level_histograms(indices, leaf_pos, n_leaves, binned, g, h),
-             out=level.hist)
+    hist_fn.level_histograms(indices, leaf_pos, n_leaves, binned, g, h, out=level.hist)
     for _ in range(config.max_depth):
-        best = _oblivious_split(level,
-                                np.bincount(leaf_pos, weights=gi, minlength=n_leaves),
-                                np.bincount(leaf_pos, weights=hi, minlength=n_leaves),
-                                np.bincount(leaf_pos, minlength=n_leaves),
+        best = _oblivious_split(level, *_leaf_sums(leaf_pos, n_leaves, gi, hi),
                                 binned, lam, gamma)
         if best is None or best[0] <= 0.0:
             break
@@ -806,14 +791,11 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         n_right = int(np.count_nonzero(~go_left))
         build_right = n_right * 2 <= len(indices)
         side = ~go_left if build_right else go_left
-        built = hist_fn.level_histograms(indices[side], leaf_pos[side], n_leaves,
-                                         binned, g, h)
-        built_at = slice(int(build_right), None, 2)  # right children sit at odd slots
-        sibling_at = slice(1 - int(build_right), None, 2)
         nxt = workspace.level(2 * n_leaves)
-        for out, parent, b in zip(nxt.hist, level.hist, built):
-            out[built_at] = b
-            np.subtract(parent, b, out=out[sibling_at])
+        built = nxt.hist[:, int(build_right)::2]  # right children sit at odd slots
+        hist_fn.level_histograms(indices[side], leaf_pos[side], n_leaves, binned, g, h,
+                                 out=built)
+        np.subtract(level.hist, built, out=nxt.hist[:, 1 - int(build_right)::2])
         level = nxt
         leaf_pos = new_leaf_pos
         n_leaves *= 2
@@ -834,9 +816,7 @@ def _assemble_oblivious(indices, leaf_pos, n_leaves, level_splits, level_gains,
     leaf_pos; empty leaves get weight 0.
     """
     depth = len(level_splits)
-    sum_g = np.bincount(leaf_pos, weights=gi, minlength=n_leaves)
-    sum_h = np.bincount(leaf_pos, weights=hi, minlength=n_leaves)
-    counts = np.bincount(leaf_pos, minlength=n_leaves)
+    sum_g, sum_h, counts = _leaf_sums(leaf_pos, n_leaves, gi, hi)
     denom = sum_h + lam
     occupied = counts > 0
     if np.any(occupied & (denom <= 0.0)):

@@ -79,6 +79,12 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
+def _is_file_name(value) -> bool:
+    """A string that names one file inside a directory, wherever it is joined."""
+    return (isinstance(value, str) and value not in ("", ".", "..")
+            and not any(c in value for c in "/\\\0"))
+
+
 def _is_names(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
@@ -96,6 +102,7 @@ _VALUE_RULES = {
     "features": (_is_names, "a list of strings"),
     "by": (_is_names, "a list of strings"),
     "excluded": (lambda v: isinstance(v, list), "a list"),
+    "name": (_is_file_name, "a plain file name (not '.' or '..', no '/', '\\' or NUL)"),
 }
 
 
@@ -153,13 +160,18 @@ def load_recipe(name_or_path) -> ReplicationRecipe:
     if not isinstance(doc, dict):
         raise RecipeError(f"recipe file {path} must hold an object, got {type(doc).__name__}")
     name = doc.get("name")
-    if not isinstance(name, str):
-        raise RecipeError(f"recipe file {path} needs a string 'name'")
+    if not _is_file_name(name):
+        raise RecipeError(f"recipe file {path} needs a string 'name' that is a plain file name, "
+                          f"got {name!r}")
     if "schema" not in doc:
         raise RecipeError(f"{name}: recipe needs a 'schema'")
     preprocess = _checked_steps(name, "preprocess step", doc.get("preprocess", []),
                                 _PREPROCESS_KEYS)
     analyses = _checked_steps(name, "analysis", doc.get("analyses", []), _ANALYSIS_KEYS)
+    labels = [step.get("name", step["op"]) for step in analyses]  # report file names
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise RecipeError(f"{name}: analysis {i} repeats the name {label!r}")
     derived, filters, dropped = [], [], []
     drop_rows = False
     for step in preprocess:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import BinnedDataset, Dataset
-from .growers import Histogram, HistogramBuilder
+from .growers import Histogram, HistogramBuilder, _leaf_sums, _merged
 
 
 @dataclass
@@ -290,35 +290,35 @@ class BundledHistograms(HistogramBuilder):
         self.zero_bins = [(np.array(dsts), np.array(starts)[:, None] + np.arange(k))
                           for k, (dsts, starts) in sorted(zero_bins.items())]
 
-    def _unpack(self, acc, totals):
-        """(3, L, m, width) per-feature histograms from unit sums and (3, L) leaf totals."""
-        lead = acc.shape[:2]
-        out = np.zeros(lead + (self.m * self.width,))
-        out[..., self.copy_dst] = np.take(acc, self.copy_src, axis=-1)
+    def _unpack(self, indices, leaf_pos, n_leaves, gi, hi, totals, out):
+        """Accumulate the unit sums and write the (3, L, m, width) per-feature
+        histograms into out, given the (3, L) leaf totals; returns out."""
+        acc = np.empty((3, n_leaves, self.total_width))
+        self._unit_sums(indices, leaf_pos, n_leaves, gi, hi, acc)
+        flat = _merged(out, (3, n_leaves, self.m * self.width))
+        flat.fill(0.0)
+        flat[..., self.copy_dst] = np.take(acc, self.copy_src, axis=-1)
         for dst, segments in self.zero_bins:
             # np.take gives a C-ordered gather, so sum() reduces each segment
             # along a contiguous axis, in the order seg.sum() would
-            out[..., dst] = totals[..., None] - np.take(acc, segments, axis=-1).sum(axis=-1)
-        return out.reshape(lead + (self.m, self.width))
+            flat[..., dst] = totals[..., None] - np.take(acc, segments, axis=-1).sum(axis=-1)
+        return out
 
-    def level_histograms(self, indices, leaf_pos, n_leaves, binned, g, h):
-        """Stacked (n_leaves, m, width) extracted histograms for one level."""
-        gi = g[indices]
-        hi = h[indices]
-        acc = np.asarray(self._unit_sums(indices, leaf_pos, n_leaves, gi, hi), dtype=np.float64)
-        totals = np.stack([np.bincount(leaf_pos, weights=gi, minlength=n_leaves),
-                           np.bincount(leaf_pos, weights=hi, minlength=n_leaves),
-                           np.bincount(leaf_pos, minlength=n_leaves)])
-        sg, sh, cnt = self._unpack(acc, totals)
-        return sg, sh, cnt
+    def level_histograms(self, indices, leaf_pos, n_leaves, binned, g, h, out=None):
+        """Stacked (3, n_leaves, m, width) extracted histograms for one level,
+        written into out when given."""
+        gi, hi = g[indices], h[indices]
+        if out is None:
+            out = np.empty((3, n_leaves, self.m, self.width))
+        return self._unpack(indices, leaf_pos, n_leaves, gi, hi,
+                            _leaf_sums(leaf_pos, n_leaves, gi, hi), out)
 
     def __call__(self, indices, binned, g, h) -> Histogram:
-        gi = g[indices]
-        hi = h[indices]
-        acc = np.asarray(self._unit_sums(indices, None, 1, gi, hi), dtype=np.float64)
+        gi, hi = g[indices], h[indices]
         totals = np.array([[gi.sum()], [hi.sum()], [len(indices)]], dtype=np.float64)
-        sg, sh, cnt = self._unpack(acc, totals)[:, 0]
-        return Histogram(sg, sh, cnt.astype(np.int64))
+        stats = np.empty((3, self.m, self.width))
+        self._unpack(indices, None, 1, gi, hi, totals, stats[:, None])
+        return Histogram(stats)
 
 
 @dataclass

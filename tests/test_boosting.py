@@ -528,3 +528,27 @@ class TestModelDocumentValidation:
     def test_valid_documents_still_round_trip(self, grower):
         text = json.dumps(_model_doc(grower))
         assert json.loads(to_json(from_json(text))) == json.loads(text)
+
+
+class TestIntegerConfigFields:
+    """The integer fields take integers only: a float, a bool or a missing
+    value exits at validate() with ConfigError, before any training."""
+
+    @pytest.mark.parametrize("changes", [
+        {"max_depth": 2.5}, {"grower": "oblivious", "max_depth": 2.5}, {"n_trees": 2.5},
+        {"n_trees": True}, {"n_trees": None}, {"max_bins": 16.5}, {"max_leaves": 4.0},
+        {"grower": "oblivious", "ordered_blocks": 2.5}, {"ordered_permutations": 1.5},
+        {"efb_max_conflicts": 0.5}, {"seed": 1.5}, {"seed": np.bool_(True)},
+    ], ids=["max_depth", "oblivious-max_depth", "n_trees", "n_trees-bool", "n_trees-none",
+            "max_bins", "max_leaves", "ordered_blocks", "ordered_permutations",
+            "efb_max_conflicts", "seed", "seed-numpy-bool"])
+    def test_non_integers_rejected_by_train(self, changes):
+        name, value = [(k, v) for k, v in changes.items() if k != "grower"][0]
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value!r}$"):
+            train(regression_dataset(n=30), BoostConfig(**changes))
+
+    def test_numpy_integers_accepted_with_the_same_echo(self):
+        ds = regression_dataset(n=30)
+        plain = BoostConfig(n_trees=2, max_depth=3, max_leaves=None, seed=1)
+        numpy_ints = BoostConfig(n_trees=np.int64(2), max_depth=np.int32(3), seed=np.int64(1))
+        assert to_json(train(ds, numpy_ints)) == to_json(train(ds, plain))

@@ -472,3 +472,54 @@ class TestTrainConfigBoundary:
         err = capsys.readouterr().err
         assert "max_bins must be <= 65535" in err
         assert "Error" not in err
+
+
+class TestRecipeFileNames:
+    """Recipe and analysis names become report file names, so each must be a
+    plain file name and every analysis name unique: otherwise exit 2 before
+    any data is read, with nothing written inside or outside --output-dir."""
+
+    CORR = {"op": "correlation", "columns": ["x0", "x1"]}
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"name": "../up"}, "needs a string 'name' that is a plain file name, got '../up'"),
+        ({"name": ".."}, "needs a string 'name' that is a plain file name, got '..'"),
+        ({"name": ""}, "needs a string 'name' that is a plain file name, got ''"),
+        ({"name": "a\\b"}, "needs a string 'name' that is a plain file name, got 'a\\\\b'"),
+        ({"analyses": [{**CORR, "name": "../../escape"}]},
+         "r: analysis 0 (correlation): 'name' must be a plain file name"),
+        ({"analyses": [CORR, {**CORR, "name": "sub/dir"}]},
+         "r: analysis 1 (correlation): 'name' must be a plain file name"),
+        ({"analyses": [{**CORR, "name": 5}]}, "NUL), got 5"),
+        ({"analyses": [{**CORR, "name": "."}]}, "NUL), got '.'"),
+        ({"analyses": [{**CORR, "name": "a\0b"}]}, "NUL), got 'a\\x00b'"),
+        ({"analyses": [CORR, {**CORR, "columns": ["x1", "x0"]}]},
+         "r: analysis 1 repeats the name 'correlation'"),
+    ], ids=["recipe-parent-path", "recipe-dotdot", "recipe-empty", "recipe-backslash",
+            "analysis-escape", "analysis-subdir", "analysis-int", "analysis-dot",
+            "analysis-nul", "analysis-repeated"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, doc, message):
+        csv_path = make_training_csv(tmp_path / "d.csv")
+        recipe = tmp_path / "r.json"
+        recipe.write_text(json.dumps({"name": "r", "schema": TWO_COLUMN_SCHEMA, **doc}),
+                          encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        out_dir = tmp_path / "a" / "b" / "out"
+        assert main(["recipe", "--recipe", str(recipe), "--input", str(csv_path),
+                     "--output-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Error" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_distinct_plain_names_run(self, tmp_path):
+        csv_path = make_training_csv(tmp_path / "d.csv")
+        recipe = tmp_path / "r.json"
+        recipe.write_text(json.dumps({
+            "name": "r v1.0", "schema": TWO_COLUMN_SCHEMA,
+            "analyses": [self.CORR, {**self.CORR, "name": "corr again..x"}]}),
+            encoding="utf-8")
+        assert main(["recipe", "--recipe", str(recipe), "--input", str(csv_path),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert {p.name for p in (tmp_path / "out" / "r v1.0").iterdir()} == {
+            "report.json", "correlation.json", "correlation.csv", "corr again..x.json",
+            "corr again..x.csv"}

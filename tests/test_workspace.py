@@ -171,3 +171,40 @@ def test_warm_workspace_traces_a_lower_peak():
     assert again == tree
     assert warm < fresh
     assert warm < first
+
+
+def _level_inputs(efb):
+    """A table, its binned features and histogram builder, and node sizes on
+    both sides of the builder's flat-path limit."""
+    ds, g, h = sparse_table(6000, seed=8, nan_rate=0.1)
+    features = prepare_features(ds, BoostConfig(efb_max_conflicts=efb, max_bins=32))
+    limit = features.hist_fn.FLAT_LIMIT // features.hist_fn.n_units
+    assert limit + 1 < ds.n_rows  # both accumulation paths are reached
+    return features.binned, features.hist_fn, g, h, (37, limit, limit + 1, ds.n_rows)
+
+
+@pytest.mark.parametrize("efb", [None, 0, 50], ids=["plain", "efb-0", "efb-50"])
+def test_level_histograms_write_every_other_leaf_of_a_buffer(efb):
+    binned, hist_fn, g, h, sizes = _level_inputs(efb)
+    m, w = len(binned.feature_names), binned.hist_width
+    rng = np.random.default_rng(9)
+    for size in sizes:
+        idx = np.sort(rng.choice(binned.n_rows, size=size, replace=False))
+        leaf_pos = rng.integers(0, 4, size=size)
+        want = hist_fn.level_histograms(idx, leaf_pos, 4, binned, g, h)
+        buf = np.full((3, 8, m, w), np.nan)
+        got = hist_fn.level_histograms(idx, leaf_pos, 4, binned, g, h, out=buf[:, 1::2])
+        assert np.shares_memory(got, buf)
+        assert buf[:, 1::2].tobytes() == want.tobytes()
+        assert np.isnan(buf[:, ::2]).all()
+
+
+@pytest.mark.parametrize("efb", [None, 50], ids=["plain", "efb-50"])
+def test_level_histograms_refuse_an_out_they_cannot_view(efb):
+    binned, hist_fn, g, h, _ = _level_inputs(efb)
+    m, w = len(binned.feature_names), binned.hist_width
+    idx = np.arange(binned.n_rows)
+    leaf_pos = idx % 2
+    for out in (np.empty((3, 2, m, w + 1))[..., :w], np.empty((3, 2, m, w), order="F")):
+        with pytest.raises(ValueError, match="cannot be viewed"):
+            hist_fn.level_histograms(idx, leaf_pos, 2, binned, g, h, out=out)
