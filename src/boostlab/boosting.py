@@ -161,6 +161,8 @@ class BoostConfig:
                 raise ConfigError("ordered_blocks must be >= 1")
         if self.ordered_permutations < 1:
             raise ConfigError("ordered_permutations must be >= 1")
+        if self.efb_max_conflicts is not None and self.efb_max_conflicts < 0:
+            raise ConfigError("efb_max_conflicts must be >= 0")
         for f in fields(self):  # what the range checks above let through, e.g. inf
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -189,7 +191,7 @@ class Ensemble:
         if isinstance(data, np.ndarray):
             if data.ndim != 2 or data.shape[1] != len(self.feature_names):
                 raise ValueError(f"expected matrix with {len(self.feature_names)} columns")
-            return data.astype(np.float64, copy=False)
+            return np.ascontiguousarray(data, dtype=np.float64)  # rows are read as one flat array
         cols = []
         for name in self.feature_names:
             if name in data.columns and data.schema_for(name).kind != CATEGORICAL:
@@ -522,14 +524,11 @@ def config_dict(config: BoostConfig) -> dict:
 
 
 def _tree_doc(tree) -> dict:
-    nodes = []
-    for nd in tree.nodes:
-        if nd.is_leaf:
-            nodes.append({"leaf": float(nd.weight)})
-        else:
-            nodes.append({"feature": nd.feature, "threshold": float(nd.threshold),
-                          "default_left": nd.default_left, "left": nd.left,
-                          "right": nd.right, "gain": float(nd.gain)})
+    nodes = [{"leaf": weight} if left < 0 else
+             {"feature": feature, "threshold": threshold, "default_left": default_left,
+              "left": left, "right": right, "gain": gain}
+             for feature, threshold, default_left, left, right, weight, gain
+             in zip(*(getattr(tree, name).tolist() for name in tree.FIELDS))]
     doc = {"nodes": nodes}
     if tree.level_splits is not None:
         doc["level_splits"] = [[f, float(t), d] for f, t, d in tree.level_splits]
@@ -614,63 +613,77 @@ def _tree_from_doc(doc, n_features: int, where: str) -> growers.DecisionTree:
     n = len(node_docs)
     if n == 0:
         raise ModelFormatError(f"{where}: 'nodes' is empty")
-    nodes = []
+    nodes = []  # one (feature, threshold, default_left, left, right, weight, gain) per node
     for i, nd in enumerate(node_docs):
         at = f"{where} node {i}"
         if not isinstance(nd, dict):
             raise ModelFormatError(f"{at} must be a JSON object")
         if "leaf" in nd:
-            nodes.append(growers.TreeNode(is_leaf=True, weight=_field(nd, "leaf", float, at)))
+            nodes.append(growers.DecisionTree.LEAF + (_field(nd, "leaf", float, at), 0.0))
             continue
-        nodes.append(growers.TreeNode(
-            is_leaf=False,
-            feature=_below(_field(nd, "feature", int, at), n_features, f"{at}: 'feature'"),
-            threshold=_field(nd, "threshold", float, at),
-            default_left=_field(nd, "default_left", bool, at),
-            left=_below(_field(nd, "left", int, at), n, f"{at}: 'left'"),
-            right=_below(_field(nd, "right", int, at), n, f"{at}: 'right'"),
-            gain=_field(nd, "gain", float, at) if "gain" in nd else 0.0))
-    reached = [False] * n
-    reached[0] = True
-    stack = [0]
-    while stack:
-        node = nodes[stack.pop()]
-        if node.is_leaf:
-            continue
-        for child in (node.left, node.right):
-            if reached[child]:
-                raise ModelFormatError(f"{where}: node {child} is reached twice "
-                                       f"(a cycle or a shared child)")
-            reached[child] = True
-            stack.append(child)
-    if not all(reached):
-        raise ModelFormatError(f"{where}: node {reached.index(False)} is not "
-                               f"reachable from the root")
-    level_splits = None
+        nodes.append((
+            _below(_field(nd, "feature", int, at), n_features, f"{at}: 'feature'"),
+            _field(nd, "threshold", float, at),
+            _field(nd, "default_left", bool, at),
+            _below(_field(nd, "left", int, at), n, f"{at}: 'left'"),
+            _below(_field(nd, "right", int, at), n, f"{at}: 'right'"),
+            0.0,
+            _field(nd, "gain", float, at) if "gain" in nd else 0.0))
+    tree = growers.DecisionTree.from_arrays(*zip(*nodes))
+    _check_reachable(tree.left, tree.right, where)
     if "level_splits" in doc:
-        level_splits = _level_splits(nodes, _field(doc, "level_splits", list, where), where)
-    return growers.DecisionTree(nodes, level_splits=level_splits)
+        tree.level_splits = _level_splits(tree, _field(doc, "level_splits", list, where),
+                                          where)
+    return tree
 
 
-def _level_splits(nodes, splits: list, where: str) -> list[tuple[int, float, bool]]:
+def _check_reachable(left, right, where: str) -> None:
+    """Raise unless every node is reached exactly once from the root: a
+    breadth-first pass finds the reachable nodes, and an in-degree count
+    over their children (plus one for the root) the nodes reached twice."""
+    reached = np.zeros(len(left), dtype=bool)
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        reached[frontier] = True
+        frontier = frontier[left[frontier] >= 0]
+        children = np.unique(np.concatenate((left[frontier], right[frontier])))
+        frontier = children[~reached[children]]
+    inner = reached & (left >= 0)
+    indegree = np.bincount(np.concatenate(([0], left[inner], right[inner])),
+                           minlength=len(left))
+    if indegree.max() > 1:
+        raise ModelFormatError(f"{where}: node {int(np.argmax(indegree > 1))} is reached "
+                               f"twice (a cycle or a shared child)")
+    if not reached.all():
+        raise ModelFormatError(f"{where}: node {int(np.argmin(reached))} is not "
+                               f"reachable from the root")
+
+
+def _level_splits(tree, splits: list, where: str) -> list[tuple[int, float, bool]]:
     """An oblivious tree's per-level splits, checked against its (already
-    validated) nodes: node (level l, position p) has id 2^l-1+p and children
-    2i+1, 2i+2, every internal node of level l carries splits[l] as
-    [feature, threshold, default_left], and the last level is leaves."""
+    validated) nodes: they must form the heap-indexed full tree of their
+    level's first nodes' splits (growers._oblivious_tree), and splits[l] must
+    be level l's [feature, threshold, default_left]. Names the lowest failing
+    node."""
     depth = len(splits)
-    if len(nodes) != 2 ** (depth + 1) - 1:
-        raise ModelFormatError(f"{where}: {len(nodes)} nodes do not form the full "
+    n = len(tree.left)
+    if n != 2 ** (depth + 1) - 1:
+        raise ModelFormatError(f"{where}: {n} nodes do not form the full "
                                f"tree of depth {depth} its level_splits describe")
-    for i, node in enumerate(nodes):
-        level = (i + 1).bit_length() - 1
-        if level == depth:
-            if not node.is_leaf:
-                raise ModelFormatError(f"{where} node {i}: expected a leaf at depth {depth}")
-        elif (node.is_leaf or (node.left, node.right) != (2 * i + 1, 2 * i + 2)
-              or splits[level] != [node.feature, node.threshold, node.default_left]):
-            raise ModelFormatError(f"{where} node {i}: does not match level split {level}")
-    firsts = [nodes[2 ** level - 1] for level in range(depth)]
-    return [(nd.feature, nd.threshold, nd.default_left) for nd in firsts]
+    heads = 2 ** np.arange(depth) - 1
+    head_splits = list(zip(tree.feature[heads].tolist(), tree.threshold[heads].tolist(),
+                           tree.default_left[heads].tolist()))
+    want = growers._oblivious_tree(head_splits, [tree.gain[:n // 2]], tree.weight[n // 2:])
+    level = np.repeat(np.arange(depth + 1), 2 ** np.arange(depth + 1))
+    stated = np.array([split == list(head) for split, head in zip(splits, head_splits)] + [True])
+    bad = ~stated[level] | np.any([getattr(tree, f) != getattr(want, f) for f in tree.FIELDS],
+                                  axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if level[i] == depth:
+            raise ModelFormatError(f"{where} node {i}: expected a leaf at depth {depth}")
+        raise ModelFormatError(f"{where} node {i}: does not match level split {level[i]}")
+    return head_splits
 
 
 def _ensemble_from_doc(doc, where: str = "model") -> Ensemble:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -394,20 +394,22 @@ def find_best_split_presorted(indices: np.ndarray, ds, g: np.ndarray, h: np.ndar
     return best
 
 
-def _goes_left(v: np.ndarray, threshold: float, default_left: bool) -> np.ndarray:
+def _goes_left(v: np.ndarray, threshold, default_left) -> np.ndarray:
     """The routing rule everywhere: v <= threshold, NaN takes the default side.
 
-    Histogram thresholds are bin upper edges and bin codes come from
-    searchsorted(side="left"), so on raw values this reproduces the bins.
+    threshold and default_left are one node's, or arrays of the node each
+    value is at. Histogram thresholds are bin upper edges and bin codes come
+    from searchsorted(side="left"), so on raw values this reproduces the bins.
     """
     go_left = v <= threshold
-    if default_left:
-        go_left |= np.isnan(v)
+    go_left |= np.isnan(v) & default_left
     return go_left
 
 
 @dataclass
 class TreeNode:
+    """One node as a record: DecisionTree.nodes builds them on demand."""
+
     is_leaf: bool
     weight: float = 0.0
     feature: int = -1
@@ -418,28 +420,60 @@ class TreeNode:
     gain: float = 0.0
 
 
-@dataclass
 class DecisionTree:
-    """Binary regression tree over feature indices; node 0 is the root.
-
-    Oblivious trees additionally carry level_splits, one
-    (feature, threshold, default_left) per depth level.
+    """Binary regression tree over feature indices, held as one array per
+    FIELDS entry (name: dtype), indexed by node id; node 0 is the root. A
+    leaf has left == right == -1 and LEAF's other fields; an internal node
+    has weight 0.0. Oblivious trees also carry level_splits, one (feature,
+    threshold, default_left) per depth level.
     """
 
-    nodes: list[TreeNode] = field(default_factory=list)
-    level_splits: list[tuple[int, float, bool]] | None = None
+    FIELDS = {"feature": np.intp, "threshold": np.float64, "default_left": bool,
+              "left": np.intp, "right": np.intp, "weight": np.float64, "gain": np.float64}
+    LEAF = (-1, 0.0, True, -1, -1)  # a leaf's fields before its weight and gain
+
+    def __init__(self, nodes: list[TreeNode], level_splits=None):
+        """A tree from TreeNode records."""
+        self._assign(zip(*[(n.feature, n.threshold, n.default_left,
+                            -1 if n.is_leaf else n.left, -1 if n.is_leaf else n.right,
+                            n.weight, n.gain) for n in nodes]), level_splits)
+
+    @classmethod
+    def from_arrays(cls, feature, threshold, default_left, left, right, weight, gain,
+                    level_splits=None) -> "DecisionTree":
+        """A tree from its per-node columns (arrays or sequences)."""
+        tree = cls.__new__(cls)
+        tree._assign((feature, threshold, default_left, left, right, weight, gain), level_splits)
+        return tree
+
+    def _assign(self, columns, level_splits):
+        for (name, dtype), column in zip(self.FIELDS.items(), columns):
+            setattr(self, name, np.asarray(column, dtype=dtype))
+        self.level_splits = None if level_splits is None else list(level_splits)
+
+    @property
+    def nodes(self) -> list[TreeNode]:
+        """The nodes as TreeNode records, built on each read."""
+        return [TreeNode(left < 0, weight, feature, threshold, default_left, left, right, gain)
+                for feature, threshold, default_left, left, right, weight, gain
+                in zip(*(getattr(self, name).tolist() for name in self.FIELDS))]
+
+    def __eq__(self, other):
+        return (isinstance(other, DecisionTree) and self.level_splits == other.level_splits
+                and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.FIELDS))
+
+    def __repr__(self):
+        return f"DecisionTree(nodes={self.nodes!r}, level_splits={self.level_splits!r})"
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for n in self.nodes if n.is_leaf)
+        return int(np.count_nonzero(self.left < 0))
 
     def depth(self) -> int:
-        def walk(nid, d):
-            node = self.nodes[nid]
-            if node.is_leaf:
-                return d
-            return max(walk(node.left, d + 1), walk(node.right, d + 1))
-        return walk(0, 0)
+        nodes, d = np.zeros(1, dtype=np.intp), 0  # the nodes of level d
+        while (inner := nodes[self.left[nodes] >= 0]).size:
+            nodes, d = np.concatenate((self.left[inner], self.right[inner])), d + 1
+        return d
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Leaf weight reached by each row of X (NaN follows default_left)."""
@@ -449,33 +483,39 @@ class DecisionTree:
             for fi, thr, default_left in self.level_splits:
                 pos = 2 * pos + (~_goes_left(X[:, fi], thr, default_left))
             return self.leaf_weight_vector()[pos]
-        out = np.empty(len(X))
-        stack = [(0, np.arange(len(X)))]
-        while stack:
-            nid, idx = stack.pop()
-            node = self.nodes[nid]
-            if node.is_leaf:
-                out[idx] = node.weight
-                continue
-            go_left = _goes_left(X[idx, node.feature], node.threshold, node.default_left)
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-        return out
+        # Route rows one level at a time. Leaves route to themselves, so a row
+        # that reached one stays there; once most rows have, only the others
+        # are routed on, so an unbalanced tree does not route them to its depth.
+        inner = self.left >= 0
+        ids = np.arange(len(inner))
+        children = np.stack((np.where(inner, self.left, ids),
+                             np.where(inner, self.right, ids)), axis=1).ravel()
+        feature = np.where(inner, self.feature, 0)
+        values = X.ravel()
+        node = np.zeros(len(X), dtype=np.intp)
+        rows = slice(None)  # the rows routed on
+        for _ in range(self.depth()):
+            at = node[rows]
+            if 2 * np.count_nonzero(inside := inner[at]) < len(at):
+                rows, at = np.arange(len(X))[rows][inside], at[inside]
+            go_left = _goes_left(values[np.arange(len(X))[rows] * X.shape[1] + feature[at]],
+                                 self.threshold[at], self.default_left[at])
+            node[rows] = children[2 * at + ~go_left]
+        return self.weight[node]
 
     def node_weights(self) -> np.ndarray:
         """Every node's weight by node id, read at the leaf slots a grower
         hands back (internal nodes hold 0.0)."""
-        return np.array([node.weight for node in self.nodes])
+        return self.weight
 
     def leaf_weight_vector(self) -> np.ndarray:
         """Leaf weights in routing order (balanced trees only)."""
-        depth = len(self.level_splits)
-        first = 2 ** depth - 1
-        return np.array([self.nodes[first + p].weight for p in range(2 ** depth)])
+        return self.weight[2 ** len(self.level_splits) - 1:]
 
     def split_records(self) -> list[tuple[int, float]]:
         """(feature, gain) of every internal node, in node order."""
-        return [(n.feature, n.gain) for n in self.nodes if not n.is_leaf]
+        inner = self.left >= 0
+        return list(zip(self.feature[inner].tolist(), self.gain[inner].tolist()))
 
 
 def _partition(indices: np.ndarray, binned: BinnedDataset, cand: SplitCandidate):
@@ -497,12 +537,12 @@ def _grow(indices, binned, g, h, config, priority, max_leaves, exact, hist_fn, w
     """
     lam, gamma = config.lambda_, config.gamma
     mch = config.min_child_hessian
-    nodes = [TreeNode(is_leaf=True)]
+    nodes = [None]  # one (feature, ..., weight, gain) tuple per node, in FIELDS order
     slot = np.empty(len(g), dtype=np.int32) if with_slots else None
     heap = []
 
     def make_leaf(nid, idx, stats):
-        nodes[nid].weight = leaf_weight(stats, lam)
+        nodes[nid] = DecisionTree.LEAF + (leaf_weight(stats, lam), 0.0)
         if slot is not None:
             slot[idx] = nid
 
@@ -532,10 +572,9 @@ def _grow(indices, binned, g, h, config, priority, max_leaves, exact, hist_fn, w
         _, nid, idx, depth, hist, cand, _ = heapq.heappop(heap)
         left_idx, right_idx = _partition(idx, binned, cand)
         lid = len(nodes)
-        nodes[nid] = TreeNode(is_leaf=False, feature=cand.feature, threshold=cand.threshold,
-                              default_left=cand.default_left, left=lid, right=lid + 1,
-                              gain=cand.gain)
-        nodes += [TreeNode(is_leaf=True), TreeNode(is_leaf=True)]
+        nodes[nid] = (cand.feature, cand.threshold, cand.default_left, lid, lid + 1, 0.0,
+                      cand.gain)
+        nodes += [None, None]  # every node is made a leaf or split before the tree is built
         n_leaves += 1
         splittable = can_split(depth + 1, n_leaves)
         hl = hr = None
@@ -551,7 +590,7 @@ def _grow(indices, binned, g, h, config, priority, max_leaves, exact, hist_fn, w
         open_node(lid + 1, right_idx, depth + 1, hr, splittable)
     for _, nid, idx, _, _, _, stats in heap:
         make_leaf(nid, idx, stats)
-    tree = DecisionTree(nodes)
+    tree = DecisionTree.from_arrays(*zip(*nodes))
     return tree if slot is None else (tree, slot[indices])
 
 
@@ -767,7 +806,7 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
     n_leaves = 1
     gi, hi = g[indices], h[indices]
     level_splits: list[tuple[int, float, bool]] = []
-    level_gains: list[list[float]] = []
+    level_gains: list[np.ndarray] = []
     level = workspace.level(1)
     hist_fn.level_histograms(indices, leaf_pos, n_leaves, binned, g, h, out=level.hist)
     for _ in range(config.max_depth):
@@ -781,7 +820,7 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         go_left = _goes_left(binned.source.column(name)[indices], thr, missing_left)
         new_leaf_pos = 2 * leaf_pos + (~go_left).astype(np.int64)
         level_splits.append((fi, thr, missing_left))
-        level_gains.append(gains_here.tolist())
+        level_gains.append(gains_here)
         if len(level_splits) == config.max_depth:
             leaf_pos = new_leaf_pos
             n_leaves *= 2
@@ -810,12 +849,8 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
 
 def _assemble_oblivious(indices, leaf_pos, n_leaves, level_splits, level_gains,
                         gi, hi, lam) -> DecisionTree:
-    """Heap-indexed full binary tree: node (level l, position p) has id 2^l-1+p.
-
-    gi/hi are the gradient values of the node's instances, aligned with
-    leaf_pos; empty leaves get weight 0.
-    """
-    depth = len(level_splits)
+    """The grown tree: gi/hi are the gradient values of the node's instances,
+    aligned with leaf_pos; empty leaves get weight 0."""
     sum_g, sum_h, counts = _leaf_sums(leaf_pos, n_leaves, gi, hi)
     denom = sum_h + lam
     occupied = counts > 0
@@ -823,14 +858,20 @@ def _assemble_oblivious(indices, leaf_pos, n_leaves, level_splits, level_gains,
         raise ValueError("nonpositive leaf denominator")
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.where(occupied, -sum_g / np.where(denom > 0, denom, 1.0), 0.0)
-    nodes: list[TreeNode] = []
-    for level in range(depth):
-        fi, thr, missing_left = level_splits[level]
-        for p in range(2 ** level):
-            left = 2 ** (level + 1) - 1 + 2 * p
-            nodes.append(TreeNode(is_leaf=False, feature=fi, threshold=thr,
-                                  default_left=missing_left, left=left, right=left + 1,
-                                  gain=level_gains[level][p]))
-    for p in range(n_leaves):
-        nodes.append(TreeNode(is_leaf=True, weight=float(weights[p])))
-    return DecisionTree(nodes, level_splits=[(f, t, d) for f, t, d in level_splits])
+    return _oblivious_tree(level_splits, level_gains, weights)
+
+
+def _oblivious_tree(level_splits, gains, weights) -> DecisionTree:
+    """The heap-indexed full binary tree of level_splits: node (level l,
+    position p) has id 2^l-1+p, children 2i+1 and 2i+2 and level l's split.
+    gains holds the internal nodes' gains in node order (as a list of
+    arrays), weights the leaves' weights."""
+    per_level = 2 ** np.arange(len(level_splits) + 1)  # the last level is the leaves
+    feature, threshold, default_left = (np.repeat(np.array(column), per_level)
+                                        for column in zip(*level_splits, DecisionTree.LEAF[:3]))
+    n_inner = per_level[-1] - 1
+    child, leaf = np.arange(1, 2 * n_inner, 2), np.full(n_inner + 1, -1)
+    return DecisionTree.from_arrays(
+        feature, threshold, default_left, np.concatenate((child, leaf)),
+        np.concatenate((child + 1, leaf)), np.concatenate((np.zeros(n_inner), weights)),
+        np.concatenate((*gains, np.zeros(n_inner + 1))), level_splits=level_splits)

@@ -131,6 +131,22 @@ def _checked_steps(recipe: str, kind: str, steps, required: dict) -> list[dict]:
     return steps
 
 
+def _check_names(name, analyses, where: str) -> list[dict]:
+    """The checked analyses, once the recipe name and every analysis's report
+    name (its 'name', else its op) are plain file names and no two analyses
+    share one: they name <output_dir>/<recipe> and the files in it. where
+    names the recipe in the message about its own name."""
+    if not _is_file_name(name):
+        raise RecipeError(f"{where} needs a string 'name' that is a plain file name, "
+                          f"got {name!r}")
+    analyses = _checked_steps(name, "analysis", analyses, _ANALYSIS_KEYS)
+    labels = [step.get("name", step["op"]) for step in analyses]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise RecipeError(f"{name}: analysis {i} repeats the name {label!r}")
+    return analyses
+
+
 def _shape(recipe: str, doc: dict, key: str):
     """The document's (rows, columns) pair under key, each an integer or
     null, or None when the key is absent or null."""
@@ -160,18 +176,11 @@ def load_recipe(name_or_path) -> ReplicationRecipe:
     if not isinstance(doc, dict):
         raise RecipeError(f"recipe file {path} must hold an object, got {type(doc).__name__}")
     name = doc.get("name")
-    if not _is_file_name(name):
-        raise RecipeError(f"recipe file {path} needs a string 'name' that is a plain file name, "
-                          f"got {name!r}")
+    analyses = _check_names(name, doc.get("analyses", []), f"recipe file {path}")
     if "schema" not in doc:
         raise RecipeError(f"{name}: recipe needs a 'schema'")
     preprocess = _checked_steps(name, "preprocess step", doc.get("preprocess", []),
                                 _PREPROCESS_KEYS)
-    analyses = _checked_steps(name, "analysis", doc.get("analyses", []), _ANALYSIS_KEYS)
-    labels = [step.get("name", step["op"]) for step in analyses]  # report file names
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise RecipeError(f"{name}: analysis {i} repeats the name {label!r}")
     derived, filters, dropped = [], [], []
     drop_rows = False
     for step in preprocess:
@@ -366,7 +375,9 @@ def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
     Shape mismatches are warnings by default (strict mode raises); analyses
     whose columns are unavailable are skipped with a warning.
     """
-    if not isinstance(recipe, ReplicationRecipe):
+    if isinstance(recipe, ReplicationRecipe):  # set in code: its names are unchecked
+        _check_names(recipe.name, recipe.analyses, "recipe")
+    else:
         recipe = load_recipe(recipe)
     warnings: list[str] = []
     ds, raw_cols = load_known_columns(data_path, recipe.schema, recipe.optional_columns)

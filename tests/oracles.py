@@ -636,3 +636,52 @@ def leaf_wise_reference(indices, binned, g, h, config, hist_fn=None, with_slots=
         _, _, nid, idx, _, _, _, stats = heapq.heappop(heap)
         b.make_leaf(nid, idx, stats, lam)
     return b.result(indices)
+
+
+# The tree walks of the TreeNode-list layout, kept as references for the
+# per-node arrays: routing one node's rows at a time off a stack, and the
+# model loader's depth-first reachability check.
+
+def predict_matrix_reference(tree, X):
+    """Leaf weight reached by each row of X, walking tree.nodes with a stack
+    of (node, row indices) pairs (NaN follows default_left)."""
+    nodes = tree.nodes
+    out = np.empty(len(X))
+    stack = [(0, np.arange(len(X)))]
+    while stack:
+        nid, idx = stack.pop()
+        node = nodes[nid]
+        if node.is_leaf:
+            out[idx] = node.weight
+            continue
+        v = X[idx, node.feature]
+        go_left = v <= node.threshold
+        if node.default_left:
+            go_left |= np.isnan(v)
+        stack.append((node.left, idx[go_left]))
+        stack.append((node.right, idx[~go_left]))
+    return out
+
+
+def reachability_reference(nodes, where):
+    """Raise ModelFormatError unless every node of a TreeNode list is reached
+    exactly once from the root, depth first, naming the first node found
+    reached twice or, failing that, the lowest unreached node."""
+    from boostlab.boosting import ModelFormatError
+
+    reached = [False] * len(nodes)
+    reached[0] = True
+    stack = [0]
+    while stack:
+        node = nodes[stack.pop()]
+        if node.is_leaf:
+            continue
+        for child in (node.left, node.right):
+            if reached[child]:
+                raise ModelFormatError(f"{where}: node {child} is reached twice "
+                                       f"(a cycle or a shared child)")
+            reached[child] = True
+            stack.append(child)
+    if not all(reached):
+        raise ModelFormatError(f"{where}: node {reached.index(False)} is not "
+                               f"reachable from the root")

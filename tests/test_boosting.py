@@ -117,6 +117,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="max_bins must be <= 65535"):
             BoostConfig(max_bins=65536).validate()
 
+    def test_negative_efb_max_conflicts_rejected(self):
+        BoostConfig(efb_max_conflicts=0).validate()
+        with pytest.raises(ConfigError, match="efb_max_conflicts must be >= 0"):
+            train(regression_dataset(n=20), BoostConfig(n_trees=1, efb_max_conflicts=-1))
+
 
 class TestTrain:
     def test_zero_trees_predicts_base_score(self):
@@ -460,6 +465,15 @@ def _set(path, value):
     return mutate
 
 
+def _unreachable_cycle(doc):
+    """Two appended nodes that point at each other and back into the tree
+    (its root and node 1), while nothing reachable points at them."""
+    nodes = doc["trees"][0]["nodes"]
+    a, b = len(nodes), len(nodes) + 1
+    split = {"feature": 0, "threshold": 0.5, "default_left": True}
+    nodes += [{**split, "left": b, "right": 0}, {**split, "left": a, "right": 1}]
+
+
 MALFORMED = {
     "missing_trees": (lambda d: d.pop("trees"), r"model: missing 'trees'"),
     "missing_base_score": (lambda d: d.pop("base_score"), r"missing 'base_score'"),
@@ -476,6 +490,8 @@ MALFORMED = {
     "shared_child": (lambda d: d["trees"][1]["nodes"][0].update(
                          right=d["trees"][1]["nodes"][0]["left"]),
                      r"tree 1: node \d+ is reached twice"),
+    "unreachable_cycle": (_unreachable_cycle,
+                          r"tree 0: node \d+ is not reachable from the root"),
     "missing_threshold": (lambda d: d["trees"][0]["nodes"][0].pop("threshold"),
                           r"tree 0 node 0: missing 'threshold'"),
     "bool_default_left": (_set(["trees", 0, "nodes", 0, "default_left"], 1),

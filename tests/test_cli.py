@@ -464,6 +464,13 @@ class TestTrainConfigBoundary:
         assert "ordered_blocks=20 exceeds the 10 training rows" in err
         assert "Error" not in err
 
+    def test_negative_efb_max_conflicts_exits_2(self, tmp_path, capsys):
+        csv_path = make_training_csv(tmp_path / "d.csv", n=30)
+        assert self.run_train(tmp_path, csv_path, "--efb-max-conflicts", "-1") == 2
+        err = capsys.readouterr().err
+        assert "efb_max_conflicts must be >= 0" in err
+        assert "Error" not in err
+
     def test_max_bins_beyond_uint16_codes_exits_2(self, tmp_path, capsys):
         # more distinct values than a uint16 bin code can index
         csv_path = make_training_csv(tmp_path / "d.csv", n=66_000)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -217,3 +218,23 @@ def test_malformed_analyses_rejected_at_load(tmp_path, analyses, message):
     with pytest.raises(RecipeError) as info:
         load_recipe(path)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rename, message", [
+    (lambda r: r.analyses[0].update(name="../../escaped"),
+     "analysis 0 (chi2): 'name' must be a plain file name"),
+    (lambda r: setattr(r, "name", "../escaped"), "recipe needs a string 'name'"),
+    (lambda r: r.analyses[1].update(name=r.analyses[0]["name"]),
+     "analysis 1 repeats the name 'chi2_diabetes'"),
+], ids=["analysis-escape", "recipe-escape", "analysis-repeated"])
+def test_names_set_in_code_checked_before_any_data_is_read(tmp_path, rename, message):
+    """A loaded recipe renamed in code gets load_recipe's name checks too:
+    nothing is read or written, inside or outside the output directory."""
+    recipe = load_recipe("mexican-covid")
+    assert recipe.analyses[0]["name"] == "chi2_diabetes"
+    rename(recipe)
+    out_dir = tmp_path / "a" / "b" / "out"
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(RecipeError, match=re.escape(message)):
+        run_recipe(recipe, tmp_path / "absent.csv", output_dir=out_dir)
+    assert sorted(tmp_path.rglob("*")) == before

@@ -4,14 +4,18 @@
 
 boostlab is imported from SRC_ROOT/src, so the same script runs against any
 checkout, older commits included; it calls only long-standing API
-(BoostConfig, train, to_json, run_recipe, Dataset, ColumnSchema). OUT_DIR
-receives:
+(BoostConfig, train, to_json, from_json, run_recipe, Dataset, ColumnSchema).
+OUT_DIR receives:
 
 - models/<grower>-efb<None|0|50>.json and .pred: model JSON and the
   float64 prediction bytes on the training table, for level-wise, leaf-wise
   (max_leaves), leaf-wise GOSS, oblivious and ordered oblivious growth, each
   with efb_max_conflicts None, 0 and 50, on a seeded table with NaN-bearing
   numeric and categorical columns;
+- models/<grower>-efb<None|0|50>.loaded.pred: the prediction bytes of
+  from_json(to_json(model)) on a second seeded table, with NaNs in every
+  numeric column, so loading and routing rows the model never trained on
+  are covered too;
 - recipe/: the report directory of bench/mexican-covid.json run on a seeded
   bench/mexican_csv.py file. The CSV is written into OUT_DIR and the recipe
   reads it by a relative path from there, so report.json's "input" is the
@@ -62,10 +66,21 @@ def training_table(boostlab, n=3000, seed=5):
     return boostlab.Dataset(schema, cols, labels)
 
 
+def holdout_table(boostlab):
+    """Another seeded table of the same layout with NaNs in all four numeric
+    columns, including the two that have none at training time."""
+    ds = training_table(boostlab, n=2000, seed=6)
+    rng = np.random.default_rng(7)
+    for j in range(4):
+        ds.columns[f"x{j}"][rng.random(ds.n_rows) < 0.15] = np.nan
+    return ds
+
+
 def dump_models(boostlab, out: Path) -> None:
-    from boostlab.boosting import to_json
+    from boostlab.boosting import from_json, to_json
 
     ds = training_table(boostlab)
+    holdout = holdout_table(boostlab)
     out.mkdir(parents=True)
     for label, extra in GROWERS.items():
         for efb in (None, 0, 50):
@@ -73,8 +88,11 @@ def dump_models(boostlab, out: Path) -> None:
                                           efb_max_conflicts=efb, **extra)
             model = boostlab.train(ds, config)
             stem = f"{label}-efb{efb}"
-            (out / f"{stem}.json").write_text(to_json(model), encoding="utf-8")
+            text = to_json(model)
+            (out / f"{stem}.json").write_text(text, encoding="utf-8")
             (out / f"{stem}.pred").write_bytes(model.predict(ds).tobytes())
+            loaded = from_json(text).predict(holdout)
+            (out / f"{stem}.loaded.pred").write_bytes(loaded.tobytes())
 
 
 def dump_recipe(boostlab, out: Path) -> None:
