@@ -5,7 +5,7 @@ boosting), plus the statistical toolkit and dataset recipes around them.
 
 from .boosting import (BoostConfig, Classifier, Ensemble, LossSpec,
                        TrainingFeatures, compute_gradients, init_base_score,
-                       load_model, predict, prepare_features, save_model, train,
+                       load_model, prepare_features, save_model, train,
                        train_classifier)
 from .dataset import (BinnedDataset, ColumnSchema, Dataset, DatasetError,
                       RecipeSpec, add_ratio_column, apply_recipe, bin_features,

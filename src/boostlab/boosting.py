@@ -432,10 +432,6 @@ def _train_ordered(y, binned, X, config: BoostConfig, base: float, hist_fn) -> l
     return trees
 
 
-def predict(ens: Ensemble, rows, n_trees: int | None = None) -> np.ndarray:
-    return ens.predict(rows, n_trees)
-
-
 @dataclass
 class Classifier:
     """Binary or one-vs-rest classification on top of logistic ensembles.

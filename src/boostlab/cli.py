@@ -20,9 +20,9 @@ from . import stats
 from .boosting import (BoostConfig, Classifier, ConfigError, ModelFormatError,
                        load_model, save_model, train, train_classifier)
 from .dataset import (CATEGORICAL, ColumnSchema, Dataset, DatasetError, load_csv,
-                      load_known_columns, retype_target, write_table)
-from .recipes import (RecipeError, _csv_rows, _nan_to_none, _parse_schema,
-                      available_recipes, run_recipe)
+                      load_known_columns, parse_schema, retype_target, write_table)
+from .recipes import (RecipeError, available_recipes, run_analysis, run_recipe,
+                      write_result)
 from .stats import StatsError
 
 VALIDATION_ERRORS = (DatasetError, ConfigError, StatsError, RecipeError)
@@ -35,37 +35,24 @@ def _load_schema_file(path) -> list[ColumnSchema]:
         raise DatasetError(f"no such schema file: {path}") from None
     except json.JSONDecodeError as exc:
         raise DatasetError(f"schema file {path} is not valid JSON: {exc}") from None
-    return _parse_schema(doc)
+    return parse_schema(doc)
+
+
+def _ensembles(model) -> list:
+    return model.ensembles if isinstance(model, Classifier) else [model]
 
 
 def _schema_from_model(model) -> list[ColumnSchema]:
     """Reconstruct an input schema for prediction from a model document."""
-    ens = model.ensembles[0] if isinstance(model, Classifier) else model
-    schema: list[ColumnSchema] = []
-    seen = set()
+    ens = _ensembles(model)[0]
+    schema: dict[str, ColumnSchema] = {}  # first column of each name, in feature order
     for name in ens.feature_names:
         src, _, label = name.partition("=")
         if label and src in ens.categorical_levels:
-            if src not in seen:
-                schema.append(ColumnSchema(src, CATEGORICAL))
-                seen.add(src)
-        elif name not in seen:
-            schema.append(ColumnSchema(name, "numeric"))
-            seen.add(name)
-    return schema
-
-
-def _write_result(result: dict, output: str | None, csv_table=None) -> None:
-    """JSON to stdout or --output; .csv paths get the flattened table."""
-    if output is None:
-        print(json.dumps(_nan_to_none(result), indent=2))
-        return
-    path = Path(output)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.suffix == ".csv" and csv_table is not None:
-        write_table(path, *csv_table)
-        return
-    path.write_text(json.dumps(_nan_to_none(result), indent=2) + "\n", encoding="utf-8")
+            schema.setdefault(src, ColumnSchema(src, CATEGORICAL))
+        else:
+            schema.setdefault(name, ColumnSchema(name, "numeric"))
+    return list(schema.values())
 
 
 def _load_input(args, strict: bool = False) -> Dataset:
@@ -102,7 +89,7 @@ def _config_from_args(args) -> BoostConfig:
 
 def _cmd_ingest(args) -> int:
     ds = _load_input(args, strict=True)
-    _write_result(ds.summary(), args.output)
+    write_result(ds.summary(), args.output)
     return 0
 
 
@@ -163,76 +150,51 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _importance_result(model, metric: str, normalized: bool) -> dict:
-    ensembles = model.ensembles if isinstance(model, Classifier) else [model]
-    merged_gain: dict[str, float] = {}
-    merged_count: dict[str, float] = {}
-    for ens in ensembles:
-        report = stats.feature_importance(ens, metric="gain")
-        for name, g, c in zip(report.feature_names, report.gain, report.split_count):
-            merged_gain[name] = merged_gain.get(name, 0.0) + float(g)
-            merged_count[name] = merged_count.get(name, 0.0) + float(c)
-    values = merged_gain if metric == "gain" else merged_count
+def _importance_ranking(model, metric: str, normalized: bool = False) -> list[dict]:
+    values = stats.merged_importance(_ensembles(model), metric)
     if normalized:
         total = sum(values.values())
         if total <= 0:
             raise StatsError("cannot normalize: total importance is zero")
         values = {k: v / total for k, v in values.items()}
-    ranking = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
-    return {"metric": metric, "normalized": normalized,
-            "ranking": [{"feature": k, "value": v} for k, v in ranking]}
+    return [{"feature": k, "value": v} for k, v in stats.importance_ranking(values)]
 
 
 def _cmd_importance(args) -> int:
     model = load_model(args.model)
-    result = _importance_result(model, args.metric, args.normalized)
-    table = (["feature", "value"],
-             [[r["feature"], repr(float(r["value"]))] for r in result["ranking"]])
-    _write_result(result, args.output, table)
+    result = {"metric": args.metric, "normalized": args.normalized,
+              "ranking": _importance_ranking(model, args.metric, args.normalized)}
+    write_result(result, args.output, tabular=True)
     return 0
 
 
-def _cmd_chi2(args) -> int:
+def _names(flag: str) -> list[str]:
+    return [c.strip() for c in flag.split(",") if c.strip()]
+
+
+def _analysis_spec(args) -> dict:
+    """The recipe analysis step a statistics command's flags describe."""
+    if args.command == "chi2":
+        return {"op": "chi2", "a": args.a, "b": args.b}
+    if args.command == "anova" and args.factor2 is not None:
+        return {"op": "anova2", "response": args.response,
+                "factor_a": args.factor, "factor_b": args.factor2}
+    if args.command == "anova":
+        return {"op": "anova1", "response": args.response, "factor": args.factor}
+    if args.command == "corr":
+        return {"op": "correlation", "columns": _names(args.columns)}
+    return {"op": "group_summary", "value": args.value, "by": _names(args.by)}
+
+
+def _cmd_analysis(args) -> int:
     ds = _load_input(args)
-    table = stats.contingency_table(ds, args.a, args.b)
-    res = stats.chi_squared_test(table)
-    result = {"a": args.a, "b": args.b, "table": table.to_dict(), **res.to_dict()}
-    _write_result(result, args.output, _csv_rows(result))
-    return 0
-
-
-def _cmd_anova(args) -> int:
-    ds = _load_input(args)
-    if args.factor2 is not None:
-        table = stats.two_way_anova(ds, args.response, args.factor, args.factor2)
-    else:
-        table = stats.one_way_anova(ds, args.response, args.factor)
-    result = {"response": args.response, "rows": table.to_rows()}
-    _write_result(result, args.output, _csv_rows(result))
-    return 0
-
-
-def _cmd_corr(args) -> int:
-    ds = _load_input(args)
-    columns = [c.strip() for c in args.columns.split(",") if c.strip()]
-    corr = stats.pearson_correlation_matrix(ds, columns)
-    result = corr.to_dict()
-    _write_result(result, args.output, _csv_rows(result))
-    return 0
-
-
-def _cmd_summary(args) -> int:
-    ds = _load_input(args)
-    by = [c.strip() for c in args.by.split(",") if c.strip()]
-    groups = stats.group_summary(ds, args.value, by)
-    result = {"value": args.value, "by": by, "groups": [g.to_dict() for g in groups]}
-    _write_result(result, args.output, _csv_rows(result))
+    write_result(run_analysis(_analysis_spec(args), ds), args.output, tabular=True)
     return 0
 
 
 def _cmd_report(args) -> int:
     model = load_model(args.model)
-    ensembles = model.ensembles if isinstance(model, Classifier) else [model]
+    ensembles = _ensembles(model)
     result = {
         "kind": "classifier" if isinstance(model, Classifier) else "ensemble",
         "classes": model.classes if isinstance(model, Classifier) else None,
@@ -241,10 +203,10 @@ def _cmd_report(args) -> int:
         "n_features": len(ensembles[0].feature_names),
         "feature_names": ensembles[0].feature_names,
         "config": ensembles[0].config,
-        "importance_gain": _importance_result(model, "gain", False)["ranking"],
-        "importance_split_count": _importance_result(model, "split_count", False)["ranking"],
+        "importance_gain": _importance_ranking(model, "gain"),
+        "importance_split_count": _importance_ranking(model, "split_count"),
     }
-    _write_result(result, args.output)
+    write_result(result, args.output)
     return 0
 
 
@@ -317,25 +279,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--a", required=True, help="first categorical column")
     p.add_argument("--b", required=True, help="second categorical column")
-    p.set_defaults(fn=_cmd_chi2)
+    p.set_defaults(fn=_cmd_analysis)
 
     p = sub.add_parser("anova", help="one-way (or additive two-way) ANOVA")
     _add_io_flags(p)
     p.add_argument("--response", required=True)
     p.add_argument("--factor", required=True)
     p.add_argument("--factor2", help="second factor for the additive two-way table")
-    p.set_defaults(fn=_cmd_anova)
+    p.set_defaults(fn=_cmd_analysis)
 
     p = sub.add_parser("corr", help="Pearson correlation matrix with R-squared")
     _add_io_flags(p)
     p.add_argument("--columns", required=True, help="comma-separated numeric columns")
-    p.set_defaults(fn=_cmd_corr)
+    p.set_defaults(fn=_cmd_analysis)
 
     p = sub.add_parser("summary", help="grouped count/mean/quartile table")
     _add_io_flags(p)
     p.add_argument("--value", required=True, help="numeric column to summarize")
     p.add_argument("--by", required=True, help="comma-separated categorical columns")
-    p.set_defaults(fn=_cmd_summary)
+    p.set_defaults(fn=_cmd_analysis)
 
     p = sub.add_parser("report", help="describe a saved model")
     p.add_argument("--model", required=True)

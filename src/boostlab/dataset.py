@@ -41,6 +41,22 @@ class ColumnSchema:
             raise DatasetError(f"unknown column kind {self.kind!r} for {self.name!r}")
 
 
+def parse_schema(entries) -> list[ColumnSchema]:
+    """ColumnSchema list from a JSON list of {"name", "kind", "missing_marker"}
+    objects; a malformed document raises DatasetError naming the entry."""
+    if not isinstance(entries, list):
+        raise DatasetError(f"schema must be a list of column entries, "
+                           f"got {type(entries).__name__}: {entries!r}")
+    out = []
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise DatasetError(f"schema entry {i} is not an object: {e!r}")
+        if not isinstance(e.get("name"), str):
+            raise DatasetError(f"schema entry {i} needs a string \"name\": {e!r}")
+        out.append(ColumnSchema(e["name"], e.get("kind", NUMERIC), e.get("missing_marker")))
+    return out
+
+
 @dataclass
 class Dataset:
     """A fixed-width columnar table.

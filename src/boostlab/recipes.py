@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import stats
-from .boosting import (BoostConfig, Ensemble, prepare_features, train,
+from .boosting import (BoostConfig, ConfigError, prepare_features, train,
                        train_classifier)
-from .dataset import (ColumnSchema, Dataset, DatasetError, RecipeSpec, apply_recipe,
-                      load_known_columns, retype_target, train_test_split,
-                      write_table)
+from .dataset import (ColumnSchema, Dataset, RecipeSpec, apply_recipe,
+                      load_known_columns, parse_schema, retype_target,
+                      train_test_split, write_table)
 
 RECIPE_DIR = Path(__file__).parent / "recipes"
 
@@ -44,22 +45,6 @@ def available_recipes() -> list[str]:
     return sorted(p.stem for p in RECIPE_DIR.glob("*.json"))
 
 
-def _parse_schema(entries) -> list[ColumnSchema]:
-    """ColumnSchema list from a JSON list of {"name", "kind", "missing_marker"}
-    objects; a malformed document raises DatasetError naming the entry."""
-    if not isinstance(entries, list):
-        raise DatasetError(f"schema must be a list of column entries, "
-                           f"got {type(entries).__name__}: {entries!r}")
-    out = []
-    for i, e in enumerate(entries):
-        if not isinstance(e, dict):
-            raise DatasetError(f"schema entry {i} is not an object: {e!r}")
-        if not isinstance(e.get("name"), str):
-            raise DatasetError(f"schema entry {i} needs a string \"name\": {e!r}")
-        out.append(ColumnSchema(e["name"], e.get("kind", "numeric"), e.get("missing_marker")))
-    return out
-
-
 # Keys each preprocess op and analysis op reads without a default.
 _PREPROCESS_KEYS = {"add_ratio_column": ("new_name", "num", "den"),
                     "filter_rows": ("column", "excluded"),
@@ -69,6 +54,7 @@ _ANALYSIS_KEYS = {"chi2": ("a", "b"), "anova1": ("response", "factor"),
                   "correlation": ("columns",), "group_summary": ("value", "by"),
                   "train_importance": ("features", "target"),
                   "split_regression": ("features", "target")}
+_TRAINING_OPS = ("train_importance", "split_regression")
 
 
 def _is_int(value) -> bool:
@@ -97,6 +83,9 @@ _VALUE_RULES = {
     "max_leaves": (lambda v: v is None or _is_int(v), "an integer or null"),
     "learning_rate": (_is_number, "a number"),
     "train_fraction": (_is_number, "a number"),
+    "task": (lambda v: v in ("regression", "classification"),
+             "'regression' or 'classification'"),
+    "efb": (lambda v: isinstance(v, bool), "true or false"),
     "scale": (_is_number, "a number"),
     "columns": (_is_names, "a list of strings"),
     "features": (_is_names, "a list of strings"),
@@ -131,19 +120,30 @@ def _checked_steps(recipe: str, kind: str, steps, required: dict) -> list[dict]:
     return steps
 
 
-def _check_names(name, analyses, where: str) -> list[dict]:
+def _checked_analyses(name, analyses, where: str) -> list[dict]:
     """The checked analyses, once the recipe name and every analysis's report
     name (its 'name', else its op) are plain file names and no two analyses
-    share one: they name <output_dir>/<recipe> and the files in it. where
-    names the recipe in the message about its own name."""
+    share one (they name <output_dir>/<recipe> and the files in it), and
+    each training analysis has a valid BoostConfig and a train_fraction in
+    (0, 1). where names the recipe in the message about its own name."""
     if not _is_file_name(name):
         raise RecipeError(f"{where} needs a string 'name' that is a plain file name, "
                           f"got {name!r}")
     analyses = _checked_steps(name, "analysis", analyses, _ANALYSIS_KEYS)
     labels = [step.get("name", step["op"]) for step in analyses]
-    for i, label in enumerate(labels):
+    for i, (label, step) in enumerate(zip(labels, analyses)):
         if label in labels[:i]:
             raise RecipeError(f"{name}: analysis {i} repeats the name {label!r}")
+        if step["op"] not in _TRAINING_OPS:
+            continue
+        where_step = f"{name}: analysis {i} ({step['op']})"
+        try:
+            _analysis_config(step, seed=0).validate()
+        except ConfigError as exc:
+            raise RecipeError(f"{where_step}: {exc}") from None
+        if not 0.0 < step.get("train_fraction", 0.75) < 1.0:
+            raise RecipeError(f"{where_step}: 'train_fraction' must be in (0, 1), "
+                              f"got {step['train_fraction']!r}")
     return analyses
 
 
@@ -176,7 +176,7 @@ def load_recipe(name_or_path) -> ReplicationRecipe:
     if not isinstance(doc, dict):
         raise RecipeError(f"recipe file {path} must hold an object, got {type(doc).__name__}")
     name = doc.get("name")
-    analyses = _check_names(name, doc.get("analyses", []), f"recipe file {path}")
+    analyses = _checked_analyses(name, doc.get("analyses", []), f"recipe file {path}")
     if "schema" not in doc:
         raise RecipeError(f"{name}: recipe needs a 'schema'")
     preprocess = _checked_steps(name, "preprocess step", doc.get("preprocess", []),
@@ -198,8 +198,8 @@ def load_recipe(name_or_path) -> ReplicationRecipe:
     return ReplicationRecipe(
         name=name,
         description=doc.get("description", ""),
-        schema=_parse_schema(doc["schema"]),
-        optional_columns=_parse_schema(doc.get("optional_columns", [])),
+        schema=parse_schema(doc["schema"]),
+        optional_columns=parse_schema(doc.get("optional_columns", [])),
         expected_input_shape=_shape(name, doc, "expected_input_shape"),
         spec=spec,
         analyses=analyses,
@@ -229,20 +229,17 @@ def _nan_to_none(obj):
     return obj
 
 
-def _merged_importance(ensembles: list[Ensemble]) -> dict[str, float]:
+def _importance(ensembles) -> dict:
     """Gain importance summed over ensembles, one-hot children folded back
-    onto their source column."""
-    merged: dict[str, float] = {}
-    for ens in ensembles:
-        report = stats.feature_importance(ens, metric="gain")
-        for name, gain in zip(report.feature_names, report.gain):
-            src, _, label = name.partition("=")
-            key = src if label and src in ens.categorical_levels else name
-            merged[key] = merged.get(key, 0.0) + float(gain)
-    return merged
+    onto their source column, and its ranking."""
+    merged = stats.merged_importance(ensembles, fold=True)
+    ranking = stats.importance_ranking(merged)
+    return {"importance": merged, "ranking": [{"feature": k, "gain": v} for k, v in ranking]}
 
 
-def _run_analysis(spec: dict, ds: Dataset, seed: int, held: dict):
+def run_analysis(spec: dict, ds: Dataset, seed: int = 0, held: dict | None = None) -> dict:
+    """The result of one analysis step (a checked recipe analysis object) on
+    ds; held is the train_importance feature cache of run_recipe."""
     op = spec["op"]
     if op == "chi2":
         table = stats.contingency_table(ds, spec["a"], spec["b"])
@@ -263,19 +260,18 @@ def _run_analysis(spec: dict, ds: Dataset, seed: int, held: dict):
         return {"value": spec["value"], "by": spec["by"],
                 "groups": [g.to_dict() for g in groups]}
     if op == "train_importance":
-        return _run_train_importance(spec, ds, seed, held)
+        return _run_train_importance(spec, ds, seed, {} if held is None else held)
     if op == "split_regression":
         return _run_split_regression(spec, ds, seed)
     raise RecipeError(f"unknown analysis op {op!r}")
 
 
 def _analysis_config(spec: dict, seed: int) -> BoostConfig:
-    max_leaves = spec.get("max_leaves")
     return BoostConfig(
         n_trees=int(spec.get("trees", 100)),
         learning_rate=float(spec.get("learning_rate", 0.1)),
         max_depth=int(spec.get("max_depth", 6)),
-        max_leaves=int(max_leaves) if max_leaves else None,
+        max_leaves=spec.get("max_leaves"),
         max_bins=int(spec.get("max_bins", 256)),
         grower=spec.get("grower", "level_wise"),
         efb_max_conflicts=0 if spec.get("efb") else None,
@@ -293,20 +289,15 @@ def _run_train_importance(spec: dict, ds: Dataset, seed: int, held: dict) -> dic
     if key not in held:
         held.clear()  # release the previous features before preparing the next
         held[key] = prepare_features(sub, config)
-    if spec.get("task", "regression") == "classification":
+    if spec.get("task") == "classification":
         model = train_classifier(sub, config, held[key])
-        ensembles = model.ensembles
-        classes = model.classes
+        ensembles, classes = model.ensembles, model.classes
     else:
-        model = train(sub, replace(config, loss="squared_error"), held[key])
-        ensembles = [model]
+        ensembles = [train(sub, replace(config, loss="squared_error"), held[key])]
         classes = None
-    merged = _merged_importance(ensembles)
-    ranking = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
     return {"target": spec["target"], "grower": config.grower,
             "n_trees": config.n_trees, "max_depth": config.max_depth,
-            "classes": classes, "importance": merged,
-            "ranking": [{"feature": k, "gain": v} for k, v in ranking]}
+            "classes": classes, **_importance(ensembles)}
 
 
 def _run_split_regression(spec: dict, ds: Dataset, seed: int) -> dict:
@@ -320,14 +311,10 @@ def _run_split_regression(spec: dict, ds: Dataset, seed: int) -> dict:
     y_te = test_ds.columns[spec["target"]]
     rmse_tr = float(np.sqrt(np.mean((model.predict(train_ds) - y_tr) ** 2)))
     rmse_te = float(np.sqrt(np.mean((model.predict(test_ds) - y_te) ** 2)))
-    merged = _merged_importance([model])
-    ranking = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
     return {"target": spec["target"], "train_fraction": fraction,
             "train_rows": train_ds.n_rows, "test_rows": test_ds.n_rows,
             "observed_fraction": train_ds.n_rows / sub.n_rows,
-            "rmse_train": rmse_tr, "rmse_test": rmse_te,
-            "importance": merged,
-            "ranking": [{"feature": k, "gain": v} for k, v in ranking]}
+            "rmse_train": rmse_tr, "rmse_test": rmse_te, **_importance([model])}
 
 
 def _analysis_ready(spec: dict, ds: Dataset) -> list[str]:
@@ -362,10 +349,9 @@ def _csv_rows(result: dict) -> tuple[list[str], list[list]]:
     if "statistic" in result:  # chi-squared
         header = ["a", "b", "statistic", "dof", "p_value"]
         return header, [[result[h] for h in header]]
-    if "ranking" in result:
-        header = ["feature", "gain"]
-        return header, [[r["feature"], r["gain"]] for r in result["ranking"]]
-    return ["key", "value"], [[k, v] for k, v in result.items()]
+    # importance ranking: a recipe's gains, or the importance command's values
+    header = ["feature", "value" if "metric" in result else "gain"]
+    return header, [[r["feature"], r[header[1]]] for r in result["ranking"]]
 
 
 def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
@@ -375,8 +361,8 @@ def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
     Shape mismatches are warnings by default (strict mode raises); analyses
     whose columns are unavailable are skipped with a warning.
     """
-    if isinstance(recipe, ReplicationRecipe):  # set in code: its names are unchecked
-        _check_names(recipe.name, recipe.analyses, "recipe")
+    if isinstance(recipe, ReplicationRecipe):  # set in code: its analyses are unchecked
+        _checked_analyses(recipe.name, recipe.analyses, "recipe")
     else:
         recipe = load_recipe(recipe)
     warnings: list[str] = []
@@ -398,7 +384,7 @@ def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
             continue
         if spec["op"] != "train_importance":
             held.clear()
-        results[name] = _run_analysis(spec, ds, seed, held)
+        results[name] = run_analysis(spec, ds, seed, held)
 
     bundle = {
         "recipe": recipe.name,
@@ -414,12 +400,26 @@ def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
     return bundle
 
 
+def write_result(result: dict, path=None, tabular: bool = False) -> None:
+    """result as indented JSON with non-finite floats as null, to stdout when
+    path is None; a tabular result goes to a .csv path as its _csv_rows
+    table. The file's directory is made if absent."""
+    if path is not None:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if tabular and path.suffix == ".csv":
+            write_table(path, *_csv_rows(result))
+            return
+    text = json.dumps(_nan_to_none(result), indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+
+
 def _write_bundle(bundle: dict, name: str, output_dir) -> None:
     out = Path(output_dir) / name
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(_nan_to_none(bundle), indent=2) + "\n", encoding="utf-8")
+    write_result(bundle, out / "report.json")
     for analysis, result in bundle["analyses"].items():
-        (out / f"{analysis}.json").write_text(
-            json.dumps(_nan_to_none(result), indent=2) + "\n", encoding="utf-8")
-        write_table(out / f"{analysis}.csv", *_csv_rows(result))
+        for suffix in ("json", "csv"):
+            write_result(result, out / f"{analysis}.{suffix}", tabular=True)

@@ -123,10 +123,17 @@ def _complete_rows(ds: Dataset, columns: list[str]) -> np.ndarray:
     return np.flatnonzero(~bad)
 
 
+def _check_anova_columns(ds: Dataset, response: str, factors: tuple[str, ...]) -> None:
+    if ds.schema_for(response).kind == CATEGORICAL:
+        raise StatsError(f"response {response!r} must be numeric")
+    for f in factors:
+        if ds.schema_for(f).kind != CATEGORICAL:
+            raise StatsError(f"factor {f!r} is not categorical")
+
+
 def one_way_anova(ds: Dataset, response: str, factor: str) -> AnovaTable:
     """Between/within decomposition with the upper F tail as Pr>F."""
-    if ds.schema_for(factor).kind != CATEGORICAL:
-        raise StatsError(f"factor {factor!r} is not categorical")
+    _check_anova_columns(ds, response, (factor,))
     rows = _complete_rows(ds, [response, factor])
     y = ds.columns[response][rows].astype(np.float64)
     codes = ds.columns[factor][rows]
@@ -175,9 +182,7 @@ def two_way_anova(ds: Dataset, response: str, factor_a: str, factor_b: str) -> A
     """Additive (no-interaction) two-factor model with Type II sums of squares:
     each factor's SS is the SSE increase from dropping it out of the full
     additive fit."""
-    for f in (factor_a, factor_b):
-        if ds.schema_for(f).kind != CATEGORICAL:
-            raise StatsError(f"factor {f!r} is not categorical")
+    _check_anova_columns(ds, response, (factor_a, factor_b))
     rows = _complete_rows(ds, [response, factor_a, factor_b])
     y = ds.columns[response][rows].astype(np.float64)
     n = len(y)
@@ -366,3 +371,21 @@ def feature_importance(ens, metric: str = "gain", normalized: bool = False) -> F
     if normalized:
         report.values()  # zero totals are rejected eagerly
     return report
+
+
+def merged_importance(ensembles, metric: str = "gain", fold: bool = False) -> dict[str, float]:
+    """One metric summed over ensembles, ensemble by ensemble and then
+    feature by feature; fold adds one-hot children onto their source column."""
+    merged: dict[str, float] = {}
+    for ens in ensembles:
+        report = feature_importance(ens, metric)
+        for name, value in zip(report.feature_names, report.values()):
+            src, _, label = name.partition("=")
+            key = src if fold and label and src in ens.categorical_levels else name
+            merged[key] = merged.get(key, 0.0) + float(value)
+    return merged
+
+
+def importance_ranking(values: dict[str, float]) -> list[tuple[str, float]]:
+    """(name, value) pairs by descending value, ties by name."""
+    return sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))

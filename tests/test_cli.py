@@ -236,6 +236,46 @@ class TestCsvTables:
         assert rows == [["|".join(g["group"])] + [_cell(g[k]) for k in header[1:]]
                         for g in doc["groups"]]
 
+    # each statistics command's flags and the recipe analysis step they describe
+    COMMANDS = [
+        (["chi2", "--a", "Sex", "--b", "Education"],
+         {"op": "chi2", "a": "Sex", "b": "Education"}),
+        (["anova", "--response", "Total Deaths", "--factor", "Race"],
+         {"op": "anova1", "response": "Total Deaths", "factor": "Race"}),
+        (["anova", "--response", "Total Deaths", "--factor", "Race", "--factor2", "Sex"],
+         {"op": "anova2", "response": "Total Deaths", "factor_a": "Race", "factor_b": "Sex"}),
+        (["corr", "--columns", "COVID-19 Deaths, Total Deaths"],
+         {"op": "correlation", "columns": ["COVID-19 Deaths", "Total Deaths"]}),
+        (["summary", "--value", "COVID-19 Deaths", "--by", "Race,Sex"],
+         {"op": "group_summary", "value": "COVID-19 Deaths", "by": ["Race", "Sex"]}),
+    ]
+
+    @pytest.mark.parametrize("argv, spec", COMMANDS,
+                             ids=["chi2", "anova1", "anova2", "corr", "summary"])
+    def test_same_bytes_as_the_recipe_analysis(self, tmp_path, argv, spec):
+        self.run(tmp_path, argv)
+        recipe = tmp_path / "r.json"
+        recipe.write_text(json.dumps({"name": "r", "schema": EDU_SCHEMA,
+                                      "analyses": [{**spec, "name": "t"}]}))
+        assert main(["recipe", "--recipe", str(recipe), "--input", str(tmp_path / "edu.csv"),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        for suffix in ("json", "csv"):
+            assert (tmp_path / f"t.{suffix}").read_bytes() == \
+                (tmp_path / "out" / "r" / f"t.{suffix}").read_bytes()
+
+    def test_anova_categorical_response_exits_2(self, tmp_path, capsys):
+        csv_path = write_education_csv(tmp_path / "edu.csv")
+        schema = write_schema(tmp_path / "s.json", EDU_SCHEMA)
+        assert main(["anova", "--input", str(csv_path), "--schema", str(schema),
+                     "--response", "Sex", "--factor", "Race"]) == 2
+        recipe = tmp_path / "r.json"
+        recipe.write_text(json.dumps({"name": "r", "schema": EDU_SCHEMA, "analyses": [
+            {"op": "anova1", "response": "Sex", "factor": "Race"}]}))
+        assert main(["recipe", "--recipe", str(recipe), "--input", str(csv_path),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: response 'Sex' must be numeric\n") == 2
+
 
 class TestImportanceAndReport:
     def test_importance_ranking(self, tmp_path):
@@ -415,8 +455,23 @@ class TestRecipeValueTypes:
          "r: analysis 0 (split_regression): 'train_fraction' must be a number, got '0.5'"),
         ({"analyses": [{"op": "train_importance", "features": [0], "target": "x1"}]},
          "r: analysis 0 (train_importance): 'features' must be a list of strings, got [0]"),
+        ({"analyses": [{"op": "train_importance", "features": ["x0"], "target": "x1",
+                        "task": "classificaton"}]},
+         "r: analysis 0 (train_importance): 'task' must be 'regression' or "
+         "'classification', got 'classificaton'"),
+        ({"analyses": [{"op": "train_importance", "features": ["x0"], "target": "x1",
+                        "max_depth": 0}]},
+         "r: analysis 0 (train_importance): max_depth must be >= 1"),
+        ({"analyses": [{"op": "correlation", "columns": ["x0", "x1"]},
+                       {"op": "train_importance", "features": ["x0"], "target": "x1",
+                        "grower": "nope"}]},
+         "r: analysis 1 (train_importance): unknown grower 'nope'"),
+        ({"analyses": [{"op": "split_regression", "features": ["x0"], "target": "x1",
+                        "train_fraction": 2.0}]},
+         "r: analysis 0 (split_regression): 'train_fraction' must be in (0, 1), got 2.0"),
     ], ids=["trees-string", "expected-shape-int", "columns-string",
-            "train-fraction-string", "features-not-strings"])
+            "train-fraction-string", "features-not-strings", "task-misspelled",
+            "max-depth-zero", "grower-unknown", "train-fraction-above-one"])
     def test_exits_2(self, tmp_path, capsys, doc, message):
         csv_path = make_training_csv(tmp_path / "d.csv")
         recipe = tmp_path / "r.json"

@@ -208,9 +208,29 @@ class TestDeterminism:
     ({"op": "chi2"}, "r: expected a list of analysis objects, got {'op': 'chi2'}"),
     (["chi2"], "r: analysis 0 is not an object: 'chi2'"),
     ([{"op": ["chi2"]}], "r: analysis 0: unknown op ['chi2']"),
+    ([{"op": "chi2", "a": "x", "b": "x"},
+      {"op": "train_importance", "features": ["x"], "target": "x",
+       "task": "classificaton"}],
+     "r: analysis 1 (train_importance): 'task' must be 'regression' or "
+     "'classification', got 'classificaton'"),
+    ([{"op": "train_importance", "features": ["x"], "target": "x", "task": 3}],
+     "r: analysis 0 (train_importance): 'task' must be 'regression' or "
+     "'classification', got 3"),
+    ([{"op": "train_importance", "features": ["x"], "target": "x", "max_depth": 0}],
+     "r: analysis 0 (train_importance): max_depth must be >= 1"),
+    ([{"op": "split_regression", "features": ["x"], "target": "x", "grower": "nope"}],
+     "r: analysis 0 (split_regression): unknown grower 'nope'"),
+    ([{"op": "train_importance", "features": ["x"], "target": "x", "max_leaves": 0}],
+     "r: analysis 0 (train_importance): max_leaves must be >= 2"),
+    ([{"op": "train_importance", "features": ["x"], "target": "x", "efb": "no"}],
+     "r: analysis 0 (train_importance): 'efb' must be true or false, got 'no'"),
+    ([{"op": "split_regression", "features": ["x"], "target": "x",
+       "train_fraction": 2.0}],
+     "r: analysis 0 (split_regression): 'train_fraction' must be in (0, 1), got 2.0"),
 ], ids=["chi2-key", "anova2-key", "group_summary-keys", "train_importance-key",
         "split_regression-key", "unknown-op", "not-a-list", "not-an-object",
-        "op-not-a-string"])
+        "op-not-a-string", "task-misspelled", "task-int", "max-depth-zero",
+        "unknown-grower", "max-leaves-zero", "efb-string", "train-fraction-above-one"])
 def test_malformed_analyses_rejected_at_load(tmp_path, analyses, message):
     path = tmp_path / "r.json"
     path.write_text(json.dumps({"name": "r", "schema": [{"name": "x"}],

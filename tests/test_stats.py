@@ -172,6 +172,13 @@ class TestOneWayAnova:
         with pytest.raises(StatsError, match="2"):
             one_way_anova(ds, "y", "g")
 
+    def test_categorical_response_rejected(self):
+        # not analysed on its label codes
+        ds = make_dataset({"Sex": ["f", "m", "f", "m"], "Race": ["a", "a", "b", "b"]},
+                          kinds={"Sex": CATEGORICAL, "Race": CATEGORICAL})
+        with pytest.raises(StatsError, match="^response 'Sex' must be numeric$"):
+            one_way_anova(ds, "Sex", "Race")
+
 
 class TestTwoWayAnova:
     def fixture(self):
@@ -231,6 +238,13 @@ class TestTwoWayAnova:
                           kinds={"A": CATEGORICAL, "B": CATEGORICAL})
         with pytest.raises(StatsError, match="singular|confounded"):
             two_way_anova(ds, "y", "A", "B")
+
+    def test_categorical_response_rejected(self):
+        ds = make_dataset({"Sex": ["f", "m", "f", "m"], "A": ["a1", "a1", "a2", "a2"],
+                           "B": ["b1", "b2", "b1", "b2"]},
+                          kinds={"Sex": CATEGORICAL, "A": CATEGORICAL, "B": CATEGORICAL})
+        with pytest.raises(StatsError, match="^response 'Sex' must be numeric$"):
+            two_way_anova(ds, "Sex", "A", "B")
 
 
 class TestCorrelation:

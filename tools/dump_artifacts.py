@@ -4,8 +4,8 @@
 
 boostlab is imported from SRC_ROOT/src, so the same script runs against any
 checkout, older commits included; it calls only long-standing API
-(BoostConfig, train, to_json, from_json, run_recipe, Dataset, ColumnSchema).
-OUT_DIR receives:
+(BoostConfig, train, to_json, from_json, run_recipe, Dataset, ColumnSchema,
+cli.main). OUT_DIR receives:
 
 - models/<grower>-efb<None|0|50>.json and .pred: model JSON and the
   float64 prediction bytes on the training table, for level-wise, leaf-wise
@@ -19,13 +19,23 @@ OUT_DIR receives:
 - recipe/: the report directory of bench/mexican-covid.json run on a seeded
   bench/mexican_csv.py file. The CSV is written into OUT_DIR and the recipe
   reads it by a relative path from there, so report.json's "input" is the
-  same for every tree.
+  same for every tree;
+- cli/: what `boostlab chi2`, one- and two-way `anova`, `corr` and
+  `summary` write as JSON and as CSV on a seeded CSV file with missing
+  cells, and, for one regressor and one three-class classifier trained by
+  `boostlab train` on it, the model files, `importance` (gain and
+  split_count, each raw and --normalized, as JSON and as CSV) and `report`.
+  Every command runs through boostlab.cli.main with paths relative to
+  OUT_DIR.
 
 Two trees are byte-identical where `diff -r` of their OUT_DIRs is empty.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -109,6 +119,75 @@ def dump_recipe(boostlab, out: Path) -> None:
         os.chdir(cwd)
 
 
+def write_cli_inputs(out: Path, n=400, seed=8) -> None:
+    """stats.csv: categorical g1 (with "NA" markers) and g2, numeric x0-x2
+    (x2 with "nan" cells), a numeric y and a three-class cls; schemas for the
+    statistics commands and for a regressor (target y) and a classifier
+    (target cls) on the other columns."""
+    rng = np.random.default_rng(seed)
+    g1 = rng.choice(["a", "b", "c", "NA"], size=n, p=[0.3, 0.3, 0.3, 0.1])
+    g2 = rng.choice(["p", "q", "r", "s"], size=n)
+    x = rng.normal(size=(n, 3))
+    y = (x[:, 0] - 0.5 * x[:, 1] + (g1 == "b") + 0.5 * (g2 == "s")
+         + rng.normal(scale=0.3, size=n))
+    cls = np.digitize(x[:, 0] + 0.5 * (g2 == "q") + rng.normal(scale=0.5, size=n), [-0.5, 0.5])
+    lines = ["g1,g2,x0,x1,x2,y,cls"]
+    for i in range(n):
+        x2 = "nan" if rng.random() < 0.1 else repr(float(x[i, 2]))
+        lines.append(f"{g1[i]},{g2[i]},{float(x[i, 0])!r},{float(x[i, 1])!r},{x2},"
+                     f"{float(y[i])!r},{int(cls[i])}")
+    (out / "stats.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    features = [{"name": "g1", "kind": "categorical", "missing_marker": "NA"},
+                {"name": "g2", "kind": "categorical"},
+                {"name": "x0"}, {"name": "x1"}, {"name": "x2"}]
+    for stem, extra in (("stats", [{"name": "y"}, {"name": "cls"}]),
+                        ("regressor", [{"name": "y", "kind": "target"}]),
+                        ("classifier", [{"name": "cls", "kind": "target"}])):
+        (out / f"{stem}.schema.json").write_text(json.dumps(features + extra),
+                                                 encoding="utf-8")
+
+
+def dump_cli(out: Path) -> None:
+    from boostlab.cli import main as cli
+
+    def run(*argv: str) -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli(list(argv))
+        if code != 0:
+            raise SystemExit(f"boostlab {' '.join(argv)} exited {code}")
+
+    out.mkdir()
+    write_cli_inputs(out)
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        data = ["--input", "stats.csv", "--schema", "stats.schema.json"]
+        commands = {
+            "chi2": ["chi2", "--a", "g1", "--b", "g2"],
+            "anova1": ["anova", "--response", "y", "--factor", "g1"],
+            "anova2": ["anova", "--response", "y", "--factor", "g1", "--factor2", "g2"],
+            "corr": ["corr", "--columns", "x0,x1,x2,y"],
+            "summary": ["summary", "--value", "y", "--by", "g1,g2"],
+        }
+        for stem, argv in commands.items():
+            for suffix in ("json", "csv"):
+                run(*argv, *data, "--output", f"{stem}.{suffix}")
+        for model in ("regressor", "classifier"):
+            loss = "logistic" if model == "classifier" else "squared_error"
+            run("train", "--input", "stats.csv", "--schema", f"{model}.schema.json",
+                "--loss", loss, "--trees", "8", "--max-depth", "3", "--seed", "2",
+                "--output", f"{model}.json")
+            for metric in ("gain", "split_count"):
+                for normalized in ([], ["--normalized"]):
+                    stem = f"{model}.importance-{metric}{'-normalized' if normalized else ''}"
+                    for suffix in ("json", "csv"):
+                        run("importance", "--model", f"{model}.json", "--metric", metric,
+                            *normalized, "--output", f"{stem}.{suffix}")
+            run("report", "--model", f"{model}.json", "--output", f"{model}.report.json")
+    finally:
+        os.chdir(cwd)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: dump_artifacts.py SRC_ROOT OUT_DIR", file=sys.stderr)
@@ -124,6 +203,7 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=False)
     dump_models(boostlab, out / "models")
     dump_recipe(boostlab, out)
+    dump_cli(out / "cli")
     return 0
 
 
