@@ -17,7 +17,7 @@ import numpy as np
 
 from . import growers, strategies
 from .dataset import (CATEGORICAL, MAX_BINS, TARGET, BinnedDataset, ColumnSchema, Dataset,
-                      DatasetError, bin_features, one_hot_encode)
+                      DatasetError, bin_features, one_hot_encode, one_hot_source)
 
 LOSSES = ("squared_error", "logistic")
 GROWERS = ("level_wise", "leaf_wise", "oblivious")
@@ -197,8 +197,9 @@ class Ensemble:
             if name in data.columns and data.schema_for(name).kind != CATEGORICAL:
                 cols.append(np.asarray(data.column(name), dtype=np.float64))
                 continue
-            src, _, label = name.partition("=")
-            if label and src in self.categorical_levels and src in data.columns:
+            hot = one_hot_source(name, self.categorical_levels)
+            if hot is not None and hot[0] in data.columns:
+                src, label = hot
                 # codes against the label's code in data's own table: an unseen
                 # label or a numeric column matches no row, missing (-1) none
                 is_cat = data.schema_for(src).kind == CATEGORICAL
@@ -258,8 +259,8 @@ def _grow_fn(config: BoostConfig):
 class TrainingFeatures:
     """The feature side of training, derived from a dataset's feature columns,
     max_bins and efb_max_conflicts only: the one-hot expansion, the quantile
-    bins, the float matrix trees are routed through, and the histogram
-    builder (bundled under EFB).
+    bins, the histogram builder (bundled under EFB) and, built on first
+    read, the float matrix X that trees are routed through.
 
     prepare_features builds it; train and train_classifier accept it so that
     several models fit on the same features share one preparation. It holds
@@ -274,8 +275,16 @@ class TrainingFeatures:
     efb_max_conflicts: int | None
     levels: dict[str, list[str]]         # one-hot label tables for the Ensemble
     binned: BinnedDataset
-    X: np.ndarray
     hist_fn: object
+
+    @functools.cached_property
+    def X(self) -> np.ndarray:
+        """Rows x features float matrix in binned.feature_names order, read
+        only by score updates over sampled rows and by ordered boosting; it
+        is read-only, as every model trained on these features shares it."""
+        X = np.column_stack([self.binned.source.columns[n] for n in self.binned.feature_names])
+        X.flags.writeable = False
+        return X
 
     def check(self, ds: Dataset, config: BoostConfig) -> None:
         """Raise unless these features were prepared from ds's feature columns
@@ -306,8 +315,6 @@ def prepare_features(ds: Dataset, config: BoostConfig) -> TrainingFeatures:
     schema = tuple(c for c in ds.schema if c.kind != TARGET)
     feat_ds, levels = _encode_features(ds.select_columns([c.name for c in schema]))
     binned = bin_features(feat_ds, config.max_bins)
-    X = np.column_stack([feat_ds.columns[n] for n in binned.feature_names])
-    X.flags.writeable = False  # shared by every model trained on these features
     if config.efb_max_conflicts is not None:
         bundles = strategies.efb_bundle(binned, config.efb_max_conflicts)
         hist_fn = strategies.BundledHistograms(binned, bundles)
@@ -316,7 +323,7 @@ def prepare_features(ds: Dataset, config: BoostConfig) -> TrainingFeatures:
     return TrainingFeatures(
         schema, tuple(ds.columns[c.name] for c in schema),
         {c.name: ds.labels[c.name] for c in schema if c.kind == CATEGORICAL},
-        config.max_bins, config.efb_max_conflicts, levels, binned, X, hist_fn)
+        config.max_bins, config.efb_max_conflicts, levels, binned, hist_fn)
 
 
 def _finite_target(y) -> np.ndarray:
@@ -353,7 +360,7 @@ def train(ds: Dataset, config: BoostConfig,
         features = prepare_features(ds, config)
     else:
         features.check(ds, config)
-    binned, X, hist_fn = features.binned, features.X, features.hist_fn
+    binned, hist_fn = features.binned, features.hist_fn
 
     loss = config.loss
     base = 0.0 if config.zero_base_score else init_base_score(loss, y)
@@ -362,7 +369,7 @@ def train(ds: Dataset, config: BoostConfig,
     n = ds.n_rows
     all_idx = np.arange(n)
     if config.ordered_blocks is not None:
-        trees = _train_ordered(y, binned, X, config, base, hist_fn)
+        trees = _train_ordered(y, binned, features.X, config, base, hist_fn)
     else:
         grow = _grow_fn(config)
         preds = np.full(n, base)
@@ -381,7 +388,7 @@ def train(ds: Dataset, config: BoostConfig,
                 scores = tree.node_weights()[slots]
             else:
                 tree = grow(idx, binned, g, h, config, hist_fn=hist_fn)
-                scores = tree.predict_matrix(X)
+                scores = tree.predict_matrix(features.X)
             trees.append(tree)
             preds += config.learning_rate * scores
 

@@ -20,7 +20,8 @@ from . import stats
 from .boosting import (BoostConfig, Classifier, ConfigError, ModelFormatError,
                        load_model, save_model, train, train_classifier)
 from .dataset import (CATEGORICAL, ColumnSchema, Dataset, DatasetError, load_csv,
-                      load_known_columns, parse_schema, retype_target, write_table)
+                      load_known_columns, one_hot_source, parse_schema, retype_target,
+                      write_table)
 from .recipes import (RecipeError, available_recipes, run_analysis, run_recipe,
                       write_result)
 from .stats import StatsError
@@ -47,9 +48,9 @@ def _schema_from_model(model) -> list[ColumnSchema]:
     ens = _ensembles(model)[0]
     schema: dict[str, ColumnSchema] = {}  # first column of each name, in feature order
     for name in ens.feature_names:
-        src, _, label = name.partition("=")
-        if label and src in ens.categorical_levels:
-            schema.setdefault(src, ColumnSchema(src, CATEGORICAL))
+        hot = one_hot_source(name, ens.categorical_levels)
+        if hot is not None:
+            schema.setdefault(hot[0], ColumnSchema(hot[0], CATEGORICAL))
         else:
             schema.setdefault(name, ColumnSchema(name, "numeric"))
     return list(schema.values())

@@ -561,6 +561,13 @@ def one_hot_encode(ds: Dataset, column: str) -> Dataset:
     return Dataset(schema, cols, labels)
 
 
+def one_hot_source(name: str, levels) -> tuple[str, str] | None:
+    """(column, label) when name is one_hot_encode's "<column>=<label>" for
+    a column in levels (a model's categorical_levels), else None."""
+    column, _, label = name.partition("=")
+    return (column, label) if label and column in levels else None
+
+
 @dataclass
 class RecipeSpec:
     """Declarative preprocessing: derived ratio columns, row filters, column
@@ -695,36 +702,51 @@ class BinnedDataset:
         return self.source.n_rows
 
 
-def _quantile_boundaries(values: np.ndarray, max_bins: int, name: str) -> np.ndarray:
-    """Upper bin edges for one feature: midpoints between distinct values,
-    thinned to at most max_bins equal-mass bins when there are too many."""
-    finite = values[~np.isnan(values)]
+def _bin_column(values: np.ndarray, max_bins: int, name: str):
+    """One feature's (codes, edges). edges are the upper bin edges: midpoints
+    between distinct values, thinned to at most max_bins equal-mass bins when
+    there are too many. A value's code is its bin, the first with
+    value <= edge; NaN takes the missing bin len(edges).
+
+    With every distinct value in its own bin, each value finds its bin by a
+    binary search over the edges. Otherwise the non-NaN values are sorted
+    once (by argsort): the quantile cuts are read off the sorted values, and
+    each bin's rows are a run of them.
+    """
+    present = ~np.isnan(values)
+    finite = values[present]
     if finite.size == 0:
-        return np.array([np.inf])
-    u = np.unique(finite)
+        return np.ones(len(values), dtype=np.uint8), np.array([np.inf])
+    u = np.unique(finite)  # its pick between -0.0 and 0.0 sets the last edge
     if np.isinf(u[0]) or np.isinf(u[-1]):
         raise DatasetError(f"feature column {name!r} contains infinite values")
     if len(u) <= max_bins:
-        inner = (u[:-1] + u[1:]) / 2.0
-        return np.append(inner, u[-1])
-    s = np.sort(finite)
+        edges = np.append((u[:-1] + u[1:]) / 2.0, u[-1])
+        # NaN sorts after every edge, into the missing bin
+        codes = np.searchsorted(edges, values, side="left")
+        return codes.astype(_code_dtype(len(edges))), edges
+    order = np.argsort(finite)
+    s = finite[order]
     n = len(s)
-    cuts = []
-    for j in range(1, max_bins):
-        pos = (j * n) // max_bins
-        if pos <= 0 or pos >= n:
-            continue
-        v_left = s[pos - 1]
-        if v_left == s[pos]:
-            # quantile fell inside a run of equal values: cut after the run
-            nxt = np.searchsorted(u, v_left, side="right")
-            if nxt >= len(u):
-                continue
-            cuts.append((v_left + u[nxt]) / 2.0)
-        else:
-            cuts.append((v_left + s[pos]) / 2.0)
-    inner = np.unique(np.asarray(cuts, dtype=np.float64))
-    return np.append(inner, u[-1])
+    pos = np.arange(1, max_bins, dtype=np.int64) * n // max_bins
+    pos = pos[(pos > 0) & (pos < n)]
+    left, right = s[pos - 1], s[pos]
+    # a quantile that fell inside a run of equal values cuts after the run,
+    # and is dropped when the run holds the maximum
+    nxt = np.searchsorted(u, left, side="right")
+    tie = left == right
+    keep = ~tie | (nxt < len(u))
+    upper = np.where(tie, u[np.minimum(nxt, len(u) - 1)], right)
+    edges = np.append(np.unique(((left + upper) / 2.0)[keep]), u[-1])
+    dtype = _code_dtype(len(edges))
+    codes = np.full(len(values), len(edges), dtype=dtype)
+    per_bin = np.diff(np.searchsorted(s, edges, side="right"), prepend=0)
+    codes[np.flatnonzero(present)[order]] = np.repeat(np.arange(len(edges), dtype=dtype), per_bin)
+    return codes, edges
+
+
+def _code_dtype(n_bins: int):
+    return np.uint8 if n_bins + 1 <= 256 else np.uint16  # the missing bin takes one code
 
 
 MAX_BINS = 65535  # bin codes are uint16, and the missing bin takes one code
@@ -747,12 +769,5 @@ def bin_features(ds: Dataset, max_bins: int) -> BinnedDataset:
     bins: dict[str, np.ndarray] = {}
     bounds: dict[str, np.ndarray] = {}
     for name in names:
-        v = ds.columns[name]
-        edges = _quantile_boundaries(v, max_bins, name)
-        nb = len(edges)
-        dtype = np.uint8 if nb + 1 <= 256 else np.uint16
-        idx = np.searchsorted(edges, v, side="left").astype(dtype)
-        idx[np.isnan(v)] = nb  # reserved missing bin
-        bins[name] = idx
-        bounds[name] = edges
+        bins[name], bounds[name] = _bin_column(ds.columns[name], max_bins, name)
     return BinnedDataset(ds, names, bins, bounds, max_bins)

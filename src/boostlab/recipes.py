@@ -8,8 +8,10 @@ JSON + CSV pair per analysis under <output_dir>/<recipe>/.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -239,7 +241,8 @@ def _importance(ensembles) -> dict:
 
 def run_analysis(spec: dict, ds: Dataset, seed: int = 0, held: dict | None = None) -> dict:
     """The result of one analysis step (a checked recipe analysis object) on
-    ds; held is the train_importance feature cache of run_recipe."""
+    ds; held maps train_importance feature sets to features run_recipe
+    prepared for them."""
     op = spec["op"]
     if op == "chi2":
         table = stats.contingency_table(ds, spec["a"], spec["b"])
@@ -260,7 +263,7 @@ def run_analysis(spec: dict, ds: Dataset, seed: int = 0, held: dict | None = Non
         return {"value": spec["value"], "by": spec["by"],
                 "groups": [g.to_dict() for g in groups]}
     if op == "train_importance":
-        return _run_train_importance(spec, ds, seed, {} if held is None else held)
+        return _run_train_importance(spec, ds, seed, held or {})
     if op == "split_regression":
         return _run_split_regression(spec, ds, seed)
     raise RecipeError(f"unknown analysis op {op!r}")
@@ -279,21 +282,47 @@ def _analysis_config(spec: dict, seed: int) -> BoostConfig:
     )
 
 
-def _run_train_importance(spec: dict, ds: Dataset, seed: int, held: dict) -> dict:
-    """held maps one (features, max_bins, efb_max_conflicts) key to its
-    TrainingFeatures; analyses on the same feature columns of ds reuse it."""
-    config = _analysis_config(spec, seed)
+def _training_subset(spec: dict, ds: Dataset) -> Dataset:
     sub = ds.select_columns(list(spec["features"]) + [spec["target"]])
-    sub = retype_target(sub, spec["target"])
-    key = (tuple(spec["features"]), config.max_bins, config.efb_max_conflicts)
-    if key not in held:
-        held.clear()  # release the previous features before preparing the next
-        held[key] = prepare_features(sub, config)
+    return retype_target(sub, spec["target"])
+
+
+def _features_key(config: BoostConfig, spec: dict) -> tuple:
+    return (tuple(spec["features"]), config.max_bins, config.efb_max_conflicts)
+
+
+def _prepared_features(analyses: list[dict], ds: Dataset, seed: int) -> dict:
+    """Each distinct train_importance feature set of the analyses, by
+    _features_key: its TrainingFeatures, prepared from the first analysis
+    that uses it, or the exception preparing them raised."""
+    held: dict = {}
+    for spec in analyses:
+        if spec["op"] != "train_importance":
+            continue
+        config = _analysis_config(spec, seed)
+        key = _features_key(config, spec)
+        if key not in held:
+            try:
+                held[key] = prepare_features(_training_subset(spec, ds), config)
+            except Exception as exc:  # noqa: BLE001 - the analyses using them raise it
+                held[key] = exc
+    return held
+
+
+def _run_train_importance(spec: dict, ds: Dataset, seed: int, held: dict) -> dict:
+    """held maps _features_key to _prepared_features' entries; analyses on
+    the same feature columns of ds share one. Without an entry, training
+    prepares its own features."""
+    config = _analysis_config(spec, seed)
+    sub = _training_subset(spec, ds)
+    features = held.get(_features_key(config, spec))
+    if isinstance(features, Exception):
+        raise features
     if spec.get("task") == "classification":
-        model = train_classifier(sub, config, held[key])
+        model = train_classifier(sub, config, features)
         ensembles, classes = model.ensembles, model.classes
     else:
-        ensembles = [train(sub, replace(config, loss="squared_error"), held[key])]
+        ensembles = [train(sub, replace(config, loss="squared_error"), features)]
         classes = None
     return {"target": spec["target"], "grower": config.grower,
             "n_trees": config.n_trees, "max_depth": config.max_depth,
@@ -303,8 +332,7 @@ def _run_train_importance(spec: dict, ds: Dataset, seed: int, held: dict) -> dic
 def _run_split_regression(spec: dict, ds: Dataset, seed: int) -> dict:
     config = _analysis_config(spec, seed)
     fraction = float(spec.get("train_fraction", 0.75))
-    sub = ds.select_columns(list(spec["features"]) + [spec["target"]])
-    sub = retype_target(sub, spec["target"])
+    sub = _training_subset(spec, ds)
     train_ds, test_ds = train_test_split(sub, fraction, seed)
     model = train(train_ds, config)
     y_tr = train_ds.columns[spec["target"]]
@@ -373,8 +401,7 @@ def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
     if strict_shapes and warnings:
         raise RecipeError("; ".join(warnings))
 
-    results: dict[str, dict] = {}
-    held: dict = {}  # at most one TrainingFeatures, kept across train_importance runs
+    ready = []
     for spec in recipe.analyses:
         name = spec.get("name", spec["op"])
         absent = _analysis_ready(spec, ds)
@@ -382,9 +409,9 @@ def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
             warnings.append(f"{recipe.name}: skipped analysis {name!r} "
                             f"(missing columns {absent})")
             continue
-        if spec["op"] != "train_importance":
-            held.clear()
-        results[name] = run_analysis(spec, ds, seed, held)
+        ready.append(spec)
+    results = {spec.get("name", spec["op"]): result
+               for spec, result in zip(ready, _run_analyses(ready, ds, seed))}
 
     bundle = {
         "recipe": recipe.name,
@@ -398,6 +425,63 @@ def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
     if output_dir is not None:
         _write_bundle(bundle, recipe.name, output_dir)
     return bundle
+
+
+# run number -> (analyses, ds, seed, held) while _run_analyses runs that
+# batch; forked workers inherit it, and threads running recipes at once each
+# keep their own entry
+_JOBS: dict[int, tuple] = {}
+_RUNS = itertools.count()
+
+
+def _run_job(run: int, i: int) -> dict:
+    analyses, ds, seed, held = _JOBS[run]
+    return run_analysis(analyses[i], ds, seed, held)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_analyses(analyses: list[dict], ds: Dataset, seed: int) -> list[dict]:
+    """The analyses' results, in their order.
+
+    Each distinct train_importance feature set is prepared once, here. The
+    analyses then run in forked worker processes, one per CPU up to one per
+    analysis, which inherit ds and the prepared features without pickling;
+    larger 'trees' are submitted first (statistics count 0). On one CPU, for
+    one analysis or without the fork start method they run inline, one by
+    one. Either way the first analysis in order that fails raises here.
+    """
+    run = next(_RUNS)
+    _JOBS[run] = (analyses, ds, seed, _prepared_features(analyses, ds, seed))
+    try:
+        workers = min(_cpu_count(), len(analyses))
+        if workers > 1:
+            import multiprocessing  # only here: import boostlab loads no pool module
+            if "fork" in multiprocessing.get_all_start_methods():
+                return _run_forked(run, analyses, workers,
+                                   multiprocessing.get_context("fork"))
+        return [_run_job(run, i) for i in range(len(analyses))]
+    finally:
+        del _JOBS[run]
+
+
+def _run_forked(run: int, analyses: list[dict], workers: int, context) -> list[dict]:
+    from concurrent.futures import ProcessPoolExecutor
+
+    trees = [_analysis_config(spec, 0).n_trees if spec["op"] in _TRAINING_OPS else 0
+             for spec in analyses]
+    pool = ProcessPoolExecutor(workers, mp_context=context)
+    try:
+        futures = {i: pool.submit(_run_job, run, i)
+                   for i in sorted(range(len(analyses)), key=lambda i: -trees[i])}
+        return [futures[i].result() for i in range(len(analyses))]
+    finally:
+        pool.shutdown(cancel_futures=True)  # waits for the workers to exit
 
 
 def write_result(result: dict, path=None, tabular: bool = False) -> None:

@@ -65,19 +65,6 @@ def gamma_q(s: float, x: float) -> float:
     return _gamma_q_contfrac(s, x)
 
 
-def gamma_p(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) = 1 - Q(s, x)."""
-    if s <= 0.0:
-        raise ValueError(f"s must be > 0, got {s}")
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return _gamma_p_series(s, x)
-    return 1.0 - _gamma_q_contfrac(s, x)
-
-
 def _beta_contfrac(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (Lentz's method)."""
     tiny = 1e-300

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Dataset, MISSING_CODE
+from .dataset import CATEGORICAL, Dataset, MISSING_CODE, one_hot_source
 from .special import chi2_tail, f_tail
 
 
@@ -34,10 +34,6 @@ class ContingencyTable:
     @property
     def col_totals(self) -> np.ndarray:
         return self.counts.sum(axis=0)
-
-    @property
-    def grand_total(self) -> int:
-        return int(self.counts.sum())
 
     def to_dict(self) -> dict:
         return {"row_labels": self.row_labels, "col_labels": self.col_labels,
@@ -380,8 +376,8 @@ def merged_importance(ensembles, metric: str = "gain", fold: bool = False) -> di
     for ens in ensembles:
         report = feature_importance(ens, metric)
         for name, value in zip(report.feature_names, report.values()):
-            src, _, label = name.partition("=")
-            key = src if fold and label and src in ens.categorical_levels else name
+            hot = one_hot_source(name, ens.categorical_levels) if fold else None
+            key = name if hot is None else hot[0]
             merged[key] = merged.get(key, 0.0) + float(value)
     return merged
 

@@ -4,7 +4,8 @@ import pytest
 from boostlab.dataset import (CATEGORICAL, NUMERIC, TARGET, ColumnSchema, Dataset,
                               DatasetError, add_ratio_column, bin_features,
                               drop_missing, filter_rows, load_csv, one_hot_encode,
-                              retype_target, train_test_split, write_csv)
+                              one_hot_source, retype_target, train_test_split,
+                              write_csv)
 
 from conftest import make_dataset
 from oracles import quantile_cut_reference
@@ -176,6 +177,12 @@ class TestOneHotEncode:
         with pytest.raises(DatasetError, match="one-hot"):
             one_hot_encode(ds, "c")
 
+    @pytest.mark.parametrize("name, source", [
+        ("c=A", ("c", "A")), ("c=x=y", ("c", "x=y")), ("c=", None), ("c", None),
+        ("d=A", None), ("=A", None)])
+    def test_one_hot_source(self, name, source):
+        assert one_hot_source(name, {"c": ["A", "B"]}) == source
+
     def test_preserves_rows_adds_k_minus_1_columns(self):
         ds = make_dataset({"x": [1.0, 2.0, 3.0], "c": ["A", "B", "C"]},
                           kinds={"c": CATEGORICAL})
@@ -223,6 +230,28 @@ class TestBinFeatures:
         has_lower = idx > 0
         assert np.all(vals[has_lower] > edges[idx[has_lower] - 1])
         assert len(np.unique(idx)) <= 9
+
+    @pytest.mark.parametrize("max_bins", [2, 3, 7, 32, 300])
+    def test_codes_and_edges_follow_the_rule_with_ties_and_missing(self, rng, max_bins):
+        # value pools with long runs of equal values (signed zeros among
+        # them), NaN cells, and both sides of len(unique) <= max_bins
+        for trial in range(40):
+            n = int(rng.integers(1, 400))
+            pool = [rng.normal(size=n), np.round(rng.exponential(size=n), 1),
+                    rng.choice([-0.0, 0.0, 1.0, 2.5, -3.0], size=n),
+                    rng.integers(-5, 6, size=n).astype(float)][trial % 4]
+            vals = pool.astype(np.float64)
+            vals[rng.random(n) < 0.15] = np.nan
+            b = bin_features(make_dataset({"x": vals}), max_bins=max_bins)
+            edges = b.boundaries["x"]
+            if np.isnan(vals).all():
+                np.testing.assert_array_equal(edges, [np.inf])
+            else:
+                np.testing.assert_array_equal(edges, quantile_cut_reference(vals, max_bins))
+            want = np.searchsorted(edges, vals, side="left")
+            want[np.isnan(vals)] = len(edges)
+            assert b.bins["x"].dtype == (np.uint8 if len(edges) < 256 else np.uint16)
+            np.testing.assert_array_equal(b.bins["x"], want)
 
     def test_missing_maps_to_reserved_bin(self):
         ds = make_dataset({"x": [1.0, np.nan, 2.0]})

@@ -140,8 +140,10 @@ class TestMexicanRecipe:
         run_recipe(recipe, csv_path, output_dir=tmp_path / "shared")
         assert len(calls) == len(keys)
         # with nothing prepared (features=None) every analysis bins its own
-        # features, and the report is the same to the byte
+        # features, and the report is the same to the byte; on one CPU the
+        # analyses run in this process, where the calls are counted
         monkeypatch.setattr(recipes, "prepare_features", lambda ds, config: None)
+        monkeypatch.setattr(recipes, "_cpu_count", lambda: 1)
         run_recipe(recipe, csv_path, output_dir=tmp_path / "own")
         assert len(calls) == len(keys) + 5
         shared, own = tmp_path / "shared", tmp_path / "own"
