@@ -3,10 +3,9 @@ flavors (level-wise, leaf-wise with GOSS/EFB, oblivious with ordered
 boosting), plus the statistical toolkit and dataset recipes around them.
 """
 
-from .boosting import (BoostConfig, Classifier, Ensemble, LossSpec,
-                       TrainingFeatures, compute_gradients, init_base_score,
-                       load_model, prepare_features, save_model, train,
-                       train_classifier)
+from .boosting import (BoostConfig, Classifier, Ensemble, TrainingFeatures,
+                       compute_gradients, init_base_score, load_model,
+                       prepare_features, save_model, train, train_classifier)
 from .dataset import (BinnedDataset, ColumnSchema, Dataset, DatasetError,
                       RecipeSpec, add_ratio_column, apply_recipe, bin_features,
                       drop_missing, filter_rows, load_csv, one_hot_encode,

@@ -33,19 +33,10 @@ class ModelFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """Which differentiable convex loss drives the gradients."""
-
-    kind: str = "squared_error"
-
-    def __post_init__(self):
-        if self.kind not in LOSSES:
-            raise ConfigError(f"unknown loss {self.kind!r}; expected one of {LOSSES}")
-
-
 def _loss_kind(loss) -> str:
-    return loss.kind if isinstance(loss, LossSpec) else LossSpec(loss).kind
+    if loss not in LOSSES:
+        raise ConfigError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+    return loss
 
 
 def sigmoid(raw: np.ndarray) -> np.ndarray:
@@ -144,7 +135,7 @@ class BoostConfig:
                               f"the missing bin takes one, got {self.max_bins}")
         if self.grower not in GROWERS:
             raise ConfigError(f"unknown grower {self.grower!r}")
-        LossSpec(self.loss)
+        _loss_kind(self.loss)
         if (self.goss_a is None) != (self.goss_b is None):
             raise ConfigError("goss_a and goss_b must be set together")
         if self.goss_a is not None:
@@ -368,10 +359,10 @@ def train(ds: Dataset, config: BoostConfig,
     trees: list = []
     n = ds.n_rows
     all_idx = np.arange(n)
+    grow = _grow_fn(config)
     if config.ordered_blocks is not None:
-        trees = _train_ordered(y, binned, features.X, config, base, hist_fn)
+        trees = _train_ordered(grow, y, binned, features.X, config, base, hist_fn)
     else:
-        grow = _grow_fn(config)
         preds = np.full(n, base)
         for t in range(config.n_trees):
             g, h = compute_gradients(loss, y, preds)
@@ -394,48 +385,45 @@ def train(ds: Dataset, config: BoostConfig,
 
     levels = {k: list(v) for k, v in features.levels.items()}
     return Ensemble(trees, base, config.learning_rate, loss,
-                    list(binned.feature_names), levels, config_dict(config))
+                    list(binned.feature_names), levels, asdict(config))
 
 
-def _train_ordered(y, binned, X, config: BoostConfig, base: float, hist_fn) -> list:
+def _train_ordered(grow, y, binned, X, config: BoostConfig, base: float, hist_fn) -> list:
     """Ordered boosting: every instance's gradient for the returned trees comes
     from a prefix model that never trained on its own block. Each prefix model
     advances as an ordinary booster on its own prefix (gradients at its own
-    predictions), so the prefix predictions converge instead of compounding."""
+    predictions), so the prefix predictions converge instead of compounding.
+    The prefix models never read the returned trees, and the refits after the
+    last one would never be read, so they are skipped."""
     n = len(y)
     n_blocks = config.ordered_blocks
     schedule = strategies.ordered_schedule(
         n, config.ordered_permutations, n_blocks, _iteration_seed(config.seed, 0, salt=1))
     grad_fn = functools.partial(compute_gradients, config.loss)
     block_preds = [np.full((n_blocks, n), base) for _ in schedule.permutations]
-    # prefix model j trains on prefix_idx[p][j] (blocks < j); its predictions
-    # are read only on blocks <= j: by ordered_gradients on block j
-    # (block_idx[p][j]) and by its own next gradients on blocks < j
-    prefix_idx = [[schedule.prefix_indices(p, j) for j in range(n_blocks)]
-                  for p in range(len(schedule.permutations))]
-    block_idx = [[np.flatnonzero(block_of == j) for j in range(n_blocks)]
-                 for block_of in schedule.block_of]
+    # prefix model (p, j): its predictions (a row of block_preds[p]), the rows
+    # it trains on (blocks < j) and block j, the only other rows that read it
+    # (through ordered_gradients)
+    prefix_models = [(block_preds[p][j], schedule.prefix_indices(p, j),
+                      np.flatnonzero(block_of == j))
+                     for p, block_of in enumerate(schedule.block_of)
+                     for j in range(1, n_blocks)]
     all_idx = np.arange(n)
     trees = []
     gj = np.zeros(n)
     hj = np.zeros(n)
-    workspace = growers.ObliviousWorkspace()  # one for every fit of this run
-    for _ in range(config.n_trees):
+    for t in range(config.n_trees):
         g, h, _ = strategies.ordered_gradients(schedule, grad_fn, y, block_preds)
-        trees.append(growers.grow_oblivious(all_idx, binned, g, h, config, hist_fn=hist_fn,
-                                            workspace=workspace))
-        for p in range(len(schedule.permutations)):
-            for j in range(1, n_blocks):
-                idx = prefix_idx[p][j]
-                gj[idx], hj[idx] = grad_fn(y[idx], block_preds[p][j][idx])
-                prefix_tree, slots = growers.grow_oblivious(
-                    idx, binned, gj, hj, config, hist_fn=hist_fn, with_slots=True,
-                    workspace=workspace)
-                # the prefix rows score from their leaf slots; only block j is routed
-                block = block_idx[p][j]
-                preds = block_preds[p][j]
-                preds[idx] += config.learning_rate * prefix_tree.node_weights()[slots]
-                preds[block] += config.learning_rate * prefix_tree.predict_matrix(X[block])
+        trees.append(grow(all_idx, binned, g, h, config, hist_fn=hist_fn))
+        if t == config.n_trees - 1:
+            break  # no returned tree reads this round's refits
+        for preds, idx, block in prefix_models:
+            gj[idx], hj[idx] = grad_fn(y[idx], preds[idx])
+            prefix_tree, slots = grow(idx, binned, gj, hj, config, hist_fn=hist_fn,
+                                      with_slots=True)
+            # the prefix rows score from their leaf slots; only block j is routed
+            preds[idx] += config.learning_rate * prefix_tree.node_weights()[slots]
+            preds[block] += config.learning_rate * prefix_tree.predict_matrix(X[block])
     return trees
 
 
@@ -520,10 +508,6 @@ def _emit(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise ModelFormatError(f"cannot serialize {type(obj).__name__}")
-
-
-def config_dict(config: BoostConfig) -> dict:
-    return asdict(config)
 
 
 def _tree_doc(tree) -> dict:
@@ -713,8 +697,22 @@ def _ensemble_from_doc(doc, where: str = "model") -> Ensemble:
             k: _strings(_field(levels, k, list, f"{where}: 'categorical_levels'"),
                         f"{where}: 'categorical_levels' {k!r}")
             for k in levels},
-        config=_field(doc, "config", dict, where) if "config" in doc else {},
+        config=_finite_config(_field(doc, "config", dict, where) if "config" in doc else {},
+                              where),
     )
+
+
+def _finite_config(config: dict, where: str) -> dict:
+    """The document's config object; a non-finite number in it (NaN,
+    Infinity or an overflowing literal), which to_json could not write
+    back, raises."""
+    for key, value in config.items():
+        try:
+            _emit(value)
+        except ModelFormatError:
+            raise ModelFormatError(f"{where}: 'config' {key!r} must be finite, "
+                                   f"got {value!r}") from None
+    return config
 
 
 def from_json(text: str):

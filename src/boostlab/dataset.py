@@ -205,10 +205,9 @@ class _ByteTable:
 
     def __init__(self, raw: bytes, ends: np.ndarray, crlf: bool):
         self.raw = raw  # the file, a final newline if it had none, _SHORT zero bytes
-        self.buf = np.frombuffer(raw, dtype=np.uint8)
         self.line_starts = ends[-1, :-1] + 1  # of the data lines
         if crlf:  # a line's last cell stops before its '\r'
-            ends[-1] -= self.buf[ends[-1] - 1] == 13
+            ends[-1] -= np.frombuffer(raw, dtype=np.uint8)[ends[-1] - 1] == 13
         self.ends = ends
         head_ends = ends[:, 0]
         self.head_starts = np.concatenate(([0], head_ends[:-1] + 1))
@@ -223,7 +222,7 @@ class _ByteTable:
             cells = [self.raw[a:b].decode("utf-8") for a, b in zip(starts.tolist(),
                                                                    ends.tolist())]
             return parse_cells(cells, c, where)
-        return _typed_column(*_code_spans(self.raw, self.buf, starts, lengths), c, where)
+        return _typed_column(*_code_spans(self.raw, starts, lengths), c, where)
 
 
 def _tokenize(data: bytes) -> _ByteTable | None:
@@ -258,7 +257,7 @@ def _tokenize(data: bytes) -> _ByteTable | None:
     return table
 
 
-def _code_spans(raw: bytes, buf: np.ndarray, starts: np.ndarray,
+def _code_spans(raw: bytes, starts: np.ndarray,
                 lengths: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Code cells of at most 16 bytes by their distinct byte strings: int32
     codes into the decoded labels, both in first-seen order.
@@ -269,14 +268,10 @@ def _code_spans(raw: bytes, buf: np.ndarray, starts: np.ndarray,
     n = len(starts)
     if n == 0:
         return np.empty(0, dtype=np.int32), []
-    longest = int(lengths.max())
-    if longest <= 1:  # an empty cell starts at its separator
-        keys = [np.where(lengths > 0, buf[starts], 0)]
-    else:
-        word = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
-        keys = [word[starts] & _MASKS[np.minimum(lengths, 8)]]
-        if longest > 8:
-            keys.append(word[starts + 8] & _MASKS[np.clip(lengths - 8, 0, 8)])
+    word = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
+    keys = [word[starts] & _MASKS[np.minimum(lengths, 8)]]
+    if int(lengths.max()) > 8:
+        keys.append(word[starts + 8] & _MASKS[np.clip(lengths - 8, 0, 8)])
     codes, rows = _peel(keys, n) or _first_seen(keys, n)
     words = np.column_stack([k[rows] for k in keys]).astype("<u8")
     labels = words.view(f"S{8 * len(keys)}").ravel().tolist()

@@ -304,18 +304,15 @@ def group_summary(ds: Dataset, value: str, by: list[str]) -> list[GroupSummary]:
     if len(rows) == 0:
         raise StatsError("no complete rows to summarize")
     v = ds.columns[value][rows].astype(np.float64)
-    keys = [tuple(ds.labels[name][ds.columns[name][rows][i]] for name in by)
-            for i in range(len(rows))]
-    order: list[tuple[str, ...]] = []
-    members: dict[tuple[str, ...], list[int]] = {}
-    for i, key in enumerate(keys):
-        if key not in members:
-            members[key] = []
-            order.append(key)
-        members[key].append(i)
+    codes = np.column_stack([ds.columns[name][rows] for name in by])
+    _, first, group = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+    group = group.ravel()
+    # each group's values in row order: np.sort places ties (0.0, -0.0) by input order
+    members = np.split(v[np.argsort(group, kind="stable")], np.cumsum(np.bincount(group))[:-1])
     out = []
-    for key in order:
-        gv = np.sort(v[members[key]])
+    for k in np.argsort(first):  # groups in first-appearance order
+        gv = np.sort(members[k])
+        key = tuple(ds.labels[name][c] for name, c in zip(by, codes[first[k]]))
         q1, med, q3 = _quartiles(gv)
         out.append(GroupSummary(key, len(gv), float(gv.mean()), med, q1, q3,
                                 float(gv[0]), float(gv[-1])))
@@ -345,11 +342,6 @@ class FeatureImportanceReport:
         vals = self.values()
         order = np.argsort(-vals, kind="stable")
         return [(self.feature_names[i], float(vals[i])) for i in order]
-
-    def to_dict(self) -> dict:
-        return {"features": self.feature_names, "metric": self.metric,
-                "normalized": self.normalized, "values": self.values().tolist(),
-                "gain": self.gain.tolist(), "split_count": self.split_count.tolist()}
 
 
 def feature_importance(ens, metric: str = "gain", normalized: bool = False) -> FeatureImportanceReport:

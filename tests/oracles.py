@@ -685,3 +685,29 @@ def reachability_reference(nodes, where):
     if not all(reached):
         raise ModelFormatError(f"{where}: node {reached.index(False)} is not "
                                f"reachable from the root")
+
+
+def group_summary_reference(ds, value, by):
+    """stats.group_summary's groups built row by row: each complete row's
+    label tuple keys a dict of member rows, the groups kept in first-seen
+    order, each group's values sorted and summarized as the library does."""
+    from boostlab.stats import GroupSummary, _complete_rows, _quartiles
+
+    rows = _complete_rows(ds, [value] + list(by))
+    v = ds.columns[value][rows].astype(np.float64)
+    keys = [tuple(ds.labels[name][ds.columns[name][rows][i]] for name in by)
+            for i in range(len(rows))]
+    order = []
+    members = {}
+    for i, key in enumerate(keys):
+        if key not in members:
+            members[key] = []
+            order.append(key)
+        members[key].append(i)
+    out = []
+    for key in order:
+        gv = np.sort(v[members[key]])
+        q1, med, q3 = _quartiles(gv)
+        out.append(GroupSummary(key, len(gv), float(gv.mean()), med, q1, q3,
+                                float(gv[0]), float(gv[-1])))
+    return out

@@ -511,6 +511,14 @@ MALFORMED = {
                           r"tree 0 node 0: missing 'threshold'"),
     "bool_default_left": (_set(["trees", 0, "nodes", 0, "default_left"], 1),
                           r"tree 0 node 0: 'default_left' must be a JSON boolean"),
+    # json.dumps writes these as NaN, Infinity and -Infinity, which to_json
+    # could not write back
+    "nan_config": (_set(["config", "lambda_"], math.nan),
+                   r"^model: 'config' 'lambda_' must be finite, got nan$"),
+    "inf_config": (_set(["config", "learning_rate"], math.inf),
+                   r"^model: 'config' 'learning_rate' must be finite, got inf$"),
+    "minus_inf_config": (_set(["config", "goss_a"], -math.inf),
+                         r"^model: 'config' 'goss_a' must be finite, got -inf$"),
 }
 
 

@@ -309,6 +309,20 @@ class TestImportanceAndReport:
         assert doc["loss"] == "squared_error"
         assert doc["feature_names"] == ["x0", "x1"]
 
+    def test_report_rejects_non_finite_config(self, tmp_path, capsys):
+        csv_path = make_training_csv(tmp_path / "d.csv")
+        schema = write_schema(tmp_path / "s.json", REG_SCHEMA)
+        model = tmp_path / "model.json"
+        main(["train", "--input", str(csv_path), "--schema", str(schema),
+              "--output", str(model), "--trees", "2"])
+        text = model.read_text()
+        assert '"gamma":0,' in text
+        model.write_text(text.replace('"gamma":0,', '"gamma":1e999,'))  # loads as inf
+        out = tmp_path / "report.json"
+        assert main(["report", "--model", str(model), "--output", str(out)]) == 1
+        assert "'config' 'gamma' must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStatsCommands:
     def test_chi2_command(self, tmp_path):

@@ -206,6 +206,29 @@ def test_ordered_prefix_models_routed_only_where_read(permutations):
     assert train(ds, config).trees == ordered_trees_reference(ds, config)
 
 
+@pytest.mark.parametrize("n_trees", [1, 3])
+@pytest.mark.parametrize("permutations", [1, 2])
+def test_ordered_training_skips_the_unread_last_refits(monkeypatch, permutations, n_trees):
+    # one main fit on every row per round, and each of the P * (B - 1) prefix
+    # models refit after every round but the last, whose refits no returned
+    # tree reads
+    ds, _, _ = mixed_table(300, seed=8, with_target=True)
+    config = BoostConfig(n_trees=n_trees, grower="oblivious", max_depth=3, seed=2,
+                         ordered_blocks=5, ordered_permutations=permutations)
+    want = ordered_trees_reference(ds, config)
+    fitted_rows = []
+    grow = growers.grow_oblivious
+
+    def counting_grow(indices, *args, **kwargs):
+        fitted_rows.append(len(indices))
+        return grow(indices, *args, **kwargs)
+
+    monkeypatch.setattr(growers, "grow_oblivious", counting_grow)
+    assert train(ds, config).trees == want
+    assert len(fitted_rows) == n_trees + (n_trees - 1) * permutations * (5 - 1)
+    assert fitted_rows.count(ds.n_rows) == n_trees
+
+
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(8, 60), m=st.integers(1, 5),
        nan_mask=st.integers(0, 31), levels=st.integers(2, 6),

@@ -10,7 +10,7 @@ from boostlab.stats import (ContingencyTable, StatsError, chi_squared_test,
                             two_way_anova)
 
 from conftest import make_dataset
-from oracles import (f_tail_quadrature, gamma_q_quadrature,
+from oracles import (f_tail_quadrature, gamma_q_quadrature, group_summary_reference,
                      incomplete_beta_quadrature)
 
 
@@ -309,6 +309,32 @@ class TestGroupSummary:
                           kinds={"g": CATEGORICAL, "s": CATEGORICAL})
         groups = group_summary(ds, "v", ["g", "s"])
         assert [g.group for g in groups] == [("a", "m"), ("a", "f"), ("b", "m"), ("b", "f")]
+
+    def test_matches_row_by_row_grouping(self):
+        # missing cells in every column, three grouping columns, a label only
+        # incomplete rows use and one no row uses; values repeat, so groups
+        # hold ties, and the bits of every number must agree
+        rng = np.random.default_rng(31)
+        n = 3000
+        v = rng.integers(-20, 20, size=n) / 4.0
+        v[rng.random(n) < 0.1] = -0.0       # ties with 0.0 that sort either way
+        v[rng.random(n) < 0.05] = np.nan
+        codes = {name: rng.integers(-1, k, size=n).astype(np.int32)
+                 for name, k in (("a", 3), ("b", 5), ("c", 2))}
+        codes["b"][np.isnan(v)] = 5          # "b5" appears only on incomplete rows
+        labels = {"a": ["x", "y", "z"], "b": [f"b{i}" for i in range(7)], "c": ["m", "f"]}
+        ds = make_dataset({"v": v, **codes}, kinds=dict.fromkeys(codes, CATEGORICAL),
+                          labels=labels)
+        got = group_summary(ds, "v", ["b", "a", "c"])
+        want = group_summary_reference(ds, "v", ["b", "a", "c"])
+        assert len(got) > 20
+        assert not {"b5", "b6"} & {g.group[0] for g in got}
+
+        def bits(groups):
+            return [(g.group, g.count, np.array([g.mean, g.median, g.q1, g.q3, g.minimum,
+                                                 g.maximum]).tobytes()) for g in groups]
+
+        assert bits(got) == bits(want)
 
 
 class TestFeatureImportance:

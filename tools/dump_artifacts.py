@@ -9,9 +9,9 @@ cli.main). OUT_DIR receives:
 
 - models/<grower>-efb<None|0|50>.json and .pred: model JSON and the
   float64 prediction bytes on the training table, for level-wise, leaf-wise
-  (max_leaves), leaf-wise GOSS, oblivious and ordered oblivious growth, each
-  with efb_max_conflicts None, 0 and 50, on a seeded table with NaN-bearing
-  numeric and categorical columns;
+  (max_leaves), leaf-wise GOSS, oblivious, and ordered oblivious growth with
+  one and with two permutations, each with efb_max_conflicts None, 0 and 50,
+  on a seeded table with NaN-bearing numeric and categorical columns;
 - models/<grower>-efb<None|0|50>.loaded.pred: the prediction bytes of
   from_json(to_json(model)) on a second seeded table, with NaNs in every
   numeric column, so loading and routing rows the model never trained on
@@ -51,6 +51,7 @@ GROWERS = {
     "goss": {"grower": "leaf_wise", "max_leaves": 11, "goss_a": 0.2, "goss_b": 0.3},
     "oblivious": {"grower": "oblivious"},
     "ordered": {"grower": "oblivious", "ordered_blocks": 4},
+    "ordered-p2": {"grower": "oblivious", "ordered_blocks": 4, "ordered_permutations": 2},
 }
 
 
