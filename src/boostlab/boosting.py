@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict, field, fields, replace
 
 import numpy as np
 
-from . import growers, strategies
+from . import forkpool, growers, strategies
 from .dataset import (CATEGORICAL, MAX_BINS, TARGET, BinnedDataset, ColumnSchema, Dataset,
                       DatasetError, bin_features, one_hot_encode, one_hot_source)
 
@@ -111,11 +111,20 @@ class BoostConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for f in fields(self):  # fields annotated int, and int | None unless None
+        for f in fields(self):  # typed fields; an "X | None" field may also be None
             value = getattr(self, f.name)
-            if f.type == "int" or (f.type == "int | None" and value is not None):
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            kind = f.type.removesuffix(" | None")
+            if value is None and kind != f.type:
+                continue
+            if kind == "int" and (isinstance(value, bool)
+                                  or not isinstance(value, (int, np.integer))):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if kind == "float" and (isinstance(value, bool)
+                                    or not isinstance(value, (int, float, np.integer,
+                                                              np.floating))):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            if kind == "bool" and not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be a bool, got {value!r}")
         if self.n_trees < 0:
             raise ConfigError("n_trees must be >= 0")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -156,7 +165,7 @@ class BoostConfig:
             raise ConfigError("efb_max_conflicts must be >= 0")
         for f in fields(self):  # what the range checks above let through, e.g. inf
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
@@ -388,42 +397,74 @@ def train(ds: Dataset, config: BoostConfig,
                     list(binned.feature_names), levels, asdict(config))
 
 
+# a chunk of ordered boosting with fewer prefix-model fits than this runs
+# inline: forking a pool costs about as much as 30 small fits
+ORDERED_MIN_FORKED_FITS = 32
+
+
 def _train_ordered(grow, y, binned, X, config: BoostConfig, base: float, hist_fn) -> list:
     """Ordered boosting: every instance's gradient for the returned trees comes
-    from a prefix model that never trained on its own block. Each prefix model
-    advances as an ordinary booster on its own prefix (gradients at its own
-    predictions), so the prefix predictions converge instead of compounding.
-    The prefix models never read the returned trees, and the refits after the
-    last one would never be read, so they are skipped."""
-    n = len(y)
-    n_blocks = config.ordered_blocks
+    from a prefix model that never trained on its own block. Prefix model
+    (p, j) is an ordinary booster on the blocks < j of permutation p
+    (gradients at its own predictions), so the prefix predictions converge
+    instead of compounding. It never reads the returned trees, so each runs
+    on its own, through forkpool, in chunks of at most ordered_blocks rounds:
+    a chunk hands back each booster's block-j predictions after every one of
+    its rounds, and that chunk's main trees are grown from them before the
+    next chunk runs. The refits after the last main tree would never be read,
+    so they are skipped."""
+    n, n_trees = len(y), config.n_trees
+    n_blocks, lr = config.ordered_blocks, config.learning_rate
     schedule = strategies.ordered_schedule(
         n, config.ordered_permutations, n_blocks, _iteration_seed(config.seed, 0, salt=1))
     grad_fn = functools.partial(compute_gradients, config.loss)
-    block_preds = [np.full((n_blocks, n), base) for _ in schedule.permutations]
-    # prefix model (p, j): its predictions (a row of block_preds[p]), the rows
-    # it trains on (blocks < j) and block j, the only other rows that read it
-    # (through ordered_gradients)
-    prefix_models = [(block_preds[p][j], schedule.prefix_indices(p, j),
-                      np.flatnonzero(block_of == j))
-                     for p, block_of in enumerate(schedule.block_of)
-                     for j in range(1, n_blocks)]
+    # booster (p, j): the rows it trains on (blocks < j) and block j, the only
+    # other rows that read it (through ordered_gradients)
+    boosters = [(p, schedule.prefix_indices(p, j), np.flatnonzero(block_of == j))
+                for p, block_of in enumerate(schedule.block_of)
+                for j in range(1, n_blocks)]
+    # each booster's predictions on its own rows and on block j, carried
+    # from one chunk to the next
+    carried = [(np.full(len(rows), base), np.full(len(block), base))
+               for _, rows, block in boosters]
+
+    def run_booster(i: int, rounds: int):
+        """Booster i's block predictions, (rounds + 1, |block j|): row 0 the
+        carried ones, then one row after each of its next rounds; and its
+        predictions on its own rows after them."""
+        _, rows, block = boosters[i]
+        preds, y_rows, X_block = carried[i][0], y[rows], X[block]
+        history = np.empty((rounds + 1, len(block)))
+        history[0] = carried[i][1]
+        g, h = np.zeros(n), np.zeros(n)
+        for r in range(1, rounds + 1):
+            g[rows], h[rows] = grad_fn(y_rows, preds)
+            tree, slots = grow(rows, binned, g, h, config, hist_fn=hist_fn, with_slots=True)
+            # its own rows score from their leaf slots; only block j is routed
+            preds += lr * tree.node_weights()[slots]
+            history[r] = history[r - 1] + lr * tree.predict_matrix(X_block)
+        return history, preds
+
+    sizes = [len(rows) for _, rows, _ in boosters]  # larger prefixes first
     all_idx = np.arange(n)
+    # per permutation, each row's prefix prediction for the next main tree:
+    # the base score on block 0, booster (p, j)'s on block j
+    row_preds = [np.full(n, base) for _ in schedule.permutations]
     trees = []
-    gj = np.zeros(n)
-    hj = np.zeros(n)
-    for t in range(config.n_trees):
-        g, h, _ = strategies.ordered_gradients(schedule, grad_fn, y, block_preds)
-        trees.append(grow(all_idx, binned, g, h, config, hist_fn=hist_fn))
-        if t == config.n_trees - 1:
-            break  # no returned tree reads this round's refits
-        for preds, idx, block in prefix_models:
-            gj[idx], hj[idx] = grad_fn(y[idx], preds[idx])
-            prefix_tree, slots = grow(idx, binned, gj, hj, config, hist_fn=hist_fn,
-                                      with_slots=True)
-            # the prefix rows score from their leaf slots; only block j is routed
-            preds[idx] += config.learning_rate * prefix_tree.node_weights()[slots]
-            preds[block] += config.learning_rate * prefix_tree.predict_matrix(X[block])
+    for start in range(0, n_trees, n_blocks):
+        k = min(n_blocks, n_trees - start)  # main trees in this chunk
+        rounds = k - 1 if start == 0 else k  # from round max(start - 1, 0) to start + k - 1
+        results = forkpool.run_jobs(functools.partial(run_booster, rounds=rounds), sizes,
+                                    forkpool.cpu_count(),
+                                    inline=rounds * len(boosters) < ORDERED_MIN_FORKED_FITS)
+        carried = [(preds, history[-1].copy()) for history, preds in results]
+        for r in range(-k, 0):  # this chunk's rounds: the last k rows of each history
+            for (p, _, block), (history, _) in zip(boosters, results):
+                row_preds[p][block] = history[r]
+            g, h, _ = strategies.ordered_gradients(
+                schedule, grad_fn, y, [np.broadcast_to(v, (n_blocks, n)) for v in row_preds])
+            trees.append(grow(all_idx, binned, g, h, config, hist_fn=hist_fn))
+        del results  # no older history is held while the next chunk runs
     return trees
 
 

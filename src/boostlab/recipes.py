@@ -8,22 +8,21 @@ JSON + CSV pair per analysis under <output_dir>/<recipe>/.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import stats
+from . import forkpool, stats
 from .boosting import (BoostConfig, ConfigError, prepare_features, train,
                        train_classifier)
 from .dataset import (ColumnSchema, Dataset, RecipeSpec, apply_recipe,
                       load_known_columns, parse_schema, retype_target,
                       train_test_split, write_table)
+from .forkpool import cpu_count as _cpu_count
 
 RECIPE_DIR = Path(__file__).parent / "recipes"
 
@@ -427,61 +426,21 @@ def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
     return bundle
 
 
-# run number -> (analyses, ds, seed, held) while _run_analyses runs that
-# batch; forked workers inherit it, and threads running recipes at once each
-# keep their own entry
-_JOBS: dict[int, tuple] = {}
-_RUNS = itertools.count()
-
-
-def _run_job(run: int, i: int) -> dict:
-    analyses, ds, seed, held = _JOBS[run]
-    return run_analysis(analyses[i], ds, seed, held)
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_analyses(analyses: list[dict], ds: Dataset, seed: int) -> list[dict]:
     """The analyses' results, in their order.
 
     Each distinct train_importance feature set is prepared once, here. The
-    analyses then run in forked worker processes, one per CPU up to one per
-    analysis, which inherit ds and the prepared features without pickling;
-    larger 'trees' are submitted first (statistics count 0). On one CPU, for
-    one analysis or without the fork start method they run inline, one by
-    one. Either way the first analysis in order that fails raises here.
+    analyses then run through forkpool.run_jobs: in forked worker processes,
+    one per CPU up to one per analysis, which inherit ds and the prepared
+    features without pickling, larger 'trees' first (statistics count 0);
+    or inline, one by one, where it forks no pool. Either way the first
+    analysis in order that fails raises here.
     """
-    run = next(_RUNS)
-    _JOBS[run] = (analyses, ds, seed, _prepared_features(analyses, ds, seed))
-    try:
-        workers = min(_cpu_count(), len(analyses))
-        if workers > 1:
-            import multiprocessing  # only here: import boostlab loads no pool module
-            if "fork" in multiprocessing.get_all_start_methods():
-                return _run_forked(run, analyses, workers,
-                                   multiprocessing.get_context("fork"))
-        return [_run_job(run, i) for i in range(len(analyses))]
-    finally:
-        del _JOBS[run]
-
-
-def _run_forked(run: int, analyses: list[dict], workers: int, context) -> list[dict]:
-    from concurrent.futures import ProcessPoolExecutor
-
+    held = _prepared_features(analyses, ds, seed)
     trees = [_analysis_config(spec, 0).n_trees if spec["op"] in _TRAINING_OPS else 0
              for spec in analyses]
-    pool = ProcessPoolExecutor(workers, mp_context=context)
-    try:
-        futures = {i: pool.submit(_run_job, run, i)
-                   for i in sorted(range(len(analyses)), key=lambda i: -trees[i])}
-        return [futures[i].result() for i in range(len(analyses))]
-    finally:
-        pool.shutdown(cancel_futures=True)  # waits for the workers to exit
+    return forkpool.run_jobs(lambda i: run_analysis(analyses[i], ds, seed, held), trees,
+                             _cpu_count())
 
 
 def write_result(result: dict, path=None, tabular: bool = False) -> None:

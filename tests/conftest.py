@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,12 @@ def regression_dataset(n=200, n_features=3, noise=0.01, seed=0):
         y = y - 2.0 * cols["x1"]
     cols["y"] = y + rng.normal(scale=noise, size=n)
     return make_dataset(cols, kinds={"y": TARGET})
+
+
+def assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child, running or exited, to wait for
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -570,20 +570,31 @@ class TestModelDocumentValidation:
 
 
 class TestIntegerConfigFields:
-    """The integer fields take integers only: a float, a bool or a missing
-    value exits at validate() with ConfigError, before any training."""
+    """The typed fields take their type only: integer fields integers, float
+    fields non-bool numbers and zero_base_score a bool. Anything else, a
+    missing value included, exits at validate() with ConfigError, before any
+    training."""
+
+    WANT = {"learning_rate": "a number", "lambda_": "a number", "goss_a": "a number",
+            "zero_base_score": "a bool"}
 
     @pytest.mark.parametrize("changes", [
         {"max_depth": 2.5}, {"grower": "oblivious", "max_depth": 2.5}, {"n_trees": 2.5},
         {"n_trees": True}, {"n_trees": None}, {"max_bins": 16.5}, {"max_leaves": 4.0},
         {"grower": "oblivious", "ordered_blocks": 2.5}, {"ordered_permutations": 1.5},
         {"efb_max_conflicts": 0.5}, {"seed": 1.5}, {"seed": np.bool_(True)},
+        {"learning_rate": "0.1"}, {"learning_rate": True}, {"lambda_": None},
+        {"grower": "leaf_wise", "goss_a": "0.2", "goss_b": 0.1},
+        {"zero_base_score": "yes"}, {"zero_base_score": np.bool_(True)},
     ], ids=["max_depth", "oblivious-max_depth", "n_trees", "n_trees-bool", "n_trees-none",
             "max_bins", "max_leaves", "ordered_blocks", "ordered_permutations",
-            "efb_max_conflicts", "seed", "seed-numpy-bool"])
+            "efb_max_conflicts", "seed", "seed-numpy-bool", "learning_rate-str",
+            "learning_rate-bool", "lambda-none", "goss_a-str", "zero_base_score-str",
+            "zero_base_score-numpy-bool"])
     def test_non_integers_rejected_by_train(self, changes):
         name, value = [(k, v) for k, v in changes.items() if k != "grower"][0]
-        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value!r}$"):
+        want = self.WANT.get(name, "an integer")
+        with pytest.raises(ConfigError, match=f"^{name} must be {want}, got {value!r}$"):
             train(regression_dataset(n=30), BoostConfig(**changes))
 
     def test_numpy_integers_accepted_with_the_same_echo(self):

@@ -4,10 +4,10 @@ this process."""
 
 import concurrent.futures
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -17,6 +17,7 @@ from boostlab.dataset import DatasetError
 from boostlab.recipes import load_recipe, run_recipe
 from boostlab.stats import StatsError
 
+from conftest import assert_no_child_left
 from fixtures import (write_covid19_csv, write_education_csv, write_mexican_csv,
                       write_region_csv)
 
@@ -49,12 +50,6 @@ def analysis_pids(tmp_path, monkeypatch):
         record.unlink(missing_ok=True)
         return pids
     return read
-
-
-def assert_no_child_left():
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):  # no child, running or exited, to wait for
-        os.waitpid(-1, os.WNOHANG)
 
 
 def files(directory: Path) -> dict:
@@ -123,6 +118,22 @@ BAD_TRAIN = {"op": "train_importance", "name": "bad_train", "target": "age",
 # features whose preparation, patched to raise, fails in the parent
 BAD_PREP = {"op": "train_importance", "name": "bad_prep", "task": "classification",
             "target": "cov-res", "features": ["copd", "obesity"], "trees": 2}
+
+
+def test_threads_run_recipes_inline_with_the_serial_reports(tmp_path, cpus, analysis_pids):
+    csv_path = write_mexican_csv(tmp_path / "mex.csv", n=60, seed=1)
+    recipe = load_recipe("mexican-covid")
+    recipe.analyses = [GOOD_CHI2, GOOD_TRAIN]
+    cpus(1)
+    serial = run_recipe(recipe, csv_path)
+    analysis_pids()
+    cpus(PARALLEL_CPUS)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda _: run_recipe(recipe, csv_path), range(2),
+                                 timeout=120))
+    assert threaded == [serial] * 2
+    assert set(analysis_pids()) == {os.getpid()}  # no fork while another thread ran
+    assert_no_child_left()
 
 
 @pytest.fixture

@@ -10,7 +10,8 @@ cli.main). OUT_DIR receives:
 - models/<grower>-efb<None|0|50>.json and .pred: model JSON and the
   float64 prediction bytes on the training table, for level-wise, leaf-wise
   (max_leaves), leaf-wise GOSS, oblivious, and ordered oblivious growth with
-  one and with two permutations, each with efb_max_conflicts None, 0 and 50,
+  one and with two permutations (and once with enough prefix-model fits to
+  run them in forked workers), each with efb_max_conflicts None, 0 and 50,
   on a seeded table with NaN-bearing numeric and categorical columns;
 - models/<grower>-efb<None|0|50>.loaded.pred: the prediction bytes of
   from_json(to_json(model)) on a second seeded table, with NaNs in every
@@ -28,7 +29,9 @@ cli.main). OUT_DIR receives:
   Every command runs through boostlab.cli.main with paths relative to
   OUT_DIR.
 
-Two trees are byte-identical where `diff -r` of their OUT_DIRs is empty.
+Two trees are byte-identical where `diff -r` of their OUT_DIRs is empty. A
+run under `taskset -c 0` trains and runs the recipe inline, without forked
+workers, and must write the same bytes.
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ GROWERS = {
     "oblivious": {"grower": "oblivious"},
     "ordered": {"grower": "oblivious", "ordered_blocks": 4},
     "ordered-p2": {"grower": "oblivious", "ordered_blocks": 4, "ordered_permutations": 2},
+    # two chunks (16 + 2 trees) of 30 boosters, each above the fit floor under
+    # which the prefix models train inline, so they run in forked workers
+    # wherever more than one CPU is available
+    "ordered-pool": {"grower": "oblivious", "ordered_blocks": 16, "ordered_permutations": 2,
+                     "n_trees": 18},
 }
 
 
@@ -95,8 +103,8 @@ def dump_models(boostlab, out: Path) -> None:
     out.mkdir(parents=True)
     for label, extra in GROWERS.items():
         for efb in (None, 0, 50):
-            config = boostlab.BoostConfig(n_trees=6, max_depth=5, max_bins=64, seed=3,
-                                          efb_max_conflicts=efb, **extra)
+            config = boostlab.BoostConfig(**{"n_trees": 6, "max_depth": 5, "max_bins": 64,
+                                             "seed": 3, "efb_max_conflicts": efb, **extra})
             model = boostlab.train(ds, config)
             stem = f"{label}-efb{efb}"
             text = to_json(model)
