@@ -397,9 +397,11 @@ def train(ds: Dataset, config: BoostConfig,
                     list(binned.feature_names), levels, asdict(config))
 
 
-# a chunk of ordered boosting with fewer prefix-model fits than this runs
-# inline: forking a pool costs about as much as 30 small fits
+# a chunk of ordered boosting with fewer prefix-model fits than this and
+# fewer rows fitted than that runs inline: forking a pool costs about 20 ms,
+# as much as a few dozen small fits or a few fits on tens of thousands of rows
 ORDERED_MIN_FORKED_FITS = 32
+ORDERED_MIN_FORKED_ROWS = 50_000
 
 
 def _train_ordered(grow, y, binned, X, config: BoostConfig, base: float, hist_fn) -> list:
@@ -454,9 +456,10 @@ def _train_ordered(grow, y, binned, X, config: BoostConfig, base: float, hist_fn
     for start in range(0, n_trees, n_blocks):
         k = min(n_blocks, n_trees - start)  # main trees in this chunk
         rounds = k - 1 if start == 0 else k  # from round max(start - 1, 0) to start + k - 1
+        inline = (rounds * len(boosters) < ORDERED_MIN_FORKED_FITS
+                  and rounds * sum(sizes) < ORDERED_MIN_FORKED_ROWS)
         results = forkpool.run_jobs(functools.partial(run_booster, rounds=rounds), sizes,
-                                    forkpool.cpu_count(),
-                                    inline=rounds * len(boosters) < ORDERED_MIN_FORKED_FITS)
+                                    forkpool.cpu_count(), inline=inline)
         carried = [(preds, history[-1].copy()) for history, preds in results]
         for r in range(-k, 0):  # this chunk's rounds: the last k rows of each history
             for (p, _, block), (history, _) in zip(boosters, results):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 import threading
 
 # call number -> the job function of a forked run_jobs call while it runs;
@@ -34,12 +35,15 @@ def run_jobs(job, sizes: list, cpus: int, inline: bool = False) -> list:
     sizes submitted first (ties in order). They run inline, one by one in
     this process, when inline is set, on one CPU or for one job, inside a
     worker of this module, while another thread is alive (forking a process
-    with running threads can deadlock) or without the fork start method.
+    with running threads can deadlock), off Linux (system libraries such as
+    macOS's start threads of their own that a forked child can hang on), in
+    a daemonic process or without the fork start method.
     Either way the first job in order that fails raises here, and no worker
     outlives the call.
     """
     workers = min(cpus, len(sizes))
-    if workers > 1 and not inline and not _in_worker and threading.active_count() == 1:
+    if (workers > 1 and not inline and not _in_worker and sys.platform == "linux"
+            and threading.active_count() == 1):
         import multiprocessing  # only here: import boostlab loads no pool module
         if ("fork" in multiprocessing.get_all_start_methods()
                 and not multiprocessing.current_process().daemon):  # may not fork

@@ -4,13 +4,14 @@ one by one in this process, and inline wherever forking is unsafe."""
 
 import multiprocessing
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from boostlab import forkpool, growers, recipes
+from boostlab import boosting, forkpool, growers, recipes
 from boostlab.boosting import BoostConfig, to_json, train
 from boostlab.dataset import TARGET
 from boostlab.recipes import load_recipe, run_recipe
@@ -38,8 +39,8 @@ def ordered_table(n=N_ROWS, seed=3):
 
 def config(permutations, efb=None, n_trees=14, blocks=9):
     """By default two chunks (9 + 5 trees), each with more prefix fits than
-    boosting.ORDERED_MIN_FORKED_FITS: 8 rounds, then 5, of 8 boosters per
-    permutation."""
+    boosting.ORDERED_MIN_FORKED_FITS, so both run in workers: 8 rounds, then
+    5, of 8 boosters per permutation."""
     return BoostConfig(n_trees=n_trees, grower="oblivious", max_depth=3, max_bins=32,
                        seed=2, ordered_blocks=blocks, ordered_permutations=permutations,
                        efb_max_conflicts=efb)
@@ -89,6 +90,29 @@ def test_pool_and_inline_boosters_train_the_same_trees(cpus, fit_pids, permutati
     assert pooled.trees == ordered_trees_reference(ds, cfg)
 
 
+def test_few_fits_on_many_rows_run_in_workers(cpus, monkeypatch):
+    # 2 trees on 3 blocks: one round of two prefix fits, far under the fit
+    # floor, on about 2/3 n and 1/3 n rows: inline under the row floor and
+    # forked over it, the same bytes either way
+    inline_flags = []
+    run_jobs = forkpool.run_jobs
+
+    def recording(job, sizes, cpus, inline=False):
+        inline_flags.append(inline)
+        return run_jobs(job, sizes, cpus, inline)
+    monkeypatch.setattr(forkpool, "run_jobs", recording)
+    cfg = BoostConfig(n_trees=2, grower="oblivious", max_depth=2, max_bins=16, seed=2,
+                      ordered_blocks=3)
+    for n in (boosting.ORDERED_MIN_FORKED_ROWS // 2, boosting.ORDERED_MIN_FORKED_ROWS + 3):
+        ds = ordered_table(n)
+        cpus(1)
+        want = to_json(train(ds, cfg))
+        cpus(PARALLEL_CPUS)
+        assert to_json(train(ds, cfg)) == want
+        assert_no_child_left()
+    assert inline_flags == [True, True, False, False]
+
+
 @pytest.mark.parametrize("efb", [None, 0])
 @pytest.mark.parametrize("permutations", [1, 2])
 def test_first_failing_booster_in_plan_order_raises(cpus, monkeypatch, permutations, efb):
@@ -116,7 +140,10 @@ def test_first_failing_booster_in_plan_order_raises(cpus, monkeypatch, permutati
 def test_held_block_history_stays_within_ordered_blocks_rows(monkeypatch):
     # 11 trees on 4 blocks run in three chunks of 4, 4 and 3 main trees; the
     # boosters' block predictions held for one chunk never exceed
-    # ordered_blocks x n floats per permutation
+    # ordered_blocks x n floats per permutation, and with the prefix
+    # predictions carried in and handed back (two copies while a pooled
+    # chunk's results come back) and the carried block rows, the whole held
+    # state stays under 2 x ordered_blocks x n
     ds = ordered_table()
     cfg = config(2, n_trees=11, blocks=4)
     chunks = []
@@ -124,15 +151,31 @@ def test_held_block_history_stays_within_ordered_blocks_rows(monkeypatch):
 
     def recording(*args, **kwargs):
         results = run_jobs(*args, **kwargs)
-        chunks.append([history.shape for history, _ in results])
+        chunks.append([(history.shape, preds.size) for history, preds in results])
         return results
     monkeypatch.setattr(forkpool, "run_jobs", recording)
     assert train(ds, cfg).trees == ordered_trees_reference(ds, cfg)
-    assert [[rows for rows, _ in shapes] for shapes in chunks] == [[4] * 6, [5] * 6, [4] * 6]
-    for shapes in chunks:
+    assert [[shape[0] for shape, _ in chunk] for chunk in chunks] == [[4] * 6, [5] * 6, [4] * 6]
+    bound = cfg.ordered_blocks * N_ROWS
+    for chunk in chunks:
         for p in range(2):
-            held = sum(rows * cols for rows, cols in shapes[3 * p:3 * p + 3])
-            assert held <= cfg.ordered_blocks * N_ROWS
+            boosters = chunk[3 * p:3 * p + 3]
+            history = sum(rows * cols for (rows, cols), _ in boosters)
+            carried = sum(2 * prefix + cols for (_, cols), prefix in boosters)
+            assert history <= bound and history + carried < 2 * bound
+
+
+def test_ordered_training_off_linux_runs_inline(cpus, fit_pids, monkeypatch):
+    # elsewhere system libraries start threads a forked child can hang on
+    ds, cfg = ordered_table(), config(1)
+    cpus(PARALLEL_CPUS)
+    want = to_json(train(ds, cfg))
+    assert os.getpid() not in fit_pids()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "platform", "darwin")
+        got = to_json(train(ds, cfg))
+    assert got == want
+    assert set(fit_pids()) == {os.getpid()}
 
 
 def test_threads_train_ordered_inline_with_sequential_bytes(cpus, fit_pids):

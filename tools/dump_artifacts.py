@@ -56,8 +56,8 @@ GROWERS = {
     "ordered": {"grower": "oblivious", "ordered_blocks": 4},
     "ordered-p2": {"grower": "oblivious", "ordered_blocks": 4, "ordered_permutations": 2},
     # two chunks (16 + 2 trees) of 30 boosters, each above the fit floor under
-    # which the prefix models train inline, so they run in forked workers
-    # wherever more than one CPU is available
+    # which the prefix models train inline, so they run in forked workers on
+    # Linux wherever more than one CPU is available
     "ordered-pool": {"grower": "oblivious", "ordered_blocks": 16, "ordered_permutations": 2,
                      "n_trees": 18},
 }
