@@ -397,11 +397,16 @@ def train(ds: Dataset, config: BoostConfig,
                     list(binned.feature_names), levels, asdict(config))
 
 
-# a chunk of ordered boosting with fewer prefix-model fits than this and
-# fewer rows fitted than that runs inline: forking a pool costs about 20 ms,
-# as much as a few dozen small fits or a few fits on tens of thousands of rows
+# a wave of ordered boosting (a chunk's boosters, or its main trees) with
+# fewer fits than this and fewer rows fitted than that runs inline: forking a
+# pool costs about 20 ms, as much as a few dozen small fits or a few fits on
+# tens of thousands of rows
 ORDERED_MIN_FORKED_FITS = 32
 ORDERED_MIN_FORKED_ROWS = 50_000
+
+
+def _ordered_inline(fits: int, rows: int) -> bool:
+    return fits < ORDERED_MIN_FORKED_FITS and rows < ORDERED_MIN_FORKED_ROWS
 
 
 def _train_ordered(grow, y, binned, X, config: BoostConfig, base: float, hist_fn) -> list:
@@ -412,9 +417,10 @@ def _train_ordered(grow, y, binned, X, config: BoostConfig, base: float, hist_fn
     instead of compounding. It never reads the returned trees, so each runs
     on its own, through forkpool, in chunks of at most ordered_blocks rounds:
     a chunk hands back each booster's block-j predictions after every one of
-    its rounds, and that chunk's main trees are grown from them before the
-    next chunk runs. The refits after the last main tree would never be read,
-    so they are skipped."""
+    its rounds. No main tree reads another, so a second wave through
+    forkpool grows that chunk's main trees from them before the next chunk
+    runs. The refits after the last main tree would never be read, so they
+    are skipped."""
     n, n_trees = len(y), config.n_trees
     n_blocks, lr = config.ordered_blocks, config.learning_rate
     schedule = strategies.ordered_schedule(
@@ -447,26 +453,31 @@ def _train_ordered(grow, y, binned, X, config: BoostConfig, base: float, hist_fn
             history[r] = history[r - 1] + lr * tree.predict_matrix(X_block)
         return history, preds
 
-    sizes = [len(rows) for _, rows, _ in boosters]  # larger prefixes first
     all_idx = np.arange(n)
-    # per permutation, each row's prefix prediction for the next main tree:
-    # the base score on block 0, booster (p, j)'s on block j
-    row_preds = [np.full(n, base) for _ in schedule.permutations]
+
+    def grow_main_tree(t: int, results: list, k: int):
+        """Main tree t of a chunk of k, from its boosters' results: each row's
+        prefix prediction, per permutation, is the base score on block 0 and
+        booster (p, j)'s after round t of the chunk on block j."""
+        row_preds = [np.full(n, base) for _ in schedule.permutations]
+        for (p, _, block), (history, _) in zip(boosters, results):
+            row_preds[p][block] = history[t - k]  # the chunk's rounds: the last k rows
+        g, h, _ = strategies.ordered_gradients(
+            schedule, grad_fn, y, [np.broadcast_to(v, (n_blocks, n)) for v in row_preds])
+        return grow(all_idx, binned, g, h, config, hist_fn=hist_fn)
+
+    sizes = [len(rows) for _, rows, _ in boosters]  # larger prefixes first
     trees = []
     for start in range(0, n_trees, n_blocks):
         k = min(n_blocks, n_trees - start)  # main trees in this chunk
         rounds = k - 1 if start == 0 else k  # from round max(start - 1, 0) to start + k - 1
-        inline = (rounds * len(boosters) < ORDERED_MIN_FORKED_FITS
-                  and rounds * sum(sizes) < ORDERED_MIN_FORKED_ROWS)
-        results = forkpool.run_jobs(functools.partial(run_booster, rounds=rounds), sizes,
-                                    forkpool.cpu_count(), inline=inline)
+        results = forkpool.run_jobs(
+            functools.partial(run_booster, rounds=rounds), sizes, forkpool.cpu_count(),
+            inline=_ordered_inline(rounds * len(boosters), rounds * sum(sizes)))
         carried = [(preds, history[-1].copy()) for history, preds in results]
-        for r in range(-k, 0):  # this chunk's rounds: the last k rows of each history
-            for (p, _, block), (history, _) in zip(boosters, results):
-                row_preds[p][block] = history[r]
-            g, h, _ = strategies.ordered_gradients(
-                schedule, grad_fn, y, [np.broadcast_to(v, (n_blocks, n)) for v in row_preds])
-            trees.append(grow(all_idx, binned, g, h, config, hist_fn=hist_fn))
+        trees += forkpool.run_jobs(
+            functools.partial(grow_main_tree, results=results, k=k), [n] * k,
+            forkpool.cpu_count(), inline=_ordered_inline(k, k * n))
         del results  # no older history is held while the next chunk runs
     return trees
 

@@ -9,15 +9,14 @@ the pool path only, so `import boostlab` loads neither.
 
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 import threading
 
-# call number -> the job function of a forked run_jobs call while it runs;
-# its workers inherit the entry
-_JOBS: dict = {}
-_CALLS = itertools.count()
+# the job function of the forked run_jobs call that is running, which its
+# workers inherit; at most one is ever live, since run_jobs forks only while
+# one thread is alive and never inside its own workers
+_job = None
 _in_worker = False  # set in every worker this module forks: no nested pools
 
 
@@ -54,18 +53,18 @@ def run_jobs(job, sizes: list, cpus: int, inline: bool = False) -> list:
 def _run_forked(job, sizes: list, workers: int, context) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
-    call = next(_CALLS)
-    _JOBS[call] = job
+    global _job
+    _job = job
     try:
         pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_enter_worker)
         try:
-            futures = {i: pool.submit(_run_job, call, i)
+            futures = {i: pool.submit(_run_job, i)
                        for i in sorted(range(len(sizes)), key=lambda i: -sizes[i])}
             return [futures[i].result() for i in range(len(sizes))]
         finally:
             pool.shutdown(cancel_futures=True)  # waits for the workers to exit
     finally:
-        del _JOBS[call]
+        _job = None
 
 
 def _enter_worker() -> None:
@@ -73,5 +72,5 @@ def _enter_worker() -> None:
     _in_worker = True
 
 
-def _run_job(call: int, i: int):
-    return _JOBS[call](i)
+def _run_job(i: int):
+    return _job(i)

@@ -1,11 +1,14 @@
-"""Ordered boosting's prefix-model boosters in forked worker processes: the
-same trees, the same first error and no process left behind as when they run
-one by one in this process, and inline wherever forking is unsafe."""
+"""Ordered boosting's prefix-model boosters and main trees in forked worker
+processes: the same trees, the same first error and no process left behind
+as when they run one by one in this process, and inline wherever forking is
+unsafe."""
 
+import functools
 import multiprocessing
 import os
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,6 +25,9 @@ from oracles import ordered_trees_reference
 
 PARALLEL_CPUS = 3
 N_ROWS = 300
+# on 4 blocks, a chunk of 4 main trees fits 4 x BIG_ROWS rows, the row floor
+# over which the main trees grow in workers
+BIG_ROWS = boosting.ORDERED_MIN_FORKED_ROWS // 4
 
 
 def ordered_table(n=N_ROWS, seed=3):
@@ -52,25 +58,63 @@ def cpus(monkeypatch):
     return lambda n: monkeypatch.setattr(forkpool, "cpu_count", lambda: n)
 
 
+@functools.cache
+def big_table():
+    return ordered_table(BIG_ROWS)
+
+
+def big_config(permutations=1, n_trees=8):
+    """Chunks of 4 main trees on big_table(), whose boosters (3 rounds or
+    more on 3/2 x BIG_ROWS rows) and main trees (4 x BIG_ROWS rows) both
+    reach the row floor; a chunk of fewer main trees grows them inline."""
+    return BoostConfig(n_trees=n_trees, grower="oblivious", max_depth=3, max_bins=32,
+                       seed=2, ordered_blocks=4, ordered_permutations=permutations)
+
+
+def is_main_fit(indices, g) -> bool:
+    return len(indices) == len(g)  # a main tree fits every row, a prefix model fewer
+
+
 @pytest.fixture
 def fit_pids(tmp_path, monkeypatch):
-    """read() gives the id of the process of each prefix fit (fewer rows than
-    the table) since the last read; forked workers inherit the wrapper."""
+    """read() gives the ids of the processes of the prefix fits and of the
+    main fits since the last read, each in the order they ran; forked
+    workers inherit the wrapper."""
     record = tmp_path / "pids"
     grow = growers.grow_oblivious
 
-    def recording(indices, *args, **kwargs):
-        if len(indices) < N_ROWS:
-            with open(record, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-        return grow(indices, *args, **kwargs)
+    def recording(indices, binned, g, *args, **kwargs):
+        with open(record, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {int(is_main_fit(indices, g))}\n")
+        return grow(indices, binned, g, *args, **kwargs)
     monkeypatch.setattr(growers, "grow_oblivious", recording)
 
-    def read() -> list[int]:
-        pids = [int(p) for p in record.read_text().split()] if record.exists() else []
+    def read() -> tuple[list[int], list[int]]:
+        lines = record.read_text().splitlines() if record.exists() else []
         record.unlink(missing_ok=True)
-        return pids
+        fits = [line.split() for line in lines]
+        return ([int(pid) for pid, main in fits if main == "0"],
+                [int(pid) for pid, main in fits if main == "1"])
     return read
+
+
+def record_waves(monkeypatch) -> list:
+    """Wraps forkpool.run_jobs; the returned list gets, for each call, the
+    booster wave's [(history shape, prefix predictions size)] or the main
+    tree wave's number of trees, with the call's inline flag."""
+    waves = []
+    run_jobs = forkpool.run_jobs
+
+    def recording(job, sizes, cpus, inline=False):
+        results = run_jobs(job, sizes, cpus, inline)
+        if isinstance(results[0], tuple):  # boosters hand back (history, preds)
+            waves.append(("boosters", [(history.shape, preds.size)
+                                       for history, preds in results], inline))
+        else:
+            waves.append(("main", len(results), inline))
+        return results
+    monkeypatch.setattr(forkpool, "run_jobs", recording)
+    return waves
 
 
 @pytest.mark.parametrize("efb", [None, 0])
@@ -79,12 +123,16 @@ def test_pool_and_inline_boosters_train_the_same_trees(cpus, fit_pids, permutati
     ds, cfg = ordered_table(), config(permutations, efb)
     cpus(1)
     inline = train(ds, cfg)
-    assert set(fit_pids()) == {os.getpid()}
+    prefix, main = fit_pids()
+    assert set(prefix + main) == {os.getpid()}
     cpus(PARALLEL_CPUS)
     pooled = train(ds, cfg)
-    pids = fit_pids()
-    assert len(pids) == (cfg.n_trees - 1) * permutations * (cfg.ordered_blocks - 1)
-    assert os.getpid() not in pids and 1 < len(set(pids)) <= 2 * PARALLEL_CPUS
+    prefix, main = fit_pids()
+    assert len(prefix) == (cfg.n_trees - 1) * permutations * (cfg.ordered_blocks - 1)
+    # each chunk forks its own workers, so two chunks see at least two ids
+    assert os.getpid() not in prefix and 1 < len(set(prefix)) <= 2 * PARALLEL_CPUS
+    # 9 and 5 main trees on 300 rows are under both floors: grown inline
+    assert main == [os.getpid()] * cfg.n_trees
     assert_no_child_left()
     assert to_json(pooled) == to_json(inline)
     assert pooled.trees == ordered_trees_reference(ds, cfg)
@@ -92,25 +140,23 @@ def test_pool_and_inline_boosters_train_the_same_trees(cpus, fit_pids, permutati
 
 def test_few_fits_on_many_rows_run_in_workers(cpus, monkeypatch):
     # 2 trees on 3 blocks: one round of two prefix fits, far under the fit
-    # floor, on about 2/3 n and 1/3 n rows: inline under the row floor and
-    # forked over it, the same bytes either way
-    inline_flags = []
-    run_jobs = forkpool.run_jobs
-
-    def recording(job, sizes, cpus, inline=False):
-        inline_flags.append(inline)
-        return run_jobs(job, sizes, cpus, inline)
-    monkeypatch.setattr(forkpool, "run_jobs", recording)
+    # floor, on about 2/3 n and 1/3 n rows, then two main trees on 2 n rows:
+    # each wave inline under the row floor and forked over it, the same
+    # bytes either way
+    waves = record_waves(monkeypatch)
     cfg = BoostConfig(n_trees=2, grower="oblivious", max_depth=2, max_bins=16, seed=2,
                       ordered_blocks=3)
-    for n in (boosting.ORDERED_MIN_FORKED_ROWS // 2, boosting.ORDERED_MIN_FORKED_ROWS + 3):
+    floor = boosting.ORDERED_MIN_FORKED_ROWS
+    for n in (floor // 2 - 1, floor // 2, floor + 3):
         ds = ordered_table(n)
         cpus(1)
         want = to_json(train(ds, cfg))
         cpus(PARALLEL_CPUS)
         assert to_json(train(ds, cfg)) == want
         assert_no_child_left()
-    assert inline_flags == [True, True, False, False]
+    flags = [(kind, inline) for kind, _, inline in waves]
+    assert flags == 2 * [("boosters", True), ("main", True)] + 2 * [
+        ("boosters", True), ("main", False)] + 2 * [("boosters", False), ("main", False)]
 
 
 @pytest.mark.parametrize("efb", [None, 0])
@@ -146,15 +192,14 @@ def test_held_block_history_stays_within_ordered_blocks_rows(monkeypatch):
     # state stays under 2 x ordered_blocks x n
     ds = ordered_table()
     cfg = config(2, n_trees=11, blocks=4)
-    chunks = []
-    run_jobs = forkpool.run_jobs
-
-    def recording(*args, **kwargs):
-        results = run_jobs(*args, **kwargs)
-        chunks.append([(history.shape, preds.size) for history, preds in results])
-        return results
-    monkeypatch.setattr(forkpool, "run_jobs", recording)
+    waves = record_waves(monkeypatch)
     assert train(ds, cfg).trees == ordered_trees_reference(ds, cfg)
+    # every wave is under both floors; each chunk's boosters come before its
+    # main trees
+    assert [(kind, inline) for kind, _, inline in waves] == 3 * [
+        ("boosters", True), ("main", True)]
+    assert [trees for kind, trees, _ in waves if kind == "main"] == [4, 4, 3]
+    chunks = [chunk for kind, chunk, _ in waves if kind == "boosters"]
     assert [[shape[0] for shape, _ in chunk] for chunk in chunks] == [[4] * 6, [5] * 6, [4] * 6]
     bound = cfg.ordered_blocks * N_ROWS
     for chunk in chunks:
@@ -165,28 +210,108 @@ def test_held_block_history_stays_within_ordered_blocks_rows(monkeypatch):
             assert history <= bound and history + carried < 2 * bound
 
 
+def test_forked_run_grows_no_tree_in_this_process(cpus, fit_pids):
+    # two chunks of 4 main trees, every wave over the row floor: the
+    # boosters and the main trees all grow in workers
+    ds, cfg = big_table(), big_config()
+    cpus(1)
+    want = to_json(train(ds, cfg))
+    fit_pids()
+    cpus(PARALLEL_CPUS)
+    assert to_json(train(ds, cfg)) == want
+    prefix, main = fit_pids()
+    assert (len(prefix), len(main)) == ((cfg.n_trees - 1) * 3, cfg.n_trees)
+    assert os.getpid() not in prefix + main
+    assert_no_child_left()
+
+
+def test_a_chunk_under_both_floors_grows_its_main_trees_inline(cpus, fit_pids):
+    # chunks of 4 and 1 main trees: the second chunk's one round of 3 prefix
+    # fits and its one main tree on BIG_ROWS rows are under both floors
+    ds, cfg = big_table(), big_config(n_trees=5)
+    cpus(PARALLEL_CPUS)
+    train(ds, cfg)
+    prefix, main = fit_pids()
+    parent = os.getpid()
+    assert len(prefix) == 12 and parent not in prefix[:9] and prefix[9:] == [parent] * 3
+    assert len(main) == 5 and parent not in main[:4] and main[4] == parent
+    assert_no_child_left()
+
+
+def test_three_chunks_match_the_reference_on_one_and_three_cpus(cpus, monkeypatch):
+    # chunks of 4, 4 and 3 main trees over 2 permutations: every booster
+    # wave and the first two main-tree waves fork on three CPUs
+    ds, cfg = big_table(), big_config(permutations=2, n_trees=11)
+    want = ordered_trees_reference(ds, cfg)
+    waves = record_waves(monkeypatch)
+    for n in (1, PARALLEL_CPUS):
+        cpus(n)
+        assert train(ds, cfg).trees == want
+        assert_no_child_left()
+    assert [(kind, inline) for kind, _, inline in waves] == 2 * [
+        ("boosters", False), ("main", False), ("boosters", False), ("main", False),
+        ("boosters", False), ("main", True)]
+
+
+def test_first_failing_main_tree_in_plan_order_raises(cpus, monkeypatch):
+    # one chunk of 4 main trees in workers: trees 1 and 3 fail, tree 1 later
+    # than tree 3, yet tree 1's error is the one raised
+    ds, cfg = big_table(), big_config(n_trees=4)
+    grow = growers.grow_oblivious
+    gradients = []  # each main fit's gradient bytes, in plan order
+
+    def recording(indices, binned, g, *args, **kwargs):
+        if is_main_fit(indices, g):
+            gradients.append(g.tobytes())
+        return grow(indices, binned, g, *args, **kwargs)
+    monkeypatch.setattr(growers, "grow_oblivious", recording)
+    cpus(1)
+    train(ds, cfg)
+    assert len(set(gradients)) == cfg.n_trees
+
+    def failing(indices, binned, g, *args, **kwargs):
+        if is_main_fit(indices, g):
+            t = gradients.index(g.tobytes())
+            if t in (1, 3):
+                time.sleep(0.3 if t == 1 else 0)
+                raise RuntimeError(f"main tree {t} failed")
+        return grow(indices, binned, g, *args, **kwargs)
+    monkeypatch.setattr(growers, "grow_oblivious", failing)
+    raised = []
+    for n in (1, PARALLEL_CPUS):
+        cpus(n)
+        with pytest.raises(RuntimeError) as info:
+            train(ds, cfg)
+        raised.append(str(info.value))
+        assert_no_child_left()
+    assert raised == ["main tree 1 failed"] * 2
+
+
 def test_ordered_training_off_linux_runs_inline(cpus, fit_pids, monkeypatch):
     # elsewhere system libraries start threads a forked child can hang on
-    ds, cfg = ordered_table(), config(1)
+    ds, cfg = big_table(), big_config()
     cpus(PARALLEL_CPUS)
     want = to_json(train(ds, cfg))
-    assert os.getpid() not in fit_pids()
+    prefix, main = fit_pids()
+    assert os.getpid() not in prefix + main
     with monkeypatch.context() as patch:
         patch.setattr(sys, "platform", "darwin")
         got = to_json(train(ds, cfg))
     assert got == want
-    assert set(fit_pids()) == {os.getpid()}
+    prefix, main = fit_pids()
+    assert set(prefix + main) == {os.getpid()}
 
 
 def test_threads_train_ordered_inline_with_sequential_bytes(cpus, fit_pids):
     ds, cfg = ordered_table(), config(2, efb=0)
     cpus(PARALLEL_CPUS)
     sequential = to_json(train(ds, cfg))
-    assert os.getpid() not in fit_pids()
+    assert os.getpid() not in fit_pids()[0]
     with ThreadPoolExecutor(max_workers=2) as pool:
         threaded = list(pool.map(lambda _: to_json(train(ds, cfg)), range(2), timeout=120))
     assert threaded == [sequential] * 2
-    assert set(fit_pids()) == {os.getpid()}  # no fork while another thread ran
+    prefix, main = fit_pids()
+    assert set(prefix + main) == {os.getpid()}  # no fork while another thread ran
     assert_no_child_left()
     assert threading.active_count() == 1
 
@@ -211,7 +336,8 @@ def test_ordered_training_inside_a_recipe_worker_runs_inline(tmp_path, cpus, fit
     bundle = run_recipe(recipe, write_mexican_csv(tmp_path / "mex.csv", n=40))
     workers = [int(p) for p in record.read_text().split()]
     assert len(workers) == 2 and os.getpid() not in workers
-    assert set(fit_pids()) == set(workers)  # each worker fit its own boosters
+    prefix, main = fit_pids()
+    assert set(prefix + main) == set(workers)  # each worker fit its own trees
     assert [r["model"] for r in bundle["analyses"].values()] == [want, want]
     assert_no_child_left()
 

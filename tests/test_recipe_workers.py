@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -35,13 +36,21 @@ def cpus(monkeypatch):
 @pytest.fixture
 def analysis_pids(tmp_path, monkeypatch):
     """read() gives the id of the process that ran each analysis since the
-    last read; forked workers inherit the recording wrapper."""
+    last read; forked workers inherit the recording wrapper. An analysis in a
+    forked worker starts only once a second worker has recorded its id (or
+    after a minute), so one fast worker cannot take every analysis: a forked
+    run has at least two analyses and two workers."""
     record = tmp_path / "pids"
     real = recipes.run_analysis
+    parent = os.getpid()
 
     def recording(*args, **kwargs):
         with open(record, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
+        deadline = time.monotonic() + 60
+        while (os.getpid() != parent and len(set(record.read_text().split())) < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
         return real(*args, **kwargs)
     monkeypatch.setattr(recipes, "run_analysis", recording)
 
@@ -88,7 +97,7 @@ def test_longest_analyses_are_submitted_first(tmp_path, cpus, monkeypatch):
     submit = concurrent.futures.ProcessPoolExecutor.submit
 
     def recording(self, fn, *args, **kwargs):
-        submitted.append(args[1])
+        submitted.append(args[0])  # the job number _run_job is called with
         return submit(self, fn, *args, **kwargs)
     monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", recording)
     cpus(2)

@@ -10,9 +10,10 @@ cli.main). OUT_DIR receives:
 - models/<grower>-efb<None|0|50>.json and .pred: model JSON and the
   float64 prediction bytes on the training table, for level-wise, leaf-wise
   (max_leaves), leaf-wise GOSS, oblivious, and ordered oblivious growth with
-  one and with two permutations (and once with enough prefix-model fits to
-  run them in forked workers), each with efb_max_conflicts None, 0 and 50,
-  on a seeded table with NaN-bearing numeric and categorical columns;
+  one and with two permutations (and twice with enough prefix-model fits to
+  run them in forked workers, the second time with enough main-tree rows to
+  grow those in forked workers too), each with efb_max_conflicts None, 0
+  and 50, on a seeded table with NaN-bearing numeric and categorical columns;
 - models/<grower>-efb<None|0|50>.loaded.pred: the prediction bytes of
   from_json(to_json(model)) on a second seeded table, with NaNs in every
   numeric column, so loading and routing rows the model never trained on
@@ -60,6 +61,10 @@ GROWERS = {
     # Linux wherever more than one CPU is available
     "ordered-pool": {"grower": "oblivious", "ordered_blocks": 16, "ordered_permutations": 2,
                      "n_trees": 18},
+    # a first chunk of 17 main trees fits 17 x 3,000 rows, over the row floor
+    # under which a chunk's main trees grow inline, so they grow in forked
+    # workers too; the second chunk's one tree grows inline
+    "ordered-main-pool": {"grower": "oblivious", "ordered_blocks": 17, "n_trees": 18},
 }
 
 
