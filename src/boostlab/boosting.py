@@ -472,12 +472,12 @@ def _train_ordered(grow, y, binned, X, config: BoostConfig, base: float, hist_fn
         k = min(n_blocks, n_trees - start)  # main trees in this chunk
         rounds = k - 1 if start == 0 else k  # from round max(start - 1, 0) to start + k - 1
         results = forkpool.run_jobs(
-            functools.partial(run_booster, rounds=rounds), sizes, forkpool.cpu_count(),
+            functools.partial(run_booster, rounds=rounds), sizes,
             inline=_ordered_inline(rounds * len(boosters), rounds * sum(sizes)))
         carried = [(preds, history[-1].copy()) for history, preds in results]
         trees += forkpool.run_jobs(
             functools.partial(grow_main_tree, results=results, k=k), [n] * k,
-            forkpool.cpu_count(), inline=_ordered_inline(k, k * n))
+            inline=_ordered_inline(k, k * n))
         del results  # no older history is held while the next chunk runs
     return trees
 

@@ -10,15 +10,18 @@ timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import stats
-from .boosting import (BoostConfig, Classifier, ConfigError, ModelFormatError,
-                       load_model, save_model, train, train_classifier)
+from .boosting import (GROWERS, LOSSES, BoostConfig, Classifier, ConfigError,
+                       ModelFormatError, load_model, save_model, train,
+                       train_classifier)
 from .dataset import (CATEGORICAL, ColumnSchema, Dataset, DatasetError, load_csv,
                       load_known_columns, one_hot_source, parse_schema, retype_target,
                       write_table)
@@ -69,23 +72,10 @@ def _load_input(args, strict: bool = False) -> Dataset:
 
 
 def _config_from_args(args) -> BoostConfig:
-    return BoostConfig(
-        n_trees=args.trees,
-        learning_rate=args.learning_rate,
-        lambda_=getattr(args, "lambda_"),
-        gamma=args.gamma,
-        max_depth=args.max_depth,
-        max_leaves=args.max_leaves,
-        max_bins=args.max_bins,
-        grower=args.grower,
-        loss=args.loss,
-        goss_a=args.goss_a,
-        goss_b=args.goss_b,
-        efb_max_conflicts=args.efb_max_conflicts,
-        ordered_blocks=args.ordered_blocks,
-        ordered_permutations=args.ordered_permutations,
-        seed=args.seed,
-    )
+    """The training flags given, over BoostConfig's defaults: an unset flag
+    is absent from args."""
+    return BoostConfig(**{f.name: getattr(args, f.name) for f in fields(BoostConfig)
+                          if hasattr(args, f.name)})
 
 
 def _cmd_ingest(args) -> int:
@@ -244,22 +234,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p, output=False)
     p.add_argument("--target", help="column to use as the target")
     p.add_argument("--output", required=True, help="model file to write")
-    p.add_argument("--loss", default="squared_error", choices=["squared_error", "logistic"])
-    p.add_argument("--grower", default="level_wise",
-                   choices=["level_wise", "leaf_wise", "oblivious"])
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--lambda", dest="lambda_", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--max-depth", type=int, default=6)
-    p.add_argument("--max-leaves", type=int, default=None)
-    p.add_argument("--max-bins", type=int, default=256)
-    p.add_argument("--goss-a", type=float, default=None)
-    p.add_argument("--goss-b", type=float, default=None)
-    p.add_argument("--efb-max-conflicts", type=int, default=None)
-    p.add_argument("--ordered-blocks", type=int, default=None)
-    p.add_argument("--ordered-permutations", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    # an unset training flag stays out of args, so BoostConfig's default holds
+    flag = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    flag("--loss", choices=LOSSES)
+    flag("--grower", choices=GROWERS)
+    flag("--trees", dest="n_trees", type=int, metavar="TREES")
+    flag("--learning-rate", type=float)
+    flag("--lambda", dest="lambda_", type=float)
+    flag("--gamma", type=float)
+    flag("--max-depth", type=int)
+    flag("--max-leaves", type=int)
+    flag("--max-bins", type=int)
+    flag("--goss-a", type=float)
+    flag("--goss-b", type=float)
+    flag("--efb-max-conflicts", type=int)
+    flag("--ordered-blocks", type=int)
+    flag("--ordered-permutations", type=int)
+    flag("--seed", type=int)
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("predict", help="score a CSV with a saved model")

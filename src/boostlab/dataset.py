@@ -565,35 +565,35 @@ def one_hot_source(name: str, levels) -> tuple[str, str] | None:
 
 @dataclass
 class RecipeSpec:
-    """Declarative preprocessing: derived ratio columns, row filters, column
-    drops (with removal of rows that still have missing values), and an
-    optional shape check applied after all transformations."""
+    """Declarative preprocessing: a recipe's checked preprocess steps
+    (add_ratio_column, filter_rows, drop_missing objects), run in the order
+    given, and an optional shape check applied after all of them."""
 
     name: str
-    derived_columns: list[tuple[str, str, str, float]] = field(default_factory=list)
-    row_filters: list[tuple[str, list]] = field(default_factory=list)
-    dropped_columns: list[str] = field(default_factory=list)
-    drop_missing_rows: bool = False
+    steps: list[dict] = field(default_factory=list)
     expected_shape: tuple[int | None, int | None] | None = None
 
 
 def apply_recipe(ds: Dataset, spec: RecipeSpec) -> tuple[Dataset, list[str]]:
-    """Run a RecipeSpec (derive, filter, drop); returns the result plus any
+    """Run a RecipeSpec's steps in order; returns the result plus any
     shape-check warnings. Derived columns whose inputs are absent are skipped
-    with a warning rather than failing, since upstream files get revised."""
+    with a warning rather than failing, since upstream files get revised. A
+    drop_missing step drops its columns, then every row that still has a
+    missing value."""
     warnings: list[str] = []
     out = ds
-    for new_name, num, den, scale in spec.derived_columns:
-        if num not in out.columns or den not in out.columns:
+    for step in spec.steps:
+        if step["op"] == "filter_rows":
+            out = filter_rows(out, step["column"], step["excluded"])
+        elif step["op"] == "drop_missing":
+            out = drop_missing(out, step.get("columns", []))
+        elif step["num"] in out.columns and step["den"] in out.columns:  # add_ratio_column
+            out = add_ratio_column(out, step["new_name"], step["num"], step["den"],
+                                   float(step.get("scale", 1.0)))
+        else:
             warnings.append(
-                f"{spec.name}: skipped derived column {new_name!r} "
-                f"(needs {num!r} and {den!r})")
-            continue
-        out = add_ratio_column(out, new_name, num, den, scale)
-    for column, excluded in spec.row_filters:
-        out = filter_rows(out, column, excluded)
-    if spec.dropped_columns or spec.drop_missing_rows:
-        out = drop_missing(out, spec.dropped_columns)
+                f"{spec.name}: skipped derived column {step['new_name']!r} "
+                f"(needs {step['num']!r} and {step['den']!r})")
     if spec.expected_shape is not None:
         want_rows, want_cols = spec.expected_shape
         got = (out.n_rows, len(out.schema))

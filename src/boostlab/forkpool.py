@@ -1,10 +1,11 @@
 """Independent jobs on every CPU through forked worker processes, or inline.
 
 Internal to boostlab: recipes run their analyses through run_jobs, and
-ordered boosting its prefix-model boosters. Workers are forked, so they
-inherit the job function and everything it reads; only job numbers and
-results are pickled. multiprocessing and concurrent.futures are imported on
-the pool path only, so `import boostlab` loads neither.
+ordered boosting each chunk's prefix-model boosters, then its main trees.
+Workers are forked, so they inherit the job function and everything it
+reads; only job numbers and results are pickled. multiprocessing and
+concurrent.futures are imported on the pool path only, so `import boostlab`
+loads neither.
 """
 
 from __future__ import annotations
@@ -27,20 +28,20 @@ def cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def run_jobs(job, sizes: list, cpus: int, inline: bool = False) -> list:
+def run_jobs(job, sizes: list, inline: bool = False) -> list:
     """[job(0), ..., job(len(sizes) - 1)], in that order.
 
-    The jobs run in forked worker processes, min(cpus, jobs) of them, larger
-    sizes submitted first (ties in order). They run inline, one by one in
-    this process, when inline is set, on one CPU or for one job, inside a
-    worker of this module, while another thread is alive (forking a process
-    with running threads can deadlock), off Linux (system libraries such as
-    macOS's start threads of their own that a forked child can hang on), in
-    a daemonic process or without the fork start method.
+    The jobs run in forked worker processes, min(cpu_count(), jobs) of
+    them, larger sizes submitted first (ties in order). They run inline, one
+    by one in this process, when inline is set, on one CPU or for one job,
+    inside a worker of this module, while another thread is alive (forking a
+    process with running threads can deadlock), off Linux (system libraries
+    such as macOS's start threads of their own that a forked child can hang
+    on), in a daemonic process or without the fork start method.
     Either way the first job in order that fails raises here, and no worker
     outlives the call.
     """
-    workers = min(cpus, len(sizes))
+    workers = min(cpu_count(), len(sizes))
     if (workers > 1 and not inline and not _in_worker and sys.platform == "linux"
             and threading.active_count() == 1):
         import multiprocessing  # only here: import boostlab loads no pool module

@@ -22,7 +22,6 @@ from .boosting import (BoostConfig, ConfigError, prepare_features, train,
 from .dataset import (ColumnSchema, Dataset, RecipeSpec, apply_recipe,
                       load_known_columns, parse_schema, retype_target,
                       train_test_split, write_table)
-from .forkpool import cpu_count as _cpu_count
 
 RECIPE_DIR = Path(__file__).parent / "recipes"
 
@@ -56,6 +55,11 @@ _ANALYSIS_KEYS = {"chi2": ("a", "b"), "anova1": ("response", "factor"),
                   "train_importance": ("features", "target"),
                   "split_regression": ("features", "target")}
 _TRAINING_OPS = ("train_importance", "split_regression")
+# The BoostConfig field each training analysis key sets; 'efb': true sets
+# efb_max_conflicts to 0.
+_CONFIG_FIELDS = {"trees": "n_trees", "learning_rate": "learning_rate",
+                  "max_depth": "max_depth", "max_leaves": "max_leaves",
+                  "max_bins": "max_bins", "grower": "grower"}
 
 
 def _is_int(value) -> bool:
@@ -182,20 +186,7 @@ def load_recipe(name_or_path) -> ReplicationRecipe:
         raise RecipeError(f"{name}: recipe needs a 'schema'")
     preprocess = _checked_steps(name, "preprocess step", doc.get("preprocess", []),
                                 _PREPROCESS_KEYS)
-    derived, filters, dropped = [], [], []
-    drop_rows = False
-    for step in preprocess:
-        op = step["op"]
-        if op == "add_ratio_column":
-            derived.append((step["new_name"], step["num"], step["den"],
-                            float(step.get("scale", 1.0))))
-        elif op == "filter_rows":
-            filters.append((step["column"], step["excluded"]))
-        else:  # drop_missing
-            dropped.extend(step.get("columns", []))
-            drop_rows = True
-    spec = RecipeSpec(name, derived, filters, dropped, drop_rows,
-                      _shape(name, doc, "expected_shape"))
+    spec = RecipeSpec(name, preprocess, _shape(name, doc, "expected_shape"))
     return ReplicationRecipe(
         name=name,
         description=doc.get("description", ""),
@@ -269,16 +260,12 @@ def run_analysis(spec: dict, ds: Dataset, seed: int = 0, held: dict | None = Non
 
 
 def _analysis_config(spec: dict, seed: int) -> BoostConfig:
-    return BoostConfig(
-        n_trees=int(spec.get("trees", 100)),
-        learning_rate=float(spec.get("learning_rate", 0.1)),
-        max_depth=int(spec.get("max_depth", 6)),
-        max_leaves=spec.get("max_leaves"),
-        max_bins=int(spec.get("max_bins", 256)),
-        grower=spec.get("grower", "level_wise"),
-        efb_max_conflicts=0 if spec.get("efb") else None,
-        seed=seed,
-    )
+    """The BoostConfig of a training analysis: the fields its keys set, and
+    BoostConfig's defaults for the rest."""
+    given = {field: spec[key] for key, field in _CONFIG_FIELDS.items() if key in spec}
+    if spec.get("efb"):
+        given["efb_max_conflicts"] = 0
+    return BoostConfig(**given, seed=seed)
 
 
 def _training_subset(spec: dict, ds: Dataset) -> Dataset:
@@ -439,8 +426,7 @@ def _run_analyses(analyses: list[dict], ds: Dataset, seed: int) -> list[dict]:
     held = _prepared_features(analyses, ds, seed)
     trees = [_analysis_config(spec, 0).n_trees if spec["op"] in _TRAINING_OPS else 0
              for spec in analyses]
-    return forkpool.run_jobs(lambda i: run_analysis(analyses[i], ds, seed, held), trees,
-                             _cpu_count())
+    return forkpool.run_jobs(lambda i: run_analysis(analyses[i], ds, seed, held), trees)
 
 
 def write_result(result: dict, path=None, tabular: bool = False) -> None:

@@ -362,8 +362,7 @@ def ordered_gradients(schedule: OrderedSchedule, gradient_fn, targets: np.ndarra
     block_preds[p] is (n_blocks, n): row j holds the prefix model trained on
     blocks < j of permutation p (row 0 is the base score); only its entries on
     instances in block j are read here. Returns the permutation-averaged
-    (g, h) plus the per-permutation pairs used to advance each permutation's
-    prefix models.
+    (g, h) plus the per-permutation (g, h) pairs it averages.
     """
     n = schedule.n
     rows = np.arange(n)

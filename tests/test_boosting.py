@@ -62,6 +62,24 @@ class TestComputeGradients:
             assert h[i] == pytest.approx(num_h, rel=1e-6, abs=1e-9)
 
 
+class TestLossValue:
+    def test_logistic_mean_log_loss(self):
+        y, raw = np.array([1.0, 0.0, 1.0]), np.array([0.0, 2.0, -1.5])
+        want = np.mean([math.log(2.0), math.log1p(math.exp(2.0)), math.log1p(math.exp(1.5))])
+        assert loss_value("logistic", y, raw) == pytest.approx(want, rel=1e-12)
+
+    def test_logistic_clips_raw_scores(self):
+        # a wrong raw score of 1000 costs what one of RAW_SCORE_CLIP does:
+        # finite, never log(0)
+        y, raw = np.array([0.0, 1.0]), np.array([1000.0, -1000.0])
+        clipped = np.array([boosting.RAW_SCORE_CLIP, -boosting.RAW_SCORE_CLIP])
+        got = loss_value("logistic", y, raw)
+        assert math.isfinite(got)
+        assert got == loss_value("logistic", y, clipped)
+        # 1 - sigmoid(30) keeps about 3 significant digits in float64
+        assert got == pytest.approx(boosting.RAW_SCORE_CLIP, rel=1e-4)
+
+
 class TestInitBaseScore:
     def test_squared_error_mean(self):
         assert init_base_score("squared_error", np.array([1.0, 3.0])) == 2.0
@@ -228,6 +246,22 @@ class TestPredict:
         assert ens.feature_names == ["c=a", "c=b", "c=c", "x"]
         assert np.array_equal(ens.feature_matrix(new), expected)
         assert np.array_equal(ens.predict(new), ens.predict(expected))
+
+    def test_single_label_categorical_is_not_a_feature(self, tmp_path):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=60)
+        ds = make_dataset({"one": ["only"] * 60, "c": rng.choice(["a", "b"], size=60).tolist(),
+                           "x": x, "y": 2.0 * x},
+                          kinds={"one": CATEGORICAL, "c": CATEGORICAL, "y": TARGET})
+        ens = train(ds, BoostConfig(n_trees=4, max_depth=2))
+        assert ens.feature_names == [f"c={label}" for label in ds.labels["c"]] + ["x"]
+        assert set(ens.categorical_levels) == {"c"}
+        without = ds.select_columns(["c", "x", "y"])
+        np.testing.assert_array_equal(ens.predict(ds), ens.predict(without))
+        save_model(ens, tmp_path / "m.json")
+        back = load_model(tmp_path / "m.json")
+        assert to_json(back) == to_json(ens)
+        np.testing.assert_array_equal(back.predict(ds), ens.predict(ds))
 
     def test_single_leaf_contribution(self):
         # base 0.5, one tree whose only leaf weighs -0.625, shrinkage 0.3

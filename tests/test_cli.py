@@ -1,9 +1,11 @@
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from boostlab.boosting import BoostConfig
 from boostlab.cli import main
 
 from fixtures import write_education_csv, write_mexican_csv
@@ -94,6 +96,14 @@ class TestTrainPredict:
                      "--output", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().splitlines()[0] == "prediction"
+
+    def test_unset_training_flags_take_the_boost_config_defaults(self, tmp_path):
+        csv_path = make_training_csv(tmp_path / "d.csv")
+        schema = write_schema(tmp_path / "s.json", REG_SCHEMA)
+        model = tmp_path / "model.json"
+        assert main(["train", "--input", str(csv_path), "--schema", str(schema),
+                     "--output", str(model)]) == 0
+        assert json.loads(model.read_text())["config"] == asdict(BoostConfig())
 
     def test_train_is_deterministic(self, tmp_path):
         _, _, m1 = self.train(tmp_path)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boostlab import dataset
@@ -94,9 +94,25 @@ def csv_files(draw):
     return text.encode("utf-8"), schema, draw(st.booleans()), tokenizable
 
 
+def one_column_file(cells):
+    return "".join(f"{c}\n" for c in ["c"] + cells).encode(), \
+        [ColumnSchema("c", CATEGORICAL)], False, True
+
+
+# more distinct cells than a drawn file holds, which the byte coder numbers
+# in _first_seen: 20 distinct 9-16-byte cells in the first 64 rows (two-word
+# keys, no peeling), and 3 in the first 64 rows with 20 more after them
+# (peeling gives up after 16 keys)
+TWO_WORD_KEYS = one_column_file([f"label-{i * 7 % 20:05d}" for i in range(70)])
+PEEL_GIVES_UP = one_column_file([f"v{i % 3}" for i in range(64)]
+                                + [f"w{i}" for i in range(20)] * 2)
+
+
 class TestTokenizersAgree:
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(case=csv_files())
+    @example(case=TWO_WORD_KEYS)
+    @example(case=PEEL_GIVES_UP)
     def test_fast_path_equals_csv_reader_path(self, tmp_path_factory, case):
         data, schema, projected, tokenizable = case
         path = tmp_path_factory.mktemp("csv") / "t.csv"

@@ -54,7 +54,7 @@ def config(permutations, efb=None, n_trees=14, blocks=9):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(n) makes training see n CPUs; n = 1 runs the boosters inline."""
+    """cpus(n) makes training and recipes see n CPUs; n = 1 runs them inline."""
     return lambda n: monkeypatch.setattr(forkpool, "cpu_count", lambda: n)
 
 
@@ -105,8 +105,8 @@ def record_waves(monkeypatch) -> list:
     waves = []
     run_jobs = forkpool.run_jobs
 
-    def recording(job, sizes, cpus, inline=False):
-        results = run_jobs(job, sizes, cpus, inline)
+    def recording(job, sizes, inline=False):
+        results = run_jobs(job, sizes, inline)
         if isinstance(results[0], tuple):  # boosters hand back (history, preds)
             waves.append(("boosters", [(history.shape, preds.size)
                                        for history, preds in results], inline))
@@ -329,7 +329,6 @@ def test_ordered_training_inside_a_recipe_worker_runs_inline(tmp_path, cpus, fit
             fh.write(f"{os.getpid()}\n")
         return {"model": to_json(train(ds, cfg))}
     monkeypatch.setattr(recipes, "run_analysis", ordered_analysis)
-    monkeypatch.setattr(recipes, "_cpu_count", lambda: PARALLEL_CPUS)
     recipe = load_recipe("mexican-covid")
     recipe.analyses = [{"op": "chi2", "name": f"chi2_{b}", "a": b, "b": "cov-res"}
                        for b in ("diabetes", "asthma")]

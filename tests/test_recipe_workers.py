@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from boostlab import cli, recipes
+from boostlab import cli, forkpool, recipes
 from boostlab.dataset import DatasetError
 from boostlab.recipes import load_recipe, run_recipe
 from boostlab.stats import StatsError
@@ -30,7 +30,7 @@ PARALLEL_CPUS = 3
 @pytest.fixture
 def cpus(monkeypatch):
     """cpus(n) makes run_recipe see n CPUs; n = 1 runs the analyses inline."""
-    return lambda n: monkeypatch.setattr(recipes, "_cpu_count", lambda: n)
+    return lambda n: monkeypatch.setattr(forkpool, "cpu_count", lambda: n)
 
 
 @pytest.fixture

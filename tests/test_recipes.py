@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from boostlab import boosting, recipes
+from boostlab import boosting, forkpool, recipes
+from boostlab.cli import main
+from boostlab.dataset import apply_recipe, load_known_columns
 from boostlab.recipes import (RecipeError, available_recipes, load_recipe,
                               run_recipe)
 
@@ -143,7 +145,7 @@ class TestMexicanRecipe:
         # features, and the report is the same to the byte; on one CPU the
         # analyses run in this process, where the calls are counted
         monkeypatch.setattr(recipes, "prepare_features", lambda ds, config: None)
-        monkeypatch.setattr(recipes, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(forkpool, "cpu_count", lambda: 1)
         run_recipe(recipe, csv_path, output_dir=tmp_path / "own")
         assert len(calls) == len(keys) + 5
         shared, own = tmp_path / "shared", tmp_path / "own"
@@ -260,3 +262,56 @@ def test_names_set_in_code_checked_before_any_data_is_read(tmp_path, rename, mes
     with pytest.raises(RecipeError, match=re.escape(message)):
         run_recipe(recipe, tmp_path / "absent.csv", output_dir=out_dir)
     assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestStepOrder:
+    """Preprocess steps run one by one, in the order the recipe lists them."""
+
+    SCHEMA = [{"name": "region", "kind": "categorical"},
+              {"name": "cases", "missing_marker": "NA"},
+              {"name": "pop", "missing_marker": "NA"}]
+    NO_POP = {"op": "filter_rows", "column": "pop", "excluded": [0]}
+    RATE = {"op": "add_ratio_column", "new_name": "rate", "num": "cases", "den": "pop",
+            "scale": 100}
+
+    def write(self, tmp_path, steps, rows):
+        recipe = tmp_path / "r.json"
+        recipe.write_text(json.dumps({"name": "r", "schema": self.SCHEMA,
+                                      "preprocess": steps}))
+        data = tmp_path / "d.csv"
+        data.write_text("region,cases,pop\n" + "".join(f"{r}\n" for r in rows))
+        return recipe, data
+
+    def preprocessed(self, recipe, data):
+        recipe = load_recipe(recipe)
+        ds, _ = load_known_columns(data, recipe.schema, recipe.optional_columns)
+        return apply_recipe(ds, recipe.spec)
+
+    def test_filter_before_derive_skips_a_filtered_zero_denominator(self, tmp_path):
+        recipe, data = self.write(tmp_path, [self.NO_POP, self.RATE],
+                                  ["a,5,100", "b,0,0", "c,3,50"])
+        ds, warnings = self.preprocessed(recipe, data)
+        assert warnings == []
+        np.testing.assert_array_equal(ds.columns["rate"], [5.0, 6.0])
+        assert main(["recipe", "--recipe", str(recipe), "--input", str(data),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "r" / "report.json").read_text())
+        assert report["rows_after_preprocess"] == 2
+
+    def test_derive_before_filter_still_exits_2(self, tmp_path, capsys):
+        recipe, data = self.write(tmp_path, [self.RATE, self.NO_POP],
+                                  ["a,5,100", "b,0,0", "c,3,50"])
+        assert main(["recipe", "--recipe", str(recipe), "--input", str(data),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: zero denominator in 'pop' at row 1\n"
+
+    def test_two_drop_missing_steps_run_one_after_the_other(self, tmp_path):
+        # the first step drops 'region', then the row missing 'cases'; only
+        # then does the second drop 'cases', so that row stays dropped
+        recipe, data = self.write(tmp_path, [
+            {"op": "drop_missing", "columns": ["region"]},
+            {"op": "drop_missing", "columns": ["cases"]},
+        ], ["a,5,100", "b,NA,40", "c,3,NA", "d,2,10"])
+        ds, _ = self.preprocessed(recipe, data)
+        assert ds.column_names == ["pop"]
+        np.testing.assert_array_equal(ds.columns["pop"], [100.0, 10.0])

@@ -26,9 +26,11 @@ cli.main). OUT_DIR receives:
   `summary` write as JSON and as CSV on a seeded CSV file with missing
   cells, and, for one regressor and one three-class classifier trained by
   `boostlab train` on it, the model files, `importance` (gain and
-  split_count, each raw and --normalized, as JSON and as CSV) and `report`.
-  Every command runs through boostlab.cli.main with paths relative to
-  OUT_DIR.
+  split_count, each raw and --normalized, as JSON and as CSV) and `report`;
+  and cli/recipe/steps/: the report directory of a recipe on the same file
+  whose preprocessing derives a column, then filters rows, then drops a
+  column and the rows still missing a value. Every command runs through
+  boostlab.cli.main with paths relative to OUT_DIR.
 
 Two trees are byte-identical where `diff -r` of their OUT_DIRs is empty. A
 run under `taskset -c 0` trains and runs the recipe inline, without forked
@@ -137,7 +139,8 @@ def write_cli_inputs(out: Path, n=400, seed=8) -> None:
     """stats.csv: categorical g1 (with "NA" markers) and g2, numeric x0-x2
     (x2 with "nan" cells), a numeric y and a three-class cls; schemas for the
     statistics commands and for a regressor (target y) and a classifier
-    (target cls) on the other columns."""
+    (target cls) on the other columns; and steps.recipe.json, a recipe on
+    the file with three preprocessing steps."""
     rng = np.random.default_rng(seed)
     g1 = rng.choice(["a", "b", "c", "NA"], size=n, p=[0.3, 0.3, 0.3, 0.1])
     g2 = rng.choice(["p", "q", "r", "s"], size=n)
@@ -159,6 +162,26 @@ def write_cli_inputs(out: Path, n=400, seed=8) -> None:
                         ("classifier", [{"name": "cls", "kind": "target"}])):
         (out / f"{stem}.schema.json").write_text(json.dumps(features + extra),
                                                  encoding="utf-8")
+    # derive, then filter, then drop: older checkouts ran every derive, then
+    # every filter, then the drops whatever the order written, so this order
+    # is the one whose bytes every checkout shares
+    steps = {
+        "name": "steps",
+        "schema": features + [{"name": "y"}, {"name": "cls"}],
+        "preprocess": [
+            {"op": "add_ratio_column", "new_name": "ratio", "num": "y", "den": "x0",
+             "scale": 100},
+            {"op": "filter_rows", "column": "g2", "excluded": ["s"]},
+            {"op": "drop_missing", "columns": ["x2"]},
+        ],
+        "analyses": [
+            {"op": "chi2", "a": "g1", "b": "g2"},
+            {"op": "group_summary", "value": "ratio", "by": ["g1", "g2"]},
+            {"op": "train_importance", "features": ["g1", "g2", "x0", "x1", "ratio"],
+             "target": "y", "trees": 8, "max_depth": 3},
+        ],
+    }
+    (out / "steps.recipe.json").write_text(json.dumps(steps), encoding="utf-8")
 
 
 def dump_cli(out: Path) -> None:
@@ -198,6 +221,8 @@ def dump_cli(out: Path) -> None:
                         run("importance", "--model", f"{model}.json", "--metric", metric,
                             *normalized, "--output", f"{stem}.{suffix}")
             run("report", "--model", f"{model}.json", "--output", f"{model}.report.json")
+        run("recipe", "--recipe", "steps.recipe.json", "--input", "stats.csv",
+            "--output-dir", "recipe")
     finally:
         os.chdir(cwd)
 
