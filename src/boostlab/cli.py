@@ -85,8 +85,10 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_recipe(args) -> int:
+    # an unset --seed stays out of args, so run_recipe's default holds
+    seed = {"seed": args.seed} if "seed" in args else {}
     bundle = run_recipe(args.recipe, args.input, output_dir=args.output_dir,
-                        seed=args.seed, strict_shapes=args.strict_shapes)
+                        strict_shapes=args.strict_shapes, **seed)
     for warning in bundle["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"recipe {bundle['recipe']}: {len(bundle['analyses'])} analyses "
@@ -142,13 +144,8 @@ def _cmd_predict(args) -> int:
 
 
 def _importance_ranking(model, metric: str, normalized: bool = False) -> list[dict]:
-    values = stats.merged_importance(_ensembles(model), metric)
-    if normalized:
-        total = sum(values.values())
-        if total <= 0:
-            raise StatsError("cannot normalize: total importance is zero")
-        values = {k: v / total for k, v in values.items()}
-    return [{"feature": k, "value": v} for k, v in stats.importance_ranking(values)]
+    _, ranking = stats.ranked_importance(_ensembles(model), metric, normalized=normalized)
+    return [{"feature": k, "value": v} for k, v in ranking]
 
 
 def _cmd_importance(args) -> int:
@@ -225,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of: {', '.join(available_recipes())} (or a JSON path)")
     p.add_argument("--input", required=True)
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--strict-shapes", action="store_true",
                    help="treat documented-shape mismatches as errors")
     p.set_defaults(fn=_cmd_recipe)

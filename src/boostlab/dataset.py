@@ -507,7 +507,13 @@ def filter_rows(ds: Dataset, column: str, excluded) -> Dataset:
             labels[column] = new_table
             out = Dataset(list(out.schema), cols, labels)
         return out
-    excl = [float(x) for x in excluded]
+    excl = []
+    for x in excluded:
+        try:
+            excl.append(float(x))
+        except (TypeError, ValueError):
+            raise DatasetError(f"'excluded' value {x!r} is not a number, and column "
+                               f"{column!r} is numeric") from None
     keep = ~np.isin(v, excl) if excl else np.ones(len(v), dtype=bool)
     return ds.take_rows(np.flatnonzero(keep))
 
@@ -582,14 +588,19 @@ def apply_recipe(ds: Dataset, spec: RecipeSpec) -> tuple[Dataset, list[str]]:
     missing value."""
     warnings: list[str] = []
     out = ds
-    for step in spec.steps:
+    for i, step in enumerate(spec.steps):
+        # a checked step's keys are its function's arguments
+        args = {key: value for key, value in step.items() if key != "op"}
         if step["op"] == "filter_rows":
-            out = filter_rows(out, step["column"], step["excluded"])
+            try:
+                out = filter_rows(out, **args)
+            except DatasetError as exc:  # e.g. a word excluded from a numeric column
+                raise DatasetError(f"{spec.name}: preprocess step {i} (filter_rows): "
+                                   f"{exc}") from None
         elif step["op"] == "drop_missing":
-            out = drop_missing(out, step.get("columns", []))
+            out = drop_missing(out, **args)
         elif step["num"] in out.columns and step["den"] in out.columns:  # add_ratio_column
-            out = add_ratio_column(out, step["new_name"], step["num"], step["den"],
-                                   float(step.get("scale", 1.0)))
+            out = add_ratio_column(out, **args)
         else:
             warnings.append(
                 f"{spec.name}: skipped derived column {step['new_name']!r} "

@@ -45,29 +45,13 @@ def available_recipes() -> list[str]:
     return sorted(p.stem for p in RECIPE_DIR.glob("*.json"))
 
 
-# Keys each preprocess op and analysis op reads without a default.
-_PREPROCESS_KEYS = {"add_ratio_column": ("new_name", "num", "den"),
-                    "filter_rows": ("column", "excluded"),
-                    "drop_missing": ()}
-_ANALYSIS_KEYS = {"chi2": ("a", "b"), "anova1": ("response", "factor"),
-                  "anova2": ("response", "factor_a", "factor_b"),
-                  "correlation": ("columns",), "group_summary": ("value", "by"),
-                  "train_importance": ("features", "target"),
-                  "split_regression": ("features", "target")}
-_TRAINING_OPS = ("train_importance", "split_regression")
-# The BoostConfig field each training analysis key sets; 'efb': true sets
-# efb_max_conflicts to 0.
-_CONFIG_FIELDS = {"trees": "n_trees", "learning_rate": "learning_rate",
-                  "max_depth": "max_depth", "max_leaves": "max_leaves",
-                  "max_bins": "max_bins", "grower": "grower"}
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """A float, or an integer that converts to one."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
 
 
 def _is_file_name(value) -> bool:
@@ -76,34 +60,62 @@ def _is_file_name(value) -> bool:
             and not any(c in value for c in "/\\\0"))
 
 
-def _is_names(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-# What the value of each typed key must be, wherever a step holds it.
-_VALUE_RULES = {
-    "trees": (_is_int, "an integer"),
-    "max_depth": (_is_int, "an integer"),
-    "max_bins": (_is_int, "an integer"),
-    "max_leaves": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "learning_rate": (_is_number, "a number"),
-    "train_fraction": (_is_number, "a number"),
-    "task": (lambda v: v in ("regression", "classification"),
-             "'regression' or 'classification'"),
-    "efb": (lambda v: isinstance(v, bool), "true or false"),
-    "scale": (_is_number, "a number"),
-    "columns": (_is_names, "a list of strings"),
-    "features": (_is_names, "a list of strings"),
-    "by": (_is_names, "a list of strings"),
-    "excluded": (lambda v: isinstance(v, list), "a list"),
-    "name": (_is_file_name, "a plain file name (not '.' or '..', no '/', '\\' or NUL)"),
+# A key's kind: a test of its value and what the value must be. A key of kind
+# _COLUMN names one dataset column; of kind _COLUMNS, a list of them.
+_ANY = (lambda v: True, "anything")
+_COLUMN = (lambda v: isinstance(v, str), "a string")
+_COLUMNS = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+            "a list of strings")
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a number")
+_VALUES = (lambda v: isinstance(v, list)
+           and all(isinstance(x, str) or _is_number(x) for x in v),
+           "a list of strings and numbers")
+_TASK = (lambda v: v in ("regression", "classification"), "'regression' or 'classification'")
+_NAMED = {"name": (_is_file_name, "a plain file name (not '.' or '..', no '/', '\\' or NUL)")}
+# The training keys that set the BoostConfig field of their name ('trees' sets
+# n_trees); BoostConfig.validate checks the grower's value.
+_CONFIG_KEYS = {"trees": _INT, "learning_rate": _NUMBER, "max_depth": _INT, "max_bins": _INT,
+                "max_leaves": (lambda v: v is None or _is_int(v), "an integer or null"),
+                "grower": _ANY}
+_TRAINING = {**_NAMED, **_CONFIG_KEYS, "efb": (lambda v: isinstance(v, bool), "true or false")}
+# Each preprocess and analysis op: the keys a step must give, in the order a
+# missing one is reported, and the keys it may give, each with its kind. A
+# step holds no other key.
+_OPS = {
+    "preprocess step": {
+        "add_ratio_column": ({"new_name": _COLUMN, "num": _COLUMN, "den": _COLUMN},
+                             {"scale": _NUMBER}),
+        "filter_rows": ({"column": _COLUMN, "excluded": _VALUES}, {}),
+        "drop_missing": ({}, {"columns": _COLUMNS}),
+    },
+    "analysis": {
+        "chi2": ({"a": _COLUMN, "b": _COLUMN}, _NAMED),
+        "anova1": ({"response": _COLUMN, "factor": _COLUMN}, _NAMED),
+        "anova2": ({"response": _COLUMN, "factor_a": _COLUMN, "factor_b": _COLUMN}, _NAMED),
+        "correlation": ({"columns": _COLUMNS}, _NAMED),
+        "group_summary": ({"value": _COLUMN, "by": _COLUMNS}, _NAMED),
+        "train_importance": ({"features": _COLUMNS, "target": _COLUMN},
+                             {**_TRAINING, "task": _TASK}),
+        "split_regression": ({"features": _COLUMNS, "target": _COLUMN},
+                             {**_TRAINING, "train_fraction": _NUMBER}),
+    },
 }
 
 
-def _checked_steps(recipe: str, kind: str, steps, required: dict) -> list[dict]:
+def _trains(spec: dict) -> bool:
+    return "trees" in _OPS["analysis"][spec["op"]][1]
+
+
+def _label(spec: dict) -> str:
+    """An analysis's report name: its 'name', else its op."""
+    return spec.get("name", spec["op"])
+
+
+def _checked_steps(recipe: str, kind: str, steps) -> list[dict]:
     """The steps, once each is an object with a known op, that op's required
-    keys and well-typed values; otherwise RecipeError naming the step's
-    index and the key."""
+    keys, no key the op does not read and values of their keys' kinds;
+    otherwise RecipeError naming the step's index and the key."""
     if not isinstance(steps, list):
         raise RecipeError(f"{recipe}: expected a list of {kind} objects, got {steps!r}")
     for i, step in enumerate(steps):
@@ -113,15 +125,19 @@ def _checked_steps(recipe: str, kind: str, steps, required: dict) -> list[dict]:
         if "op" not in step:
             raise RecipeError(f"{where} needs an 'op'")
         op = step["op"]
-        if not isinstance(op, str) or op not in required:
+        if not isinstance(op, str) or op not in _OPS[kind]:
             raise RecipeError(f"{where}: unknown op {op!r}")
-        absent = [key for key in required[op] if key not in step]
+        required, optional = _OPS[kind][op]
+        absent = [key for key in required if key not in step]
         if absent:
             raise RecipeError(f"{where} ({op}) needs {absent}")
-        for key, (ok, what) in _VALUE_RULES.items():
-            if key in step and not ok(step[key]):
-                raise RecipeError(f"{where} ({op}): {key!r} must be {what}, "
-                                  f"got {step[key]!r}")
+        kinds = {"op": _ANY, **required, **optional}
+        for key, value in step.items():
+            if key not in kinds:
+                raise RecipeError(f"{where} ({op}): unknown key {key!r}")
+            ok, what = kinds[key]
+            if not ok(value):
+                raise RecipeError(f"{where} ({op}): {key!r} must be {what}, got {value!r}")
     return steps
 
 
@@ -134,19 +150,19 @@ def _checked_analyses(name, analyses, where: str) -> list[dict]:
     if not _is_file_name(name):
         raise RecipeError(f"{where} needs a string 'name' that is a plain file name, "
                           f"got {name!r}")
-    analyses = _checked_steps(name, "analysis", analyses, _ANALYSIS_KEYS)
-    labels = [step.get("name", step["op"]) for step in analyses]
+    analyses = _checked_steps(name, "analysis", analyses)
+    labels = [_label(step) for step in analyses]
     for i, (label, step) in enumerate(zip(labels, analyses)):
         if label in labels[:i]:
             raise RecipeError(f"{name}: analysis {i} repeats the name {label!r}")
-        if step["op"] not in _TRAINING_OPS:
+        if not _trains(step):
             continue
         where_step = f"{name}: analysis {i} ({step['op']})"
         try:
-            _analysis_config(step, seed=0).validate()
+            _analysis_config(step).validate()
         except ConfigError as exc:
             raise RecipeError(f"{where_step}: {exc}") from None
-        if not 0.0 < step.get("train_fraction", 0.75) < 1.0:
+        if "train_fraction" in step and not 0.0 < step["train_fraction"] < 1.0:
             raise RecipeError(f"{where_step}: 'train_fraction' must be in (0, 1), "
                               f"got {step['train_fraction']!r}")
     return analyses
@@ -184,8 +200,7 @@ def load_recipe(name_or_path) -> ReplicationRecipe:
     analyses = _checked_analyses(name, doc.get("analyses", []), f"recipe file {path}")
     if "schema" not in doc:
         raise RecipeError(f"{name}: recipe needs a 'schema'")
-    preprocess = _checked_steps(name, "preprocess step", doc.get("preprocess", []),
-                                _PREPROCESS_KEYS)
+    preprocess = _checked_steps(name, "preprocess step", doc.get("preprocess", []))
     spec = RecipeSpec(name, preprocess, _shape(name, doc, "expected_shape"))
     return ReplicationRecipe(
         name=name,
@@ -224,8 +239,7 @@ def _nan_to_none(obj):
 def _importance(ensembles) -> dict:
     """Gain importance summed over ensembles, one-hot children folded back
     onto their source column, and its ranking."""
-    merged = stats.merged_importance(ensembles, fold=True)
-    ranking = stats.importance_ranking(merged)
+    merged, ranking = stats.ranked_importance(ensembles, fold=True)
     return {"importance": merged, "ranking": [{"feature": k, "gain": v} for k, v in ranking]}
 
 
@@ -234,38 +248,33 @@ def run_analysis(spec: dict, ds: Dataset, seed: int = 0, held: dict | None = Non
     ds; held maps train_importance feature sets to features run_recipe
     prepared for them."""
     op = spec["op"]
-    if op == "chi2":
-        table = stats.contingency_table(ds, spec["a"], spec["b"])
-        result = stats.chi_squared_test(table)
-        return {"a": spec["a"], "b": spec["b"], "table": table.to_dict(),
-                **result.to_dict()}
-    if op == "anova1":
-        table = stats.one_way_anova(ds, spec["response"], spec["factor"])
-        return {"response": spec["response"], "rows": table.to_rows()}
-    if op == "anova2":
-        table = stats.two_way_anova(ds, spec["response"], spec["factor_a"], spec["factor_b"])
-        return {"response": spec["response"], "rows": table.to_rows()}
-    if op == "correlation":
-        corr = stats.pearson_correlation_matrix(ds, spec["columns"])
-        return corr.to_dict()
-    if op == "group_summary":
-        groups = stats.group_summary(ds, spec["value"], spec["by"])
-        return {"value": spec["value"], "by": spec["by"],
-                "groups": [g.to_dict() for g in groups]}
     if op == "train_importance":
         return _run_train_importance(spec, ds, seed, held or {})
     if op == "split_regression":
         return _run_split_regression(spec, ds, seed)
-    raise RecipeError(f"unknown analysis op {op!r}")
+    if op not in _OPS["analysis"]:
+        raise RecipeError(f"unknown analysis op {op!r}")
+    # a statistics op's required keys are its stats function's arguments
+    args = {key: spec[key] for key in _OPS["analysis"][op][0]}
+    if op == "chi2":
+        table = stats.contingency_table(ds, **args)
+        return {**args, "table": table.to_dict(), **stats.chi_squared_test(table).to_dict()}
+    if op == "correlation":
+        return stats.pearson_correlation_matrix(ds, **args).to_dict()
+    if op == "group_summary":
+        return {**args, "groups": [g.to_dict() for g in stats.group_summary(ds, **args)]}
+    anova = stats.one_way_anova if op == "anova1" else stats.two_way_anova
+    return {"response": spec["response"], "rows": anova(ds, **args).to_rows()}
 
 
-def _analysis_config(spec: dict, seed: int) -> BoostConfig:
-    """The BoostConfig of a training analysis: the fields its keys set, and
-    BoostConfig's defaults for the rest."""
-    given = {field: spec[key] for key, field in _CONFIG_FIELDS.items() if key in spec}
+def _analysis_config(spec: dict, **seed) -> BoostConfig:
+    """The BoostConfig of a training analysis: the fields its keys set, the
+    seed where one is passed, and BoostConfig's defaults for the rest."""
+    given = {"n_trees" if key == "trees" else key: spec[key]
+             for key in _CONFIG_KEYS if key in spec}
     if spec.get("efb"):
         given["efb_max_conflicts"] = 0
-    return BoostConfig(**given, seed=seed)
+    return BoostConfig(**given, **seed)
 
 
 def _training_subset(spec: dict, ds: Dataset) -> Dataset:
@@ -285,7 +294,7 @@ def _prepared_features(analyses: list[dict], ds: Dataset, seed: int) -> dict:
     for spec in analyses:
         if spec["op"] != "train_importance":
             continue
-        config = _analysis_config(spec, seed)
+        config = _analysis_config(spec, seed=seed)
         key = _features_key(config, spec)
         if key not in held:
             try:
@@ -299,7 +308,7 @@ def _run_train_importance(spec: dict, ds: Dataset, seed: int, held: dict) -> dic
     """held maps _features_key to _prepared_features' entries; analyses on
     the same feature columns of ds share one. Without an entry, training
     prepares its own features."""
-    config = _analysis_config(spec, seed)
+    config = _analysis_config(spec, seed=seed)
     sub = _training_subset(spec, ds)
     features = held.get(_features_key(config, spec))
     if isinstance(features, Exception):
@@ -316,8 +325,8 @@ def _run_train_importance(spec: dict, ds: Dataset, seed: int, held: dict) -> dic
 
 
 def _run_split_regression(spec: dict, ds: Dataset, seed: int) -> dict:
-    config = _analysis_config(spec, seed)
-    fraction = float(spec.get("train_fraction", 0.75))
+    config = _analysis_config(spec, seed=seed)
+    fraction = spec.get("train_fraction", 0.75)
     sub = _training_subset(spec, ds)
     train_ds, test_ds = train_test_split(sub, fraction, seed)
     model = train(train_ds, config)
@@ -332,14 +341,11 @@ def _run_split_regression(spec: dict, ds: Dataset, seed: int) -> dict:
 
 
 def _analysis_ready(spec: dict, ds: Dataset) -> list[str]:
-    """Columns the analysis needs but the dataset lacks."""
-    refs = []
-    for key in ("a", "b", "response", "factor", "factor_a", "factor_b", "value", "target"):
-        if key in spec:
-            refs.append(spec[key])
-    refs.extend(spec.get("columns", []))
-    refs.extend(spec.get("by", []))
-    refs.extend(spec.get("features", []))
+    """Columns the analysis names but the dataset lacks: those of its
+    single-column keys, then those of its column lists (all required keys)."""
+    required = _OPS["analysis"][spec["op"]][0]
+    refs = [spec[key] for key, kind in required.items() if kind is _COLUMN]
+    refs += [ref for key, kind in required.items() if kind is _COLUMNS for ref in spec[key]]
     return [r for r in refs if r not in ds.columns]
 
 
@@ -375,8 +381,9 @@ def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
     Shape mismatches are warnings by default (strict mode raises); analyses
     whose columns are unavailable are skipped with a warning.
     """
-    if isinstance(recipe, ReplicationRecipe):  # set in code: its analyses are unchecked
+    if isinstance(recipe, ReplicationRecipe):  # set in code: its steps are unchecked
         _checked_analyses(recipe.name, recipe.analyses, "recipe")
+        _checked_steps(recipe.name, "preprocess step", recipe.spec.steps)
     else:
         recipe = load_recipe(recipe)
     warnings: list[str] = []
@@ -389,14 +396,13 @@ def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
 
     ready = []
     for spec in recipe.analyses:
-        name = spec.get("name", spec["op"])
         absent = _analysis_ready(spec, ds)
         if absent:
-            warnings.append(f"{recipe.name}: skipped analysis {name!r} "
+            warnings.append(f"{recipe.name}: skipped analysis {_label(spec)!r} "
                             f"(missing columns {absent})")
             continue
         ready.append(spec)
-    results = {spec.get("name", spec["op"]): result
+    results = {_label(spec): result
                for spec, result in zip(ready, _run_analyses(ready, ds, seed))}
 
     bundle = {
@@ -424,8 +430,7 @@ def _run_analyses(analyses: list[dict], ds: Dataset, seed: int) -> list[dict]:
     analysis in order that fails raises here.
     """
     held = _prepared_features(analyses, ds, seed)
-    trees = [_analysis_config(spec, 0).n_trees if spec["op"] in _TRAINING_OPS else 0
-             for spec in analyses]
+    trees = [_analysis_config(spec).n_trees if _trains(spec) else 0 for spec in analyses]
     return forkpool.run_jobs(lambda i: run_analysis(analyses[i], ds, seed, held), trees)
 
 

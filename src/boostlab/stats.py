@@ -330,18 +330,19 @@ class FeatureImportanceReport:
     def values(self) -> np.ndarray:
         """The chosen metric, as fractions of the total when normalized."""
         raw = self.gain if self.metric == "gain" else self.split_count.astype(np.float64)
-        if not self.normalized:
-            return raw
-        total = raw.sum()
-        if total <= 0:
-            raise StatsError("cannot normalize: total importance is zero")
-        return raw / total
+        return _fractions(raw, raw.sum()) if self.normalized else raw
 
     def ranking(self) -> list[tuple[str, float]]:
         """(name, value) sorted descending; ties keep feature order."""
         vals = self.values()
         order = np.argsort(-vals, kind="stable")
         return [(self.feature_names[i], float(vals[i])) for i in order]
+
+
+def _fractions(values: np.ndarray, total: float) -> np.ndarray:
+    if total <= 0:
+        raise StatsError("cannot normalize: total importance is zero")
+    return values / total
 
 
 def feature_importance(ens, metric: str = "gain", normalized: bool = False) -> FeatureImportanceReport:
@@ -361,9 +362,12 @@ def feature_importance(ens, metric: str = "gain", normalized: bool = False) -> F
     return report
 
 
-def merged_importance(ensembles, metric: str = "gain", fold: bool = False) -> dict[str, float]:
+def ranked_importance(ensembles, metric: str = "gain", fold: bool = False,
+                      normalized: bool = False) -> tuple[dict, list]:
     """One metric summed over ensembles, ensemble by ensemble and then
-    feature by feature; fold adds one-hot children onto their source column."""
+    feature by feature (fold adds one-hot children onto their source column),
+    as fractions of its total when normalized; and its (name, value) pairs
+    by descending value, ties by name."""
     merged: dict[str, float] = {}
     for ens in ensembles:
         report = feature_importance(ens, metric)
@@ -371,9 +375,7 @@ def merged_importance(ensembles, metric: str = "gain", fold: bool = False) -> di
             hot = one_hot_source(name, ens.categorical_levels) if fold else None
             key = name if hot is None else hot[0]
             merged[key] = merged.get(key, 0.0) + float(value)
-    return merged
-
-
-def importance_ranking(values: dict[str, float]) -> list[tuple[str, float]]:
-    """(name, value) pairs by descending value, ties by name."""
-    return sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
+    if normalized:
+        values = _fractions(np.array(list(merged.values())), sum(merged.values()))
+        merged = dict(zip(merged, values.tolist()))
+    return merged, sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))

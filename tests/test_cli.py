@@ -493,9 +493,34 @@ class TestRecipeValueTypes:
         ({"analyses": [{"op": "split_regression", "features": ["x0"], "target": "x1",
                         "train_fraction": 2.0}]},
          "r: analysis 0 (split_regression): 'train_fraction' must be in (0, 1), got 2.0"),
+        ({"analyses": [{"op": "chi2", "a": ["x0"], "b": "x1"}]},
+         "r: analysis 0 (chi2): 'a' must be a string, got ['x0']"),
+        ({"analyses": [{"op": "group_summary", "value": {"v": 1}, "by": ["x0"]}]},
+         "r: analysis 0 (group_summary): 'value' must be a string, got {'v': 1}"),
+        ({"analyses": [{"op": "train_importance", "features": ["x0"], "target": ["x1"]}]},
+         "r: analysis 0 (train_importance): 'target' must be a string, got ['x1']"),
+        ({"preprocess": [{"op": "add_ratio_column", "new_name": "r", "num": ["x0"],
+                          "den": "x1"}]},
+         "r: preprocess step 0 (add_ratio_column): 'num' must be a string, got ['x0']"),
+        ({"analyses": [{"op": "anova1", "response": "x0", "factor": 3}]},
+         "r: analysis 0 (anova1): 'factor' must be a string, got 3"),
+        ({"preprocess": [{"op": "drop_missing"},
+                         {"op": "add_ratio_column", "new_name": 5, "num": "x0", "den": "x1"}]},
+         "r: preprocess step 1 (add_ratio_column): 'new_name' must be a string, got 5"),
+        ({"preprocess": [{"op": "filter_rows", "column": "x0", "excluded": [["a"]]}]},
+         "r: preprocess step 0 (filter_rows): 'excluded' must be a list of strings and "
+         "numbers, got [['a']]"),
+        ({"analyses": [{"op": "chi2", "a": "x0", "b": "x1", "trees": 5}]},
+         "r: analysis 0 (chi2): unknown key 'trees'"),
+        ({"preprocess": [{"op": "add_ratio_column", "new_name": "r", "num": "x0", "den": "x1",
+                          "scale": 10 ** 400}]},
+         "r: preprocess step 0 (add_ratio_column): 'scale' must be a number, got 1000"),
     ], ids=["trees-string", "expected-shape-int", "columns-string",
             "train-fraction-string", "features-not-strings", "task-misspelled",
-            "max-depth-zero", "grower-unknown", "train-fraction-above-one"])
+            "max-depth-zero", "grower-unknown", "train-fraction-above-one", "chi2-a-list",
+            "group-summary-value-object", "target-list", "ratio-num-list",
+            "anova1-factor-int", "ratio-new-name-int", "excluded-nested-list",
+            "key-the-op-does-not-read", "scale-beyond-float"])
     def test_exits_2(self, tmp_path, capsys, doc, message):
         csv_path = make_training_csv(tmp_path / "d.csv")
         recipe = tmp_path / "r.json"

@@ -315,3 +315,21 @@ class TestStepOrder:
         ds, _ = self.preprocessed(recipe, data)
         assert ds.column_names == ["pop"]
         np.testing.assert_array_equal(ds.columns["pop"], [100.0, 10.0])
+
+    def test_word_excluded_from_a_numeric_column_exits_2(self, tmp_path, capsys):
+        recipe, data = self.write(tmp_path, [
+            self.RATE, {"op": "filter_rows", "column": "pop", "excluded": [0, "zero"]}],
+            ["a,5,100", "b,1,40"])
+        assert main(["recipe", "--recipe", str(recipe), "--input", str(data),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: r: preprocess step 1 (filter_rows): 'excluded' value 'zero' is not a "
+            "number, and column 'pop' is numeric\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_numbers_spelled_as_strings_are_excluded_from_a_numeric_column(self, tmp_path):
+        recipe, data = self.write(tmp_path, [
+            {"op": "filter_rows", "column": "pop", "excluded": ["0", 40]}],
+            ["a,5,100", "b,0,0", "c,1,40"])
+        ds, _ = self.preprocessed(recipe, data)
+        np.testing.assert_array_equal(ds.columns["pop"], [100.0])
