@@ -280,8 +280,8 @@ class TrainingFeatures:
     @functools.cached_property
     def X(self) -> np.ndarray:
         """Rows x features float matrix in binned.feature_names order, read
-        only by score updates over sampled rows and by ordered boosting; it
-        is read-only, as every model trained on these features shares it."""
+        only by score updates over sampled (GOSS) rows; it is read-only, as
+        every model trained on these features shares it."""
         X = np.column_stack([self.binned.source.columns[n] for n in self.binned.feature_names])
         X.flags.writeable = False
         return X
@@ -367,11 +367,11 @@ def train(ds: Dataset, config: BoostConfig,
 
     trees: list = []
     n = ds.n_rows
-    all_idx = np.arange(n)
     grow = _grow_fn(config)
     if config.ordered_blocks is not None:
-        trees = _train_ordered(grow, y, binned, features.X, config, base, hist_fn)
+        trees = _train_ordered(grow, y, binned, config, base, hist_fn)
     else:
+        all_idx = np.arange(n)
         preds = np.full(n, base)
         for t in range(config.n_trees):
             g, h = compute_gradients(loss, y, preds)
@@ -409,7 +409,7 @@ def _ordered_inline(fits: int, rows: int) -> bool:
     return fits < ORDERED_MIN_FORKED_FITS and rows < ORDERED_MIN_FORKED_ROWS
 
 
-def _train_ordered(grow, y, binned, X, config: BoostConfig, base: float, hist_fn) -> list:
+def _train_ordered(grow, y, binned, config: BoostConfig, base: float, hist_fn) -> list:
     """Ordered boosting: every instance's gradient for the returned trees comes
     from a prefix model that never trained on its own block. Prefix model
     (p, j) is an ordinary booster on the blocks < j of permutation p
@@ -420,30 +420,42 @@ def _train_ordered(grow, y, binned, X, config: BoostConfig, base: float, hist_fn
     its rounds. No main tree reads another, so a second wave through
     forkpool grows that chunk's main trees from them before the next chunk
     runs. The refits after the last main tree would never be read, so they
-    are skipped."""
+    are skipped.
+
+    The job that reads a piece of booster state builds it: a booster finds
+    its rows and block j from the schedule and gathers block j's feature
+    rows from the source columns, and a main tree finds each block's rows
+    the same way. This process holds the schedule, the block histories of
+    one chunk and, only while another chunk follows, each booster's
+    predictions on its own rows and on block j."""
     n, n_trees = len(y), config.n_trees
     n_blocks, lr = config.ordered_blocks, config.learning_rate
     schedule = strategies.ordered_schedule(
         n, config.ordered_permutations, n_blocks, _iteration_seed(config.seed, 0, salt=1))
     grad_fn = functools.partial(compute_gradients, config.loss)
-    # booster (p, j): the rows it trains on (blocks < j) and block j, the only
-    # other rows that read it (through ordered_gradients)
-    boosters = [(p, schedule.prefix_indices(p, j), np.flatnonzero(block_of == j))
-                for p, block_of in enumerate(schedule.block_of)
-                for j in range(1, n_blocks)]
-    # each booster's predictions on its own rows and on block j, carried
-    # from one chunk to the next
-    carried = [(np.full(len(rows), base), np.full(len(block), base))
-               for _, rows, block in boosters]
+    columns = [binned.source.columns[name] for name in binned.feature_names]
+    # booster (p, j) trains on the blocks < j of permutation p; block j holds
+    # the only other rows that read it (through ordered_gradients)
+    boosters = [(p, j) for p in range(len(schedule.block_of)) for j in range(1, n_blocks)]
+    # each booster's predictions on its own rows and on block j, carried from
+    # one chunk to the next; the first chunk starts every booster at base
+    carried = None
 
-    def run_booster(i: int, rounds: int):
+    def run_booster(i: int, rounds: int, hand_back: bool):
         """Booster i's block predictions, (rounds + 1, |block j|): row 0 the
         carried ones, then one row after each of its next rounds; and its
-        predictions on its own rows after them."""
-        _, rows, block = boosters[i]
-        preds, y_rows, X_block = carried[i][0], y[rows], X[block]
+        predictions on its own rows after them when hand_back is set (another
+        chunk reads them), else an empty array."""
+        p, j = boosters[i]
+        rows, block = schedule.prefix_indices(p, j), np.flatnonzero(schedule.block_of[p] == j)
+        X_block = np.column_stack([column[block] for column in columns])
         history = np.empty((rounds + 1, len(block)))
-        history[0] = carried[i][1]
+        if carried is None:
+            preds = np.full(len(rows), base)
+            history[0] = base
+        else:
+            preds, history[0] = carried[i]
+        y_rows = y[rows]
         g, h = np.zeros(n), np.zeros(n)
         for r in range(1, rounds + 1):
             g[rows], h[rows] = grad_fn(y_rows, preds)
@@ -451,7 +463,7 @@ def _train_ordered(grow, y, binned, X, config: BoostConfig, base: float, hist_fn
             # its own rows score from their leaf slots; only block j is routed
             preds += lr * tree.node_weights()[slots]
             history[r] = history[r - 1] + lr * tree.predict_matrix(X_block)
-        return history, preds
+        return history, preds if hand_back else np.empty(0)
 
     all_idx = np.arange(n)
 
@@ -460,21 +472,27 @@ def _train_ordered(grow, y, binned, X, config: BoostConfig, base: float, hist_fn
         prefix prediction, per permutation, is the base score on block 0 and
         booster (p, j)'s after round t of the chunk on block j."""
         row_preds = [np.full(n, base) for _ in schedule.permutations]
-        for (p, _, block), (history, _) in zip(boosters, results):
-            row_preds[p][block] = history[t - k]  # the chunk's rounds: the last k rows
+        for (p, j), (history, _) in zip(boosters, results):
+            # the chunk's rounds are the last k rows
+            row_preds[p][schedule.block_of[p] == j] = history[t - k]
         g, h, _ = strategies.ordered_gradients(
             schedule, grad_fn, y, [np.broadcast_to(v, (n_blocks, n)) for v in row_preds])
         return grow(all_idx, binned, g, h, config, hist_fn=hist_fn)
 
-    sizes = [len(rows) for _, rows, _ in boosters]  # larger prefixes first
+    # the rows each booster fits, from the block sizes every permutation
+    # shares: the jobs run larger prefixes first
+    prefix = np.cumsum(np.bincount(schedule.block_of[0], minlength=n_blocks)).tolist()
+    sizes = [prefix[j - 1] for _, j in boosters]
     trees = []
     for start in range(0, n_trees, n_blocks):
         k = min(n_blocks, n_trees - start)  # main trees in this chunk
         rounds = k - 1 if start == 0 else k  # from round max(start - 1, 0) to start + k - 1
+        more = start + k < n_trees  # another chunk reads what the boosters carry
         results = forkpool.run_jobs(
-            functools.partial(run_booster, rounds=rounds), sizes,
+            functools.partial(run_booster, rounds=rounds, hand_back=more), sizes,
             inline=_ordered_inline(rounds * len(boosters), rounds * sum(sizes)))
-        carried = [(preds, history[-1].copy()) for history, preds in results]
+        if more:
+            carried = [(preds, history[-1].copy()) for history, preds in results]
         trees += forkpool.run_jobs(
             functools.partial(grow_main_tree, results=results, k=k), [n] * k,
             inline=_ordered_inline(k, k * n))

@@ -138,18 +138,22 @@ def _merged(out: np.ndarray, shape) -> np.ndarray:
 class HistogramBuilder:
     """The histogram accumulation kernel behind every grower.
 
-    It accumulates over units: a unit is a code array in the bins' own dtype
-    (uint8/uint16) plus an (offset, width) span in one flat bin space. Here
-    feature fi is a unit at offset fi * hist_width, so the unit space is the
-    (m, width) feature layout itself; BundledHistograms lays EFB bundles out
-    as units and unpacks them afterwards.
+    It accumulates over units: a unit is a row of one (units, rows) code
+    matrix in the bins' own dtype (uint8/uint16) plus an (offset, width) span
+    in one flat bin space. Here feature fi is a unit at offset fi * hist_width,
+    so the unit space is the (m, width) feature layout itself;
+    BundledHistograms lays EFB bundles out as units and unpacks them
+    afterwards.
 
-    Small nodes fold all units into one bincount, so the per-call overhead is
-    paid three times instead of three times per unit; large nodes run one
-    bincount per unit over its own codes. Either way every bin sums its rows
-    in ascending instance order, so both paths give the same bits as
-    build_histogram. The sums land in one stacked float64 (3, ...) array of
-    g, h and counts, written into a caller's buffer where one is given.
+    Small nodes fold all units into one bincount over the node's columns of
+    the matrix, each unit's codes shifted by its offset, so the per-call
+    overhead is paid three times instead of three times per unit; large
+    nodes run one bincount per unit over its own row. Either way every bin
+    sums its rows in ascending instance order (a bin belongs to one unit,
+    whose rows the small path takes in order), so both paths give the same
+    bits as build_histogram. The sums land in one stacked float64 (3, ...)
+    array of g, h and counts, written into a caller's buffer where one is
+    given.
     """
 
     FLAT_LIMIT = 32768  # node rows * units at or below this use the flat path
@@ -157,20 +161,20 @@ class HistogramBuilder:
     def __init__(self, binned: BinnedDataset):
         self.m = len(binned.feature_names)
         self.width = binned.hist_width
-        self._set_units([binned.bins[n] for n in binned.feature_names],
+        self._set_units(np.stack([binned.bins[n] for n in binned.feature_names]),
                         [fi * self.width for fi in range(self.m)],
                         [int(nb) + 1 for nb in binned.bin_counts], self.m * self.width)
 
     def _set_units(self, codes, offsets, widths, total_width):
-        """Unit u has local codes[u] and spans [offsets[u], offsets[u] + widths[u])
-        of a flat bin space total_width wide."""
-        self.unit_codes = codes
+        """Unit u has local codes codes[u], a row of the (units, rows) matrix
+        codes, and spans [offsets[u], offsets[u] + widths[u]) of a flat bin
+        space total_width wide."""
+        self.codes = codes
+        self.n_units, self.n_rows = codes.shape
         self.unit_spans = list(zip(offsets, widths))
-        self.n_units = len(codes)
-        self.n_rows = len(codes[0])
+        self.unit_offsets = np.array(offsets, dtype=np.intp)[:, None]
         self.stride = max(widths)  # leaf stride of the per-unit path
         self.total_width = total_width
-        self.flat = np.column_stack(codes).astype(np.int64) + np.array(offsets, dtype=np.int64)
 
     def _unit_sums(self, indices, leaf_pos, n_leaves, gi, hi, out):
         """Write the sums of g, h and row counts per unit bin into out, a
@@ -178,20 +182,22 @@ class HistogramBuilder:
         at indices; leaf_pos is ignored when n_leaves is 1."""
         tw = self.total_width
         if len(indices) * self.n_units <= self.FLAT_LIMIT:
-            codes = self.flat[indices]
+            codes = np.take(self.codes, indices, axis=1).astype(np.intp)  # unit-major
+            shift = self.unit_offsets
             if n_leaves > 1:
-                codes = codes + (leaf_pos.astype(np.int64) * tw)[:, None]
+                shift = shift + leaf_pos.astype(np.intp) * tw
+            codes += shift
             codes = codes.ravel()
             size = n_leaves * tw
-            for k, weights in enumerate((np.repeat(gi, self.n_units),
-                                         np.repeat(hi, self.n_units), None)):
+            for k, weights in enumerate((np.concatenate([gi] * self.n_units),
+                                         np.concatenate([hi] * self.n_units), None)):
                 out[k] = np.bincount(codes, weights=weights, minlength=size).reshape(n_leaves, tw)
             return
         full = len(indices) == self.n_rows  # growers keep indices sorted unique
         base = leaf_pos.astype(np.int64) * self.stride if n_leaves > 1 else None
         size = n_leaves * self.stride
         out.fill(0.0)
-        for uc, (off, w) in zip(self.unit_codes, self.unit_spans):
+        for uc, (off, w) in zip(self.codes, self.unit_spans):
             codes = uc if full else uc[indices]
             if base is not None:
                 codes = base + codes

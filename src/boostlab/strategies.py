@@ -245,21 +245,23 @@ class BundledHistograms(HistogramBuilder):
         self.binned = binned
         self.m = len(binned.feature_names)
         self.width = binned.hist_width
-        codes, offsets, widths = [], [], []
+        nbs = [[binned.n_bins(binned.feature_names[fi]) for fi in bd.members] for bd in bundles]
+        # a singleton's bins and missing bin; a bundle's local bin 0 and its
+        # members' nonzero bins
+        widths = [nb[0] + 1 if len(nb) < 2 else 1 + sum(b - 1 for b in nb) for nb in nbs]
+        offsets = np.cumsum([0] + widths[:-1]).tolist()
+        codes = np.zeros((len(bundles), binned.n_rows),
+                         dtype=np.uint8 if max(widths) <= 256 else np.uint16)
         copy_dst, copy_src = [], []   # feature-layout cell <- unit-space cell
         zero_bins = {}                # segment length -> (zero-bin cells, segment starts)
-        offset = 0
-        for bd in bundles:
+        for unit, bd, offset in zip(codes, bundles, offsets):
             if len(bd.members) < 2:
                 fi, = bd.members
                 name = binned.feature_names[fi]
                 cells = np.arange(binned.n_bins(name) + 1)
                 copy_dst.append(fi * self.width + cells)
                 copy_src.append(offset + cells)
-                codes.append(binned.bins[name])
-                offsets.append(offset)
-                widths.append(len(cells))
-                offset += len(cells)
+                unit[:] = binned.bins[name]
                 continue
             members = []
             local = 1
@@ -277,14 +279,9 @@ class BundledHistograms(HistogramBuilder):
                 starts.append(offset + local)
                 members.append((binned.bins[name], default_bin, lut))
                 local += nb - 1
-            unit = np.zeros(binned.n_rows, dtype=np.uint8 if local <= 256 else np.uint16)
             for fc, default_bin, lut in reversed(members):  # earlier members win
-                unit = np.where(fc != default_bin, lut.astype(unit.dtype)[fc], unit)
-            codes.append(unit)
-            offsets.append(offset)
-            widths.append(local)
-            offset += local
-        self._set_units(codes, offsets, widths, offset)
+                np.copyto(unit, lut.astype(unit.dtype)[fc], where=fc != default_bin)
+        self._set_units(codes, offsets, widths, sum(widths))
         self.copy_dst = np.concatenate(copy_dst)
         self.copy_src = np.concatenate(copy_src)
         self.zero_bins = [(np.array(dsts), np.array(starts)[:, None] + np.arange(k))

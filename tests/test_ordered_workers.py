@@ -9,13 +9,14 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from boostlab import boosting, forkpool, growers, recipes
-from boostlab.boosting import BoostConfig, to_json, train
+from boostlab.boosting import BoostConfig, prepare_features, to_json, train
 from boostlab.dataset import TARGET
 from boostlab.recipes import load_recipe, run_recipe
 
@@ -208,6 +209,49 @@ def test_held_block_history_stays_within_ordered_blocks_rows(monkeypatch):
             history = sum(rows * cols for (rows, cols), _ in boosters)
             carried = sum(2 * prefix + cols for (_, cols), prefix in boosters)
             assert history <= bound and history + carried < 2 * bound
+
+
+def test_boosters_hand_back_own_row_predictions_only_when_another_chunk_reads_them(
+        cpus, monkeypatch):
+    # three chunks of 4, 4 and 3 main trees over 2 permutations: the boosters
+    # of the first two chunks hand back their prefix rows' predictions for
+    # the next chunk, those of the last one an empty array, forked or inline
+    ds, cfg = big_table(), big_config(permutations=2, n_trees=11)
+    blocks = np.array_split(np.arange(ds.n_rows), cfg.ordered_blocks)
+    prefix_rows = np.cumsum([len(block) for block in blocks])[:-1].tolist()
+    waves = record_waves(monkeypatch)
+    for n in (1, PARALLEL_CPUS):
+        cpus(n)
+        train(ds, cfg)
+    chunks = [chunk for kind, chunk, _ in waves if kind == "boosters"]
+    assert len(chunks) == 6
+    for chunk in (chunks[0], chunks[1], chunks[3], chunks[4]):
+        assert [size for _, size in chunk] == 2 * prefix_rows
+    for chunk in (chunks[2], chunks[5]):
+        assert [size for _, size in chunk] == [0] * len(chunk)
+
+
+def test_forked_run_holds_block_histories_and_few_row_arrays_here(cpus):
+    # two chunks of 4 main trees, every wave forked: while they run, this
+    # process holds one chunk's block histories, under ordered_blocks x n
+    # floats per permutation, and a few n-sized arrays (the schedule, the
+    # boosters' carried predictions, one result in transit), but no
+    # per-booster row indices or starting predictions and no float matrix
+    ds, cfg = big_table(), big_config()
+    cpus(PARALLEL_CPUS)
+    train(ds, cfg)  # loads the pool modules before anything is traced
+    features = prepare_features(ds, cfg)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train(ds, cfg, features)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert_no_child_left()
+    floats = 8 * ds.n_rows
+    histories = cfg.ordered_blocks * cfg.ordered_permutations * floats
+    assert peak < histories + 8 * floats
 
 
 def test_forked_run_grows_no_tree_in_this_process(cpus, fit_pids):
