@@ -424,10 +424,12 @@ def _train_ordered(grow, y, binned, config: BoostConfig, base: float, hist_fn) -
 
     The job that reads a piece of booster state builds it: a booster finds
     its rows and block j from the schedule and gathers block j's feature
-    rows from the source columns, and a main tree finds each block's rows
-    the same way. This process holds the schedule, the block histories of
-    one chunk and, only while another chunk follows, each booster's
-    predictions on its own rows and on block j."""
+    rows from the source columns, and a main tree lays every permutation's
+    rows out block by block (one stable argsort of the block ids), each
+    block in the order its booster reads it. This process holds the
+    schedule, the block histories of one chunk and, only while another
+    chunk follows, each booster's predictions on its own rows and on
+    block j."""
     n, n_trees = len(y), config.n_trees
     n_blocks, lr = config.ordered_blocks, config.learning_rate
     schedule = strategies.ordered_schedule(
@@ -466,23 +468,32 @@ def _train_ordered(grow, y, binned, config: BoostConfig, base: float, hist_fn) -
         return history, preds if hand_back else np.empty(0)
 
     all_idx = np.arange(n)
+    # prefix[j]: the rows in blocks 0..j, from the block sizes every
+    # permutation shares
+    prefix = np.cumsum(np.bincount(schedule.block_of[0], minlength=n_blocks)).tolist()
+    # the narrowest dtype of the block ids: numpy's stable argsort of 8- and
+    # 16-bit integers is a radix sort
+    block_key = np.min_scalar_type(n_blocks - 1)
 
     def grow_main_tree(t: int, results: list, k: int):
         """Main tree t of a chunk of k, from its boosters' results: each row's
         prefix prediction, per permutation, is the base score on block 0 and
         booster (p, j)'s after round t of the chunk on block j."""
-        row_preds = [np.full(n, base) for _ in schedule.permutations]
-        for (p, j), (history, _) in zip(boosters, results):
-            # the chunk's rounds are the last k rows
-            row_preds[p][schedule.block_of[p] == j] = history[t - k]
+        row_preds = []
+        for p, block_of in enumerate(schedule.block_of):
+            # the rows block by block, each block ascending as its booster reads it
+            by_block = np.argsort(block_of.astype(block_key), kind="stable")
+            preds = np.empty(n)
+            # the chunk's rounds are the last k rows of each history
+            preds[by_block] = np.concatenate(
+                [np.full(prefix[0], base)]
+                + [history[t - k] for (q, _), (history, _) in zip(boosters, results) if q == p])
+            row_preds.append(preds)
         g, h, _ = strategies.ordered_gradients(
             schedule, grad_fn, y, [np.broadcast_to(v, (n_blocks, n)) for v in row_preds])
         return grow(all_idx, binned, g, h, config, hist_fn=hist_fn)
 
-    # the rows each booster fits, from the block sizes every permutation
-    # shares: the jobs run larger prefixes first
-    prefix = np.cumsum(np.bincount(schedule.block_of[0], minlength=n_blocks)).tolist()
-    sizes = [prefix[j - 1] for _, j in boosters]
+    sizes = [prefix[j - 1] for _, j in boosters]  # the jobs run larger prefixes first
     trees = []
     for start in range(0, n_trees, n_blocks):
         k = min(n_blocks, n_trees - start)  # main trees in this chunk
@@ -757,13 +768,20 @@ def _ensemble_from_doc(doc, where: str = "model") -> Ensemble:
     if loss not in LOSSES:
         raise ModelFormatError(f"{where}: unknown loss {loss!r}")
     names = _strings(_field(doc, "feature_names", list, where), f"{where}: 'feature_names'")
+    if len(set(names)) < len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ModelFormatError(f"{where}: 'feature_names' repeats {repeated!r}")
+    learning_rate = _field(doc, "learning_rate", float, where)
+    if not 0.0 < learning_rate <= 1.0:
+        raise ModelFormatError(f"{where}: 'learning_rate' must be in (0, 1], "
+                               f"got {learning_rate!r}")
     levels = _field(doc, "categorical_levels", dict, where) \
         if "categorical_levels" in doc else {}
     return Ensemble(
         trees=[_tree_from_doc(t, len(names), f"{where} tree {i}")
                for i, t in enumerate(_field(doc, "trees", list, where))],
         base_score=_field(doc, "base_score", float, where),
-        learning_rate=_field(doc, "learning_rate", float, where),
+        learning_rate=learning_rate,
         loss=loss,
         feature_names=names,
         categorical_levels={
@@ -803,6 +821,9 @@ def from_json(text: str):
             raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
         classes = [_finite(c, "classifier: class")
                    for c in _field(doc, "classes", list, "classifier")]
+        if any(a >= b for a, b in zip(classes, classes[1:])):
+            raise ModelFormatError(f"classifier: 'classes' must be strictly increasing, "
+                                   f"got {classes!r}")
         docs = _field(doc, "ensembles", list, "classifier")
         if len(classes) < 2 or len(docs) != (1 if len(classes) == 2 else len(classes)):
             raise ModelFormatError(f"classifier: {len(docs)} ensembles do not fit "

@@ -401,15 +401,35 @@ def find_best_split_presorted(indices: np.ndarray, ds, g: np.ndarray, h: np.ndar
 
 
 def _goes_left(v: np.ndarray, threshold, default_left) -> np.ndarray:
-    """The routing rule everywhere: v <= threshold, NaN takes the default side.
+    """The routing rule: v <= threshold, NaN takes the default side.
 
     threshold and default_left are one node's, or arrays of the node each
     value is at. Histogram thresholds are bin upper edges and bin codes come
     from searchsorted(side="left"), so on raw values this reproduces the bins.
+    Prediction and the level-wise and leaf-wise growers route raw values by
+    it; the oblivious grower routes its training rows on their bin codes
+    instead, by _codes_go_right, which is the same rule.
     """
     go_left = v <= threshold
     go_left |= np.isnan(v) & default_left
     return go_left
+
+
+def _codes_go_right(codes: np.ndarray, pos: int, default_left: bool,
+                    missing_code: int) -> np.ndarray:
+    """~_goes_left for the rows of a training table with these bin codes,
+    split at the upper edge of bin pos.
+
+    A row's code is the first bin whose upper edge is >= its value, so the
+    value is above the edge exactly when the code is above pos; the edge of
+    the last bin is the training maximum, so every non-missing code lies at
+    or below it. NaN takes missing_code (the feature's bin count), which lies
+    past every bin, so missing rows go right unless default_left.
+    """
+    go_right = codes > pos
+    if default_left:
+        go_right &= codes != missing_code
+    return go_right
 
 
 @dataclass
@@ -800,7 +820,9 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
     Like CatBoost's symmetric trees, this grower does not apply
     min_child_hessian. The level loop's scratch arrays come from workspace,
     an ObliviousWorkspace that one caller reuses across fits (a fresh one
-    when None); it changes no bit of the tree.
+    when None); it changes no bit of the tree. Rows are routed on their bin
+    codes (_codes_go_right), and the leaf sums of each level are taken once,
+    the last level's for the leaf weights.
     """
     lam, gamma = config.lambda_, config.gamma
     if hist_fn is None:
@@ -808,6 +830,7 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
     if workspace is None:
         workspace = ObliviousWorkspace()
     workspace.bind(binned, 2 ** (config.max_depth - 1))  # the deepest level scanned
+    full = len(indices) == binned.n_rows  # growers keep indices sorted unique
     leaf_pos = np.zeros(len(indices), dtype=np.int64)
     n_leaves = 1
     gi, hi = g[indices], h[indices]
@@ -815,49 +838,48 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
     level_gains: list[np.ndarray] = []
     level = workspace.level(1)
     hist_fn.level_histograms(indices, leaf_pos, n_leaves, binned, g, h, out=level.hist)
-    for _ in range(config.max_depth):
-        best = _oblivious_split(level, *_leaf_sums(leaf_pos, n_leaves, gi, hi),
-                                binned, lam, gamma)
+    sums = _leaf_sums(leaf_pos, n_leaves, gi, hi)
+    for depth in range(1, config.max_depth + 1):
+        best = _oblivious_split(level, *sums, binned, lam, gamma)
         if best is None or best[0] <= 0.0:
             break
         total, fi, pos, missing_left, gains_here = best
         name = binned.feature_names[fi]
-        thr = float(binned.boundaries[name][pos])
-        go_left = _goes_left(binned.source.column(name)[indices], thr, missing_left)
-        new_leaf_pos = 2 * leaf_pos + (~go_left).astype(np.int64)
-        level_splits.append((fi, thr, missing_left))
+        level_splits.append((fi, float(binned.boundaries[name][pos]), missing_left))
         level_gains.append(gains_here)
-        if len(level_splits) == config.max_depth:
-            leaf_pos = new_leaf_pos
-            n_leaves *= 2
+        codes = binned.bins[name] if full else binned.bins[name].take(indices)
+        go_right = _codes_go_right(codes, pos, missing_left, int(binned.bin_counts[fi]))
+        if depth < config.max_depth:
+            # build only the globally smaller side; siblings come by
+            # subtraction into the histogram buffer the current level does
+            # not occupy
+            build_right = np.count_nonzero(go_right) * 2 <= len(indices)
+            side = np.flatnonzero(go_right if build_right else ~go_right)
+            built_indices, built_pos = indices.take(side), leaf_pos.take(side)
+        leaf_pos *= 2
+        leaf_pos += go_right
+        n_leaves *= 2
+        sums = _leaf_sums(leaf_pos, n_leaves, gi, hi)
+        if depth == config.max_depth:
             break
-        # build only the globally smaller side; siblings come by subtraction
-        # into the histogram buffer the current level does not occupy
-        n_right = int(np.count_nonzero(~go_left))
-        build_right = n_right * 2 <= len(indices)
-        side = ~go_left if build_right else go_left
-        nxt = workspace.level(2 * n_leaves)
+        nxt = workspace.level(n_leaves)
         built = nxt.hist[:, int(build_right)::2]  # right children sit at odd slots
-        hist_fn.level_histograms(indices[side], leaf_pos[side], n_leaves, binned, g, h,
+        hist_fn.level_histograms(built_indices, built_pos, n_leaves // 2, binned, g, h,
                                  out=built)
         np.subtract(level.hist, built, out=nxt.hist[:, 1 - int(build_right)::2])
         level = nxt
-        leaf_pos = new_leaf_pos
-        n_leaves *= 2
 
-    tree = _assemble_oblivious(indices, leaf_pos, n_leaves, level_splits, level_gains,
-                               gi, hi, lam)
+    tree = _assemble_oblivious(sums, level_splits, level_gains, lam)
     if not with_slots:
         return tree
     leaf_pos += n_leaves - 1  # leaf p of the last level is node n_leaves - 1 + p
     return tree, leaf_pos
 
 
-def _assemble_oblivious(indices, leaf_pos, n_leaves, level_splits, level_gains,
-                        gi, hi, lam) -> DecisionTree:
-    """The grown tree: gi/hi are the gradient values of the node's instances,
-    aligned with leaf_pos; empty leaves get weight 0."""
-    sum_g, sum_h, counts = _leaf_sums(leaf_pos, n_leaves, gi, hi)
+def _assemble_oblivious(sums, level_splits, level_gains, lam) -> DecisionTree:
+    """The grown tree from its leaves' (3, L) sums of g, h and row counts;
+    empty leaves get weight 0."""
+    sum_g, sum_h, counts = sums
     denom = sum_h + lam
     occupied = counts > 0
     if np.any(occupied & (denom <= 0.0)):

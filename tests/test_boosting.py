@@ -553,6 +553,15 @@ MALFORMED = {
                    r"^model: 'config' 'learning_rate' must be finite, got inf$"),
     "minus_inf_config": (_set(["config", "goss_a"], -math.inf),
                          r"^model: 'config' 'goss_a' must be finite, got -inf$"),
+    # two features would read one column; train rejects such names
+    "repeated_feature_name": (lambda d: d["feature_names"].__setitem__(2, "x0"),
+                              r"^model: 'feature_names' repeats 'x0'$"),
+    "negative_learning_rate": (_set(["learning_rate"], -0.5),
+                               r"^model: 'learning_rate' must be in \(0, 1\], got -0.5$"),
+    "zero_learning_rate": (_set(["learning_rate"], 0),
+                           r"^model: 'learning_rate' must be in \(0, 1\], got 0.0$"),
+    "learning_rate_above_one": (_set(["learning_rate"], 1.5),
+                                r"^model: 'learning_rate' must be in \(0, 1\], got 1.5$"),
 }
 
 
@@ -595,6 +604,19 @@ class TestModelDocumentValidation:
         doc = json.loads(to_json(train_classifier(ds, BoostConfig(n_trees=2))))
         doc["ensembles"][2]["trees"][0]["nodes"][0]["leaf"] = None
         with pytest.raises(ModelFormatError, match=r"ensemble 2 tree 0 node 0: 'leaf'"):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("classes", [[1.0, 1.0, 2.0], [0.0, 2.0, 1.0], [1.0, 0.0]])
+    def test_classifier_classes_must_increase(self, classes):
+        """train_classifier writes sorted distinct classes; repeated or
+        unordered ones would let two ensembles report one label."""
+        ds = make_dataset({"x0": [0.0, 1.0, 2.0] * 10, "t": [0.0, 1.0, 2.0] * 10},
+                          kinds={"t": TARGET})
+        doc = json.loads(to_json(train_classifier(ds, BoostConfig(n_trees=2))))
+        doc["classes"] = classes
+        doc["ensembles"] = doc["ensembles"][:1 if len(classes) == 2 else 3]
+        with pytest.raises(ModelFormatError,
+                           match=r"^classifier: 'classes' must be strictly increasing"):
             from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("grower", ["level_wise", "leaf_wise", "oblivious"])

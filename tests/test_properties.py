@@ -1,15 +1,18 @@
 """Properties that hold on any table: GOSS that keeps every row trains the
-trees of unsampled training, and a row's prediction does not depend on the
-order of the rows predicted with it."""
+trees of unsampled training, a row's prediction does not depend on the
+order of the rows predicted with it, and routing training rows on their bin
+codes sends each row where routing its raw value does."""
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boostlab.boosting import LOSSES, BoostConfig, to_json, train
-from boostlab.dataset import CATEGORICAL, TARGET, Dataset
+from boostlab.dataset import CATEGORICAL, TARGET, Dataset, bin_features
+from boostlab.growers import _codes_go_right, _goes_left
 
 from conftest import make_dataset
 
@@ -80,3 +83,38 @@ def test_property_predictions_do_not_depend_on_row_order(seed, n, m, nan_rate, g
     assert model.predict(shuffled).tobytes() == want[order].tobytes()
     X = model.feature_matrix(holdout)
     assert model.predict(X[order]).tobytes() == want[order].tobytes()
+
+
+@pytest.mark.parametrize("max_bins", [8, 64, 255, 256, 400])
+@settings(max_examples=4, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nan_rate=st.sampled_from([0.0, 0.1, 0.5]))
+def test_property_bin_code_routing_equals_raw_value_routing(seed, max_bins, nan_rate):
+    """For every bin position and both missing routings, _codes_go_right on
+    a column's codes is ~_goes_left on its values at that bin's upper edge:
+    on columns with NaNs, -0.0 beside 0.0, ties, and more distinct values
+    than max_bins (the thinned-quantile binning), in uint8 and uint16 codes."""
+    rng = np.random.default_rng(seed)
+    n = 1000
+    wide = rng.normal(size=n)
+    wide[:100] = wide[0]  # a run of ties across a quantile cut
+    wide[100:150] = rng.choice([-0.0, 0.0], size=50)
+    cols = {
+        "wide": wide,  # thinned: more distinct values than any max_bins here
+        "ties": rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=n),
+        "ints": rng.permutation(np.arange(n) % 300).astype(np.float64),
+        "empty": np.full(n, np.nan),  # every row in the missing bin
+    }
+    for name in ("wide", "ties", "ints"):
+        cols[name][rng.random(n) < nan_rate] = np.nan
+    binned = bin_features(make_dataset(cols), max_bins)
+    if max_bins < 256:
+        assert all(binned.bins[name].dtype == np.uint8 for name in cols)
+    if max_bins == 400:  # over 255 bins, thinned ("wide") and one per value ("ints")
+        assert binned.bins["wide"].dtype == binned.bins["ints"].dtype == np.uint16
+    for name in binned.feature_names:
+        values, codes, edges = cols[name], binned.bins[name], binned.boundaries[name]
+        for pos, edge in enumerate(edges.tolist()):
+            for default_left in (False, True):
+                want = ~_goes_left(values, edge, default_left)
+                got = _codes_go_right(codes, pos, default_left, len(edges))
+                assert np.array_equal(got, want), (name, pos, default_left)

@@ -14,6 +14,9 @@ cli.main). OUT_DIR receives:
   run them in forked workers, the second time with enough main-tree rows to
   grow those in forked workers too), each with efb_max_conflicts None, 0
   and 50, on a seeded table with NaN-bearing numeric and categorical columns;
+  and the same for oblivious and ordered oblivious growth at 256 bins on the
+  table with no numeric column rounded, whose numeric columns then all have
+  uint16 bin codes;
 - models/<grower>-efb<None|0|50>.loaded.pred: the prediction bytes of
   from_json(to_json(model)) on a second seeded table, with NaNs in every
   numeric column, so loading and routing rows the model never trained on
@@ -68,15 +71,25 @@ GROWERS = {
     # workers too; the second chunk's one tree grows inline
     "ordered-main-pool": {"grower": "oblivious", "ordered_blocks": 17, "n_trees": 18},
 }
+# trained at 256 bins on the table with no column rounded, where every numeric
+# column, the two the target reads included, takes more than 255 bins: their
+# bin codes are uint16, the width the bench's 256-bin tables route on
+WIDE_CODES = {
+    "oblivious-256": {"grower": "oblivious", "max_bins": 256},
+    "ordered-256": {"grower": "oblivious", "ordered_blocks": 4, "max_bins": 256},
+}
 
 
-def training_table(boostlab, n=3000, seed=5):
-    """Numeric columns (two with NaNs), three categorical columns whose
-    one-hot features EFB bundles, and a target that reads both kinds."""
+def training_table(boostlab, n=3000, seed=5, rounded=True):
+    """Numeric columns (two with NaNs; x0 and x2 rounded to one decimal
+    unless rounded is False), three categorical columns whose one-hot
+    features EFB bundles, and a target that reads both kinds."""
     rng = np.random.default_rng(seed)
     schema, cols, labels = [], {}, {}
     for j in range(4):
-        v = rng.normal(size=n) if j % 2 else np.round(rng.normal(size=n), 1)
+        v = rng.normal(size=n)
+        if rounded and j % 2 == 0:
+            v = np.round(v, 1)
         if j >= 2:
             v[rng.random(n) < 0.1] = np.nan
         schema.append(boostlab.ColumnSchema(f"x{j}"))
@@ -103,12 +116,17 @@ def holdout_table(boostlab):
 
 
 def dump_models(boostlab, out: Path) -> None:
-    from boostlab.boosting import from_json, to_json
-
-    ds = training_table(boostlab)
     holdout = holdout_table(boostlab)
     out.mkdir(parents=True)
-    for label, extra in GROWERS.items():
+    for ds, growers in ((training_table(boostlab), GROWERS),
+                        (training_table(boostlab, rounded=False), WIDE_CODES)):
+        dump_growers(boostlab, ds, holdout, growers, out)
+
+
+def dump_growers(boostlab, ds, holdout, growers: dict, out: Path) -> None:
+    from boostlab.boosting import from_json, to_json
+
+    for label, extra in growers.items():
         for efb in (None, 0, 50):
             config = boostlab.BoostConfig(**{"n_trees": 6, "max_depth": 5, "max_bins": 64,
                                              "seed": 3, "efb_max_conflicts": efb, **extra})
