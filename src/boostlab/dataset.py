@@ -714,10 +714,13 @@ def _bin_column(values: np.ndarray, max_bins: int, name: str):
     there are too many. A value's code is its bin, the first with
     value <= edge; NaN takes the missing bin len(edges).
 
-    With every distinct value in its own bin, each value finds its bin by a
-    binary search over the edges. Otherwise the non-NaN values are sorted
-    once (by argsort): the quantile cuts are read off the sorted values, and
-    each bin's rows are a run of them.
+    With every distinct value in its own bin, the distinct values find their
+    bins by a binary search over the edges, and each row takes its value's
+    bin from a table indexed by value - min where the values are integers
+    spanning fewer steps than the column has rows (indicator and level
+    codes), else by its own binary search. Otherwise the non-NaN values are
+    sorted once (by argsort): the quantile cuts are read off the sorted
+    values, and each bin's rows are a run of them.
     """
     present = ~np.isnan(values)
     finite = values[present]
@@ -728,9 +731,17 @@ def _bin_column(values: np.ndarray, max_bins: int, name: str):
         raise DatasetError(f"feature column {name!r} contains infinite values")
     if len(u) <= max_bins:
         edges = np.append((u[:-1] + u[1:]) / 2.0, u[-1])
-        # NaN sorts after every edge, into the missing bin
-        codes = np.searchsorted(edges, values, side="left")
-        return codes.astype(_code_dtype(len(edges))), edges
+        dtype = _code_dtype(len(edges))
+        span = u[-1] - u[0]
+        if span >= len(values) or not np.array_equal(u, np.floor(u)):
+            # NaN sorts after every edge, into the missing bin
+            return np.searchsorted(edges, values, side="left").astype(dtype), edges
+        # value - u[0] is an integer below len(values), so exact in float64
+        table = np.zeros(int(span) + 1, dtype=dtype)
+        table[(u - u[0]).astype(np.intp)] = np.searchsorted(edges, u, side="left")
+        codes = np.full(len(values), len(edges), dtype=dtype)
+        codes[present] = table[(finite - u[0]).astype(np.intp)]
+        return codes, edges
     order = np.argsort(finite)
     s = finite[order]
     n = len(s)

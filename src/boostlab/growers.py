@@ -153,7 +153,9 @@ class HistogramBuilder:
     whose rows the small path takes in order), so both paths give the same
     bits as build_histogram. The sums land in one stacked float64 (3, ...)
     array of g, h and counts, written into a caller's buffer where one is
-    given.
+    given. The counts of a single-leaf node of every row do not depend on g
+    or h: each builder counts them on its first such call and copies them on
+    later ones, so every tree after the first gets its root's counts free.
     """
 
     FLAT_LIMIT = 32768  # node rows * units at or below this use the flat path
@@ -175,12 +177,16 @@ class HistogramBuilder:
         self.unit_offsets = np.array(offsets, dtype=np.intp)[:, None]
         self.stride = max(widths)  # leaf stride of the per-unit path
         self.total_width = total_width
+        self._full_counts = None  # (1, total_width) counts of a single leaf of every row
 
     def _unit_sums(self, indices, leaf_pos, n_leaves, gi, hi, out):
         """Write the sums of g, h and row counts per unit bin into out, a
         float64 (3, n_leaves, total_width) array or view. gi/hi are g and h
         at indices; leaf_pos is ignored when n_leaves is 1."""
         tw = self.total_width
+        # growers keep indices sorted unique, so a node of n_rows rows has every row
+        full = len(indices) == self.n_rows
+        counted = full and n_leaves == 1 and self._full_counts is not None
         if len(indices) * self.n_units <= self.FLAT_LIMIT:
             codes = np.take(self.codes, indices, axis=1).astype(np.intp)  # unit-major
             shift = self.unit_offsets
@@ -189,21 +195,24 @@ class HistogramBuilder:
             codes += shift
             codes = codes.ravel()
             size = n_leaves * tw
-            for k, weights in enumerate((np.concatenate([gi] * self.n_units),
-                                         np.concatenate([hi] * self.n_units), None)):
+            gh = [np.concatenate([gi] * self.n_units), np.concatenate([hi] * self.n_units)]
+            for k, weights in enumerate(gh if counted else gh + [None]):
                 out[k] = np.bincount(codes, weights=weights, minlength=size).reshape(n_leaves, tw)
-            return
-        full = len(indices) == self.n_rows  # growers keep indices sorted unique
-        base = leaf_pos.astype(np.int64) * self.stride if n_leaves > 1 else None
-        size = n_leaves * self.stride
-        out.fill(0.0)
-        for uc, (off, w) in zip(self.codes, self.unit_spans):
-            codes = uc if full else uc[indices]
-            if base is not None:
-                codes = base + codes
-            for k, weights in enumerate((gi, hi, None)):
-                sums = np.bincount(codes, weights=weights, minlength=size)
-                out[k, :, off:off + w] = sums.reshape(n_leaves, -1)[:, :w]
+        else:
+            base = leaf_pos.astype(np.int64) * self.stride if n_leaves > 1 else None
+            size = n_leaves * self.stride
+            out[:2 if counted else 3].fill(0.0)
+            for uc, (off, w) in zip(self.codes, self.unit_spans):
+                codes = uc if full else uc[indices]
+                # bincount casts its input to intp: cast a single leaf's codes once
+                codes = codes.astype(np.intp) if base is None else base + codes
+                for k, weights in enumerate((gi, hi) if counted else (gi, hi, None)):
+                    sums = np.bincount(codes, weights=weights, minlength=size)
+                    out[k, :, off:off + w] = sums.reshape(n_leaves, -1)[:, :w]
+        if counted:
+            out[2] = self._full_counts
+        elif full and n_leaves == 1:
+            self._full_counts = out[2].copy()
 
     def __call__(self, indices, binned, g, h) -> Histogram:
         stats = np.empty((3, self.m, self.width))
@@ -406,9 +415,9 @@ def _goes_left(v: np.ndarray, threshold, default_left) -> np.ndarray:
     threshold and default_left are one node's, or arrays of the node each
     value is at. Histogram thresholds are bin upper edges and bin codes come
     from searchsorted(side="left"), so on raw values this reproduces the bins.
-    Prediction and the level-wise and leaf-wise growers route raw values by
-    it; the oblivious grower routes its training rows on their bin codes
-    instead, by _codes_go_right, which is the same rule.
+    Prediction and exact level-wise growth route raw values by it; the
+    histogram growers route their training rows on their bin codes instead,
+    by _codes_go_right, which is the same rule.
     """
     go_left = v <= threshold
     go_left |= np.isnan(v) & default_left
@@ -544,11 +553,24 @@ class DecisionTree:
         return list(zip(self.feature[inner].tolist(), self.gain[inner].tolist()))
 
 
-def _partition(indices: np.ndarray, binned: BinnedDataset, cand: SplitCandidate):
-    """Split a node's instances by raw value (NaN follows default_left)."""
-    v = binned.source.column(binned.feature_names[cand.feature])[indices]
-    go_left = _goes_left(v, cand.threshold, cand.default_left)
-    return indices[go_left], indices[~go_left]
+def _partition(indices: np.ndarray, binned: BinnedDataset, cand: SplitCandidate, exact: bool):
+    """Split a node's instances (NaN follows default_left), each side in
+    ascending order. A histogram split routes rows on their bin codes: its
+    threshold is the upper edge of bin searchsorted(edges, threshold). An
+    exact split's threshold is a midpoint of raw values, not an edge, so it
+    routes them on their raw values."""
+    name = binned.feature_names[cand.feature]
+    if exact:
+        go_right = ~_goes_left(binned.source.column(name)[indices], cand.threshold,
+                               cand.default_left)
+    else:
+        codes = binned.bins[name]
+        if len(indices) < binned.n_rows:  # growers keep indices sorted unique
+            codes = codes.take(indices)
+        pos = int(np.searchsorted(binned.boundaries[name], cand.threshold))
+        go_right = _codes_go_right(codes, pos, cand.default_left,
+                                   int(binned.bin_counts[cand.feature]))
+    return indices.take(np.flatnonzero(~go_right)), indices.take(np.flatnonzero(go_right))
 
 
 def _grow(indices, binned, g, h, config, priority, max_leaves, exact, hist_fn, with_slots):
@@ -596,7 +618,7 @@ def _grow(indices, binned, g, h, config, priority, max_leaves, exact, hist_fn, w
     n_leaves = 1
     while heap and n_leaves < max_leaves:
         _, nid, idx, depth, hist, cand, _ = heapq.heappop(heap)
-        left_idx, right_idx = _partition(idx, binned, cand)
+        left_idx, right_idx = _partition(idx, binned, cand, exact)
         lid = len(nodes)
         nodes[nid] = (cand.feature, cand.threshold, cand.default_left, lid, lid + 1, 0.0,
                       cand.gain)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -243,13 +243,16 @@ def _importance(ensembles) -> dict:
     return {"importance": merged, "ranking": [{"feature": k, "gain": v} for k, v in ranking]}
 
 
-def run_analysis(spec: dict, ds: Dataset, seed: int = 0, held: dict | None = None) -> dict:
+def run_analysis(spec: dict, ds: Dataset, seed: int = 0, held: dict | None = None,
+                 fitted: tuple | None = None) -> dict:
     """The result of one analysis step (a checked recipe analysis object) on
     ds; held maps train_importance feature sets to features run_recipe
-    prepared for them."""
+    prepared for them, and fitted is what _fit returned for a
+    train_importance analysis that differs from this one in 'trees' only,
+    with at least as many trees (this analysis fits its own without it)."""
     op = spec["op"]
     if op == "train_importance":
-        return _run_train_importance(spec, ds, seed, held or {})
+        return _run_train_importance(spec, ds, seed, fitted or _fit(spec, ds, seed, held or {}))
     if op == "split_regression":
         return _run_split_regression(spec, ds, seed)
     if op not in _OPS["analysis"]:
@@ -304,9 +307,19 @@ def _prepared_features(analyses: list[dict], ds: Dataset, seed: int) -> dict:
     return held
 
 
-def _run_train_importance(spec: dict, ds: Dataset, seed: int, held: dict) -> dict:
-    """held maps _features_key to _prepared_features' entries; analyses on
-    the same feature columns of ds share one. Without an entry, training
+def _fit_key(spec: dict) -> tuple:
+    """What a train_importance analysis's fit reads besides its 'trees':
+    analyses with equal keys fit the first trees of one another's models."""
+    config = _analysis_config(spec)
+    return (_features_key(config, spec), astuple(replace(config, n_trees=0)),
+            spec.get("task"), spec["target"])
+
+
+def _fit(spec: dict, ds: Dataset, seed: int, held: dict) -> tuple:
+    """(classes, ensembles) of a train_importance analysis: one ensemble per
+    class for classification, classes None and one ensemble for regression.
+    held maps _features_key to _prepared_features' entries; analyses on the
+    same feature columns of ds share one. Without an entry, training
     prepares its own features."""
     config = _analysis_config(spec, seed=seed)
     sub = _training_subset(spec, ds)
@@ -315,10 +328,18 @@ def _run_train_importance(spec: dict, ds: Dataset, seed: int, held: dict) -> dic
         raise features
     if spec.get("task") == "classification":
         model = train_classifier(sub, config, features)
-        ensembles, classes = model.ensembles, model.classes
-    else:
-        ensembles = [train(sub, replace(config, loss="squared_error"), features)]
-        classes = None
+        return model.classes, model.ensembles
+    return None, [train(sub, replace(config, loss="squared_error"), features)]
+
+
+def _run_train_importance(spec: dict, ds: Dataset, seed: int, fitted: tuple) -> dict:
+    """The analysis's result from the first 'trees' trees of fitted's
+    ensembles: training is prefix-stable (tree t reads only the trees before
+    it), so they are the trees a fit of 'trees' trees grows, and their
+    importance sums the same gains in the same order."""
+    config = _analysis_config(spec, seed=seed)
+    classes, ensembles = fitted
+    ensembles = [replace(ens, trees=ens.trees[:config.n_trees]) for ens in ensembles]
     return {"target": spec["target"], "grower": config.grower,
             "n_trees": config.n_trees, "max_depth": config.max_depth,
             "classes": classes, **_importance(ensembles)}
@@ -419,19 +440,48 @@ def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
     return bundle
 
 
+def _analysis_groups(analyses: list[dict]) -> list[list[int]]:
+    """The analyses' indices, grouped: train_importance analyses with equal
+    _fit_key share a group, every other analysis has its own. Groups are in
+    the order of their first analysis, members in plan order."""
+    groups: dict = {}
+    for i, spec in enumerate(analyses):
+        key = _fit_key(spec) if spec["op"] == "train_importance" else i
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def _run_analyses(analyses: list[dict], ds: Dataset, seed: int) -> list[dict]:
     """The analyses' results, in their order.
 
-    Each distinct train_importance feature set is prepared once, here. The
-    analyses then run through forkpool.run_jobs: in forked worker processes,
-    one per CPU up to one per analysis, which inherit ds and the prepared
-    features without pickling, larger 'trees' first (statistics count 0);
-    or inline, one by one, where it forks no pool. Either way the first
-    analysis in order that fails raises here.
+    Each distinct train_importance feature set is prepared once, here, and
+    each group of _analysis_groups is one job, which fits a train_importance
+    group once, with its largest 'trees', for all its analyses. The jobs run
+    through forkpool.run_jobs: in forked worker processes, one per CPU up to
+    one per job, which inherit ds and the prepared features without
+    pickling, larger 'trees' first (statistics count 0); or inline, one by
+    one, where it forks no pool. Either way the first job in order that
+    fails raises here; jobs are in the order of their first analysis, and
+    a group's analyses share the fit that fails.
     """
     held = _prepared_features(analyses, ds, seed)
     trees = [_analysis_config(spec).n_trees if _trains(spec) else 0 for spec in analyses]
-    return forkpool.run_jobs(lambda i: run_analysis(analyses[i], ds, seed, held), trees)
+    groups = _analysis_groups(analyses)
+
+    def job(g: int) -> list[dict]:
+        members = groups[g]
+        fitted = None
+        if len(members) > 1:  # a train_importance group: fit its largest 'trees' once
+            longest = max(members, key=trees.__getitem__)
+            fitted = _fit(analyses[longest], ds, seed, held)
+        return [run_analysis(analyses[i], ds, seed, held, fitted) for i in members]
+
+    results: list = [None] * len(analyses)
+    sizes = [max(trees[i] for i in members) for members in groups]
+    for members, group_results in zip(groups, forkpool.run_jobs(job, sizes)):
+        for i, result in zip(members, group_results):
+            results[i] = result
+    return results
 
 
 def write_result(result: dict, path=None, tabular: bool = False) -> None:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from boostlab.growers import (DecisionTree, HistogramBuilder, TreeNode, _partition,
+from boostlab.growers import (DecisionTree, HistogramBuilder, TreeNode,
                               find_best_split_histogram, find_best_split_presorted,
                               leaf_weight, node_stats)
 
@@ -560,6 +560,14 @@ def _child_histograms(parent_hist, left_idx, right_idx, binned, g, h, hist_fn):
     return parent_hist.subtract(hr), hr
 
 
+def partition_reference(indices, binned, cand):
+    """A node's rows split by raw value with boolean masks: v <= threshold
+    goes left, NaN follows default_left."""
+    v = binned.source.column(binned.feature_names[cand.feature])[indices]
+    go_left = (v <= cand.threshold) | (np.isnan(v) & cand.default_left)
+    return indices[go_left], indices[~go_left]
+
+
 def level_wise_reference(indices, binned, g, h, config, exact=False, hist_fn=None,
                          with_slots=False):
     """Expand every splittable node of the current depth before descending."""
@@ -582,7 +590,7 @@ def level_wise_reference(indices, binned, g, h, config, exact=False, hist_fn=Non
             if cand is None:
                 b.make_leaf(nid, idx, stats, lam)
                 continue
-            left_idx, right_idx = _partition(idx, binned, cand)
+            left_idx, right_idx = partition_reference(idx, binned, cand)
             lid, rid = b.make_split(nid, cand)
             if exact:
                 hl = hr = None
@@ -626,7 +634,7 @@ def leaf_wise_reference(indices, binned, g, h, config, hist_fn=None, with_slots=
     n_leaves = 1
     while heap and n_leaves < max_leaves:
         _, _, nid, idx, depth, hist, cand, stats = heapq.heappop(heap)
-        left_idx, right_idx = _partition(idx, binned, cand)
+        left_idx, right_idx = partition_reference(idx, binned, cand)
         lid, rid = b.make_split(nid, cand)
         hl, hr = _child_histograms(hist, left_idx, right_idx, binned, g, h, hist_fn)
         consider(lid, left_idx, depth + 1, hl)

@@ -7,11 +7,11 @@ from boostlab.growers import (HistogramBuilder, NodeStats, build_histogram,
                               grow_leaf_wise, grow_level_wise, grow_oblivious,
                               leaf_weight, node_stats, split_gain)
 from boostlab.boosting import BoostConfig
-from boostlab.strategies import BundledHistograms, FeatureBundle
+from boostlab.strategies import BundledHistograms, FeatureBundle, efb_bundle
 
 from conftest import make_dataset
-from oracles import (best_leaf_value, brute_force_best_split, level_histograms_reference,
-                     objective_reduction)
+from oracles import (best_leaf_value, brute_force_best_split, bundled_histograms_reference,
+                     level_histograms_reference, objective_reduction)
 
 
 def config(**kw):
@@ -244,6 +244,68 @@ class TestHistogramKernel:
             ref = plain.level_histograms(idx, leaf_pos, 4, binned, g, h)
             for a, b in zip(got, ref):
                 assert np.array_equal(a, b)
+
+
+class TestFullNodeCounts:
+    """A builder counts a node of every row once and copies the counts on
+    later calls: bit for bit what a fresh builder and the references give,
+    on both accumulation paths, with and without EFB bundles."""
+
+    N = 3000
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        rng = np.random.default_rng(12)
+        level = rng.integers(0, 4, size=self.N)
+        X = np.column_stack([*(level == k for k in range(4)),  # exclusive: EFB bundles them
+                             rng.exponential(size=self.N), rng.normal(size=self.N)])
+        X[:, -1][rng.random(self.N) < 0.1] = np.nan
+        binned = bin_features(feature_dataset(X.astype(np.float64)), max_bins=300)
+        return binned, efb_bundle(binned, 0)
+
+    def builder(self, table, bundled, flat):
+        binned, bundles = table
+        builder = BundledHistograms(binned, bundles) if bundled else HistogramBuilder(binned)
+        assert (builder.n_units < len(binned.feature_names)) == bundled
+        # the instance's limit picks the path a node of every row takes
+        builder.FLAT_LIMIT = builder.n_units * self.N if flat else 0
+        return builder
+
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("bundled", [False, True])
+    def test_repeated_full_nodes_match_a_fresh_builder(self, table, bundled, flat):
+        binned, bundles = table
+        rng = np.random.default_rng(int(bundled) + 2 * int(flat))
+        every = np.arange(self.N)
+        one_leaf = np.zeros(self.N, dtype=np.int64)
+        builder = self.builder(table, bundled, flat)
+        for trial in range(3):
+            g, h = rng.normal(size=self.N), rng.uniform(0.1, 2.0, size=self.N)
+            subset = np.sort(rng.choice(self.N, size=self.N // 3, replace=False))
+            for idx in (every, subset):  # a row subset neither reads nor fills the cache
+                fresh = self.builder(table, bundled, flat)
+                got, want = builder(idx, binned, g, h), fresh(idx, binned, g, h)
+                assert np.array_equal(got.stats, want.stats)
+                if bundled:
+                    ref = [r[0] for r in bundled_histograms_reference(binned, bundles, idx, g, h)]
+                else:
+                    ref = build_histogram(idx, binned, g, h).stats
+                for a, b in zip(got.stats, ref):
+                    assert np.array_equal(a, b)
+                got = builder.level_histograms(idx, one_leaf[:len(idx)], 1, binned, g, h)
+                want = fresh.level_histograms(idx, one_leaf[:len(idx)], 1, binned, g, h)
+                assert np.array_equal(got, want)
+            assert builder._full_counts is not None
+
+    def test_no_builder_reads_another_builders_counts(self, table):
+        binned, _ = table
+        first, second = HistogramBuilder(binned), HistogramBuilder(binned)
+        g, h = np.ones(self.N), np.ones(self.N)
+        first(np.arange(self.N), binned, g, h)
+        assert first._full_counts is not None and second._full_counts is None
+        first._full_counts[:] = -1.0  # a poisoned cache shows only in its own builder
+        counts = second(np.arange(self.N), binned, g, h).count
+        assert np.array_equal(counts, build_histogram(np.arange(self.N), binned, g, h).count)
 
 
 class TestHistogramFinder:

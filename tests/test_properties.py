@@ -1,7 +1,9 @@
 """Properties that hold on any table: GOSS that keeps every row trains the
 trees of unsampled training, a row's prediction does not depend on the
-order of the rows predicted with it, and routing training rows on their bin
-codes sends each row where routing its raw value does."""
+order of the rows predicted with it, routing training rows on their bin
+codes sends each row where routing its raw value does, a column's bin
+codes are a binary search of its values over its edges, and a fit of k
+trees is the first k trees of a longer fit."""
 
 from dataclasses import replace
 
@@ -10,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boostlab import growers
 from boostlab.boosting import LOSSES, BoostConfig, to_json, train
-from boostlab.dataset import CATEGORICAL, TARGET, Dataset, bin_features
+from boostlab.dataset import CATEGORICAL, TARGET, Dataset, _bin_column, bin_features
 from boostlab.growers import _codes_go_right, _goes_left
+from boostlab.recipes import _importance
 
 from conftest import make_dataset
+from oracles import partition_reference
 
 GROWERS = {
     "level_wise": {},
@@ -118,3 +123,104 @@ def test_property_bin_code_routing_equals_raw_value_routing(seed, max_bins, nan_
                 want = ~_goes_left(values, edge, default_left)
                 got = _codes_go_right(codes, pos, default_left, len(edges))
                 assert np.array_equal(got, want), (name, pos, default_left)
+
+
+@pytest.mark.parametrize("grower", ["level_wise", "leaf_wise", "goss"])
+@pytest.mark.parametrize("efb", [None, 0, 50])
+@pytest.mark.parametrize("max_bins", [16, 400])
+def test_code_routing_grows_the_raw_value_routing_trees(monkeypatch, grower, efb, max_bins):
+    """The level-wise and leaf-wise growers split a node's rows on their bin
+    codes by index: the models of partition_reference, which splits them on
+    raw values by boolean masks, to the byte (NaNs in half the columns; at
+    400 bins the continuous columns take uint16 codes)."""
+    rng = np.random.default_rng(max_bins + (efb or 0))
+    ds = random_table(rng, 1500, 4, 0.2)
+    config = BoostConfig(n_trees=4, max_depth=5, max_bins=max_bins, efb_max_conflicts=efb,
+                         seed=3, **GROWERS[grower])
+    got = to_json(train(ds, config))
+    monkeypatch.setattr(growers, "_partition", lambda indices, binned, cand, exact:
+                        partition_reference(indices, binned, cand))
+    assert got == to_json(train(ds, config))
+    if max_bins == 400:
+        assert bin_features(ds, max_bins).bins["x1"].dtype == np.uint16
+
+
+LEVELS = [-0.0, 0.0, 1.0, 2.0, 97.0, -3.0, 0.5, 1e-300, 2.0 ** 60, np.nan]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 400),
+       levels=st.lists(st.sampled_from(LEVELS) | st.integers(-300, 300).map(float),
+                       min_size=1, max_size=40),
+       max_bins=st.sampled_from([2, 3, 8, 255, 256, 400]), exact=st.booleans())
+def test_property_bin_codes_are_a_binary_search_over_the_edges(seed, n, levels, max_bins,
+                                                               exact):
+    """Codes are np.searchsorted(edges, values, side="left"), NaN in the
+    missing bin len(edges), in the narrowest dtype that holds it; with at
+    most max_bins distinct values (exactly max_bins when exact) the edges are
+    the midpoints of np.unique's values, then its last. Drawn columns mix
+    integer levels (binned through a value table) with -0.0 beside 0.0, NaN,
+    a fraction, a tiny and a huge value (binned by binary search)."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice(np.array(levels), size=n)
+    finite = values[~np.isnan(values)]
+    distinct = np.unique(finite)
+    if exact:
+        max_bins = max(2, len(distinct))
+    codes, edges = _bin_column(values, max_bins, "x")
+    if finite.size == 0:  # an all-NaN column: one empty bin, every row missing
+        assert edges.tolist() == [np.inf] and codes.tolist() == [1] * n
+        return
+    if len(distinct) <= max_bins:
+        want = np.append((distinct[:-1] + distinct[1:]) / 2.0, distinct[-1])
+        assert edges.tobytes() == want.tobytes()
+    assert codes.dtype == (np.uint8 if len(edges) + 1 <= 256 else np.uint16)
+    assert np.array_equal(codes, np.searchsorted(edges, values, side="left"))
+
+
+@pytest.mark.parametrize("values, max_bins", [
+    ([np.nan, np.nan], 4),                           # all NaN
+    ([5.0, 5.0, np.nan], 4),                         # one distinct value
+    ([-0.0, 0.0, 1.0, -0.0, np.nan], 2),             # -0.0 beside 0.0, exactly max_bins
+    (list(range(300)) * 2 + [np.nan], 300),          # exactly max_bins, uint16 codes
+    ([0.0, 1e6, 3.0, 2.0], 8),                       # integers spanning more steps than rows
+    ([0.0, 0.5, 1.0, 0.5, 2.0, 1.5], 8),             # fractions in a short span
+])
+def test_bin_codes_on_edge_columns(values, max_bins):
+    values = np.array(values, dtype=np.float64)
+    codes, edges = _bin_column(values, max_bins, "x")
+    assert np.array_equal(codes, np.searchsorted(edges, values, side="left"))
+    assert codes.dtype == (np.uint8 if len(edges) + 1 <= 256 else np.uint16)
+    if max_bins == 300:
+        assert codes.dtype == np.uint16 and len(edges) == 300
+
+
+PREFIX_GROWERS = {
+    "level_wise": {},
+    "goss": {"grower": "leaf_wise", "max_leaves": 5, "goss_a": 0.3, "goss_b": 0.4},
+    "oblivious": {"grower": "oblivious"},
+    # ordered boosting runs in chunks of ordered_blocks rounds: a longer fit
+    # of more than 3 trees crosses a chunk boundary
+    "ordered": {"grower": "oblivious", "ordered_blocks": 3},
+}
+
+
+@pytest.mark.parametrize("grower", sorted(PREFIX_GROWERS))
+@settings(max_examples=5, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(12, 80), m=st.integers(1, 4),
+       nan_rate=st.sampled_from([0.0, 0.3]), loss=st.sampled_from(LOSSES),
+       efb=st.sampled_from([None, 0]), k=st.integers(0, 4), more=st.integers(1, 4))
+def test_property_a_fit_of_k_trees_is_a_longer_fits_first_k(grower, seed, n, m, nan_rate,
+                                                             loss, efb, k, more):
+    """train(k trees) is train(K trees) truncated to its first k trees, to
+    the byte, and the recipes' importance of the two is the same: what lets
+    a recipe fit analyses that differ only in 'trees' once."""
+    rng = np.random.default_rng(seed)
+    ds = random_table(rng, n, m, nan_rate, binary=loss == "logistic")
+    config = BoostConfig(n_trees=k, max_depth=3, max_bins=8, loss=loss, min_child_hessian=0.0,
+                         efb_max_conflicts=efb, seed=seed % 7, **PREFIX_GROWERS[grower])
+    short = train(ds, config)
+    longer = train(ds, replace(config, n_trees=max(k + more, 4)))
+    prefix = replace(longer, trees=longer.trees[:k])
+    assert without_config(prefix) == without_config(short)
+    assert _importance([prefix]) == _importance([short])

@@ -104,14 +104,19 @@ def test_longest_analyses_are_submitted_first(tmp_path, cpus, monkeypatch):
     csv_path = write_mexican_csv(tmp_path / "mex.csv", n=60, seed=1)
     recipe = load_recipe(BENCH_RECIPE)
     run_recipe(recipe, csv_path)
+    # a job runs one group of analyses: the oblivious ones on each feature
+    # set differ only in 'trees' and share a job, sized by its largest
+    groups = recipes._analysis_groups(recipe.analyses)
     names = [a["name"] for a in recipe.analyses]
-    trees = {a["name"]: a.get("trees", 0) for a in recipe.analyses}
-    assert [names[i] for i in submitted] == [
-        "leaf_wise_2000_modified", "oblivious_1000_full", "oblivious_1000_modified",
-        "oblivious_10_full", "oblivious_100_full", "oblivious_10_modified",
-        "oblivious_100_modified", "level_wise_modified", "chi2_diabetes", "chi2_asthma",
-        "chi2_cardiovascular", "chi2_hypertension", "chi2_renal_chronic", "chi2_tobacco"]
-    assert [trees[names[i]] for i in submitted] == sorted(trees.values(), reverse=True)
+    trees = [a.get("trees", 0) for a in recipe.analyses]
+    assert [[names[i] for i in groups[j]] for j in submitted] == [
+        ["leaf_wise_2000_modified"],
+        ["oblivious_10_full", "oblivious_100_full", "oblivious_1000_full"],
+        ["oblivious_10_modified", "oblivious_100_modified", "oblivious_1000_modified"],
+        ["level_wise_modified"], ["chi2_diabetes"], ["chi2_asthma"], ["chi2_cardiovascular"],
+        ["chi2_hypertension"], ["chi2_renal_chronic"], ["chi2_tobacco"]]
+    sizes = [max(trees[i] for i in groups[j]) for j in submitted]
+    assert sizes == sorted(sizes, reverse=True)
     assert_no_child_left()
 
 
@@ -159,11 +164,19 @@ def failing(monkeypatch):
     monkeypatch.setattr(recipes, "prepare_features", prepare)
 
 
+def fewer_trees(spec: dict, trees: int) -> dict:
+    """spec under another name with another 'trees': the two share one fit."""
+    return {**spec, "name": f"{spec['name']}_{trees}", "trees": trees}
+
+
 @pytest.mark.parametrize("plan, expected", [
     ([GOOD_CHI2, GOOD_TRAIN, BAD_ANOVA, BAD_TRAIN], StatsError),
     ([GOOD_CHI2, BAD_TRAIN, GOOD_TRAIN, BAD_ANOVA], RuntimeError),
     ([GOOD_TRAIN, BAD_PREP, BAD_ANOVA, GOOD_CHI2], DatasetError),
     ([BAD_ANOVA, GOOD_TRAIN, BAD_PREP], StatsError),
+    # a failing group after a failing statistics analysis, and before one
+    ([BAD_ANOVA, BAD_TRAIN, fewer_trees(BAD_TRAIN, 1)], StatsError),
+    ([GOOD_CHI2, fewer_trees(BAD_TRAIN, 1), GOOD_TRAIN, BAD_ANOVA, BAD_TRAIN], RuntimeError),
 ])
 def test_first_failing_analysis_in_plan_order_raises(tmp_path, cpus, failing, plan,
                                                      expected):
@@ -180,6 +193,53 @@ def test_first_failing_analysis_in_plan_order_raises(tmp_path, cpus, failing, pl
     assert raised[0][0] is expected
     assert raised[1] == raised[0]
     assert not (tmp_path / f"out{PARALLEL_CPUS}").exists()
+
+
+# a three-class target: one ensemble per class
+INTUBED = {"op": "train_importance", "name": "intubed", "task": "classification",
+          "target": "intubed", "features": ["sex", "age", "diabetes"], "trees": 4,
+          "max_depth": 2, "max_bins": 16}
+# a regression target on EFB-bundled features
+AGE = {"op": "train_importance", "name": "age", "target": "age", "trees": 3,
+       "features": ["sex", "diabetes", "asthma", "copd"], "max_depth": 2, "efb": True}
+
+
+def test_analyses_differing_only_in_trees_fit_once(tmp_path, cpus, monkeypatch):
+    csv_path = write_mexican_csv(tmp_path / "mex.csv", n=80, seed=4)
+    recipe = load_recipe("mexican-covid")
+    recipe.analyses = [fewer_trees(GOOD_TRAIN, 2), GOOD_CHI2, fewer_trees(AGE, 1), GOOD_TRAIN,
+                       {**GOOD_TRAIN, "name": "deeper", "max_depth": 4}, AGE,
+                       fewer_trees(AGE, 0), fewer_trees(INTUBED, 1), INTUBED]
+    record = tmp_path / "fits"  # forked workers append to it too
+
+    def counting(real):
+        def fit(ds, config, features=None):
+            with open(record, "a", encoding="utf-8") as fh:
+                fh.write(f"{config.n_trees}\n")
+            return real(ds, config, features)
+        return fit
+    monkeypatch.setattr(recipes, "train", counting(recipes.train))
+    monkeypatch.setattr(recipes, "train_classifier", counting(recipes.train_classifier))
+    reports = {}
+    for n in (1, PARALLEL_CPUS):
+        cpus(n)
+        reports[n] = run_recipe(recipe, csv_path, output_dir=tmp_path / f"out{n}")
+        assert_no_child_left()
+        # one fit per group, with its largest 'trees': GOOD_TRAIN's two,
+        # AGE's three, INTUBED's two (one train_classifier call) and "deeper"
+        assert sorted(int(t) for t in record.read_text().split()) == [3, 4, 5, 5]
+        record.unlink()
+    # every analysis fitting its own model gives the same bytes
+    monkeypatch.setattr(recipes, "_analysis_groups",
+                        lambda analyses: [[i] for i in range(len(analyses))])
+    cpus(1)
+    own = run_recipe(recipe, csv_path, output_dir=tmp_path / "own")
+    assert len(record.read_text().split()) == 8
+    assert reports[1] == reports[PARALLEL_CPUS] == own
+    assert files(tmp_path / "out1") == files(tmp_path / f"out{PARALLEL_CPUS}")
+    assert files(tmp_path / "out1") == files(tmp_path / "own")
+    assert {r["gain"] for r in own["analyses"]["age_0"]["ranking"]} == {0.0}
+    assert len(own["analyses"]["intubed"]["classes"]) == 3
 
 
 @pytest.mark.parametrize("plan, code, message", [

@@ -32,8 +32,12 @@ cli.main). OUT_DIR receives:
   split_count, each raw and --normalized, as JSON and as CSV) and `report`;
   and cli/recipe/steps/: the report directory of a recipe on the same file
   whose preprocessing derives a column, then filters rows, then drops a
-  column and the rows still missing a value. Every command runs through
-  boostlab.cli.main with paths relative to OUT_DIR.
+  column and the rows still missing a value; and cli/recipe/groups/: the
+  report directory of a recipe on the same file whose train_importance
+  analyses differ only in 'trees', a three-class one-vs-rest group and a
+  regression group, which share one fit per group where run_recipe groups
+  them. Every command runs through boostlab.cli.main with paths relative to
+  OUT_DIR.
 
 Two trees are byte-identical where `diff -r` of their OUT_DIRs is empty. A
 run under `taskset -c 0` trains and runs the recipe inline, without forked
@@ -158,7 +162,8 @@ def write_cli_inputs(out: Path, n=400, seed=8) -> None:
     (x2 with "nan" cells), a numeric y and a three-class cls; schemas for the
     statistics commands and for a regressor (target y) and a classifier
     (target cls) on the other columns; and steps.recipe.json, a recipe on
-    the file with three preprocessing steps."""
+    the file with three preprocessing steps, and groups.recipe.json, one
+    whose training analyses differ only in 'trees' within two groups."""
     rng = np.random.default_rng(seed)
     g1 = rng.choice(["a", "b", "c", "NA"], size=n, p=[0.3, 0.3, 0.3, 0.1])
     g2 = rng.choice(["p", "q", "r", "s"], size=n)
@@ -200,6 +205,21 @@ def write_cli_inputs(out: Path, n=400, seed=8) -> None:
         ],
     }
     (out / "steps.recipe.json").write_text(json.dumps(steps), encoding="utf-8")
+    numeric = ["x0", "x1", "x2"]
+    groups = {
+        "name": "groups",
+        "schema": steps["schema"],
+        "analyses": [
+            *({"op": "train_importance", "name": f"cls_{trees}", "task": "classification",
+               "features": ["g1", "g2", *numeric], "target": "cls", "trees": trees,
+               "max_depth": 3, "max_bins": 32} for trees in (2, 7, 4)),
+            {"op": "chi2", "a": "g1", "b": "g2"},
+            *({"op": "train_importance", "name": f"y_{trees}", "features": ["g1", *numeric],
+               "target": "y", "trees": trees, "grower": "oblivious", "max_depth": 3,
+               "efb": True} for trees in (6, 1)),
+        ],
+    }
+    (out / "groups.recipe.json").write_text(json.dumps(groups), encoding="utf-8")
 
 
 def dump_cli(out: Path) -> None:
@@ -239,8 +259,9 @@ def dump_cli(out: Path) -> None:
                         run("importance", "--model", f"{model}.json", "--metric", metric,
                             *normalized, "--output", f"{stem}.{suffix}")
             run("report", "--model", f"{model}.json", "--output", f"{model}.report.json")
-        run("recipe", "--recipe", "steps.recipe.json", "--input", "stats.csv",
-            "--output-dir", "recipe")
+        for recipe in ("steps", "groups"):
+            run("recipe", "--recipe", f"{recipe}.recipe.json", "--input", "stats.csv",
+                "--output-dir", "recipe")
     finally:
         os.chdir(cwd)
 
