@@ -14,9 +14,9 @@ cli.main). OUT_DIR receives:
   run them in forked workers, the second time with enough main-tree rows to
   grow those in forked workers too), each with efb_max_conflicts None, 0
   and 50, on a seeded table with NaN-bearing numeric and categorical columns;
-  and the same for oblivious and ordered oblivious growth at 256 bins on the
-  table with no numeric column rounded, whose numeric columns then all have
-  uint16 bin codes;
+  and the same for leaf-wise GOSS, oblivious and ordered oblivious growth at
+  256 bins on the table with no numeric column rounded, whose numeric columns
+  then all have uint16 bin codes;
 - models/<grower>-efb<None|0|50>.loaded.pred: the prediction bytes of
   from_json(to_json(model)) on a second seeded table, with NaNs in every
   numeric column, so loading and routing rows the model never trained on
@@ -79,6 +79,9 @@ GROWERS = {
 # column, the two the target reads included, takes more than 255 bins: their
 # bin codes are uint16, the width the bench's 256-bin tables route on
 WIDE_CODES = {
+    # GOSS grows each tree on a sample of the rows and routes every row through it
+    "goss-256": {"grower": "leaf_wise", "max_leaves": 11, "goss_a": 0.2, "goss_b": 0.3,
+                 "max_bins": 256},
     "oblivious-256": {"grower": "oblivious", "max_bins": 256},
     "ordered-256": {"grower": "oblivious", "ordered_blocks": 4, "max_bins": 256},
 }
