@@ -259,8 +259,8 @@ def _grow_fn(config: BoostConfig):
 class TrainingFeatures:
     """The feature side of training, derived from a dataset's feature columns,
     max_bins and efb_max_conflicts only: the one-hot expansion, the quantile
-    bins, the histogram builder (bundled under EFB) and, built on first
-    read, the float matrix X that trees are routed through.
+    bins and the histogram builder (bundled under EFB). Training reads the
+    features as bin codes only.
 
     prepare_features builds it; train and train_classifier accept it so that
     several models fit on the same features share one preparation. It holds
@@ -276,15 +276,6 @@ class TrainingFeatures:
     levels: dict[str, list[str]]         # one-hot label tables for the Ensemble
     binned: BinnedDataset
     hist_fn: object
-
-    @functools.cached_property
-    def X(self) -> np.ndarray:
-        """Rows x features float matrix in binned.feature_names order, read
-        only by score updates over sampled (GOSS) rows; it is read-only, as
-        every model trained on these features shares it."""
-        X = np.column_stack([self.binned.source.columns[n] for n in self.binned.feature_names])
-        X.flags.writeable = False
-        return X
 
     def check(self, ds: Dataset, config: BoostConfig) -> None:
         """Raise unless these features were prepared from ds's feature columns
@@ -388,7 +379,7 @@ def train(ds: Dataset, config: BoostConfig,
                 scores = tree.node_weights()[slots]
             else:
                 tree = grow(idx, binned, g, h, config, hist_fn=hist_fn)
-                scores = tree.predict_matrix(features.X)
+                scores = tree.route_codes(binned, all_idx)
             trees.append(tree)
             preds += config.learning_rate * scores
 
@@ -423,19 +414,17 @@ def _train_ordered(grow, y, binned, config: BoostConfig, base: float, hist_fn) -
     are skipped.
 
     The job that reads a piece of booster state builds it: a booster finds
-    its rows and block j from the schedule and gathers block j's feature
-    rows from the source columns, and a main tree lays every permutation's
-    rows out block by block (one stable argsort of the block ids), each
-    block in the order its booster reads it. This process holds the
-    schedule, the block histories of one chunk and, only while another
-    chunk follows, each booster's predictions on its own rows and on
-    block j."""
+    its rows and block j from the schedule and routes block j on its bin
+    codes, and a main tree lays every permutation's rows out block by block
+    (one stable argsort of the block ids), each block in the order its
+    booster reads it. This process holds the schedule, the block histories
+    of one chunk and, only while another chunk follows, each booster's
+    predictions on its own rows and on block j."""
     n, n_trees = len(y), config.n_trees
     n_blocks, lr = config.ordered_blocks, config.learning_rate
     schedule = strategies.ordered_schedule(
         n, config.ordered_permutations, n_blocks, _iteration_seed(config.seed, 0, salt=1))
     grad_fn = functools.partial(compute_gradients, config.loss)
-    columns = [binned.source.columns[name] for name in binned.feature_names]
     # booster (p, j) trains on the blocks < j of permutation p; block j holds
     # the only other rows that read it (through ordered_gradients)
     boosters = [(p, j) for p in range(len(schedule.block_of)) for j in range(1, n_blocks)]
@@ -450,7 +439,6 @@ def _train_ordered(grow, y, binned, config: BoostConfig, base: float, hist_fn) -
         chunk reads them), else an empty array."""
         p, j = boosters[i]
         rows, block = schedule.prefix_indices(p, j), np.flatnonzero(schedule.block_of[p] == j)
-        X_block = np.column_stack([column[block] for column in columns])
         history = np.empty((rounds + 1, len(block)))
         if carried is None:
             preds = np.full(len(rows), base)
@@ -464,7 +452,7 @@ def _train_ordered(grow, y, binned, config: BoostConfig, base: float, hist_fn) -
             tree, slots = grow(rows, binned, g, h, config, hist_fn=hist_fn, with_slots=True)
             # its own rows score from their leaf slots; only block j is routed
             preds += lr * tree.node_weights()[slots]
-            history[r] = history[r - 1] + lr * tree.predict_matrix(X_block)
+            history[r] = history[r - 1] + lr * tree.route_codes(binned, block)
         return history, preds if hand_back else np.empty(0)
 
     all_idx = np.arange(n)

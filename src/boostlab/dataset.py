@@ -730,14 +730,14 @@ def _bin_column(values: np.ndarray, max_bins: int, name: str):
     if np.isinf(u[0]) or np.isinf(u[-1]):
         raise DatasetError(f"feature column {name!r} contains infinite values")
     if len(u) <= max_bins:
-        edges = np.append((u[:-1] + u[1:]) / 2.0, u[-1])
+        edges = np.append(_midpoints(u[:-1], u[1:]), u[-1])
         dtype = _code_dtype(len(edges))
-        span = u[-1] - u[0]
-        if span >= len(values) or not np.array_equal(u, np.floor(u)):
+        # u[-1] - u[0] may overflow where u[0] + len(values) cannot
+        if u[-1] >= u[0] + len(values) or not np.array_equal(u, np.floor(u)):
             # NaN sorts after every edge, into the missing bin
             return np.searchsorted(edges, values, side="left").astype(dtype), edges
         # value - u[0] is an integer below len(values), so exact in float64
-        table = np.zeros(int(span) + 1, dtype=dtype)
+        table = np.zeros(int(u[-1] - u[0]) + 1, dtype=dtype)
         table[(u - u[0]).astype(np.intp)] = np.searchsorted(edges, u, side="left")
         codes = np.full(len(values), len(edges), dtype=dtype)
         codes[present] = table[(finite - u[0]).astype(np.intp)]
@@ -754,12 +754,19 @@ def _bin_column(values: np.ndarray, max_bins: int, name: str):
     tie = left == right
     keep = ~tie | (nxt < len(u))
     upper = np.where(tie, u[np.minimum(nxt, len(u) - 1)], right)
-    edges = np.append(np.unique(((left + upper) / 2.0)[keep]), u[-1])
+    edges = np.append(np.unique(_midpoints(left, upper)[keep]), u[-1])
     dtype = _code_dtype(len(edges))
     codes = np.full(len(values), len(edges), dtype=dtype)
     per_bin = np.diff(np.searchsorted(s, edges, side="right"), prepend=0)
     codes[np.flatnonzero(present)[order]] = np.repeat(np.arange(len(edges), dtype=dtype), per_bin)
     return codes, edges
+
+
+def _midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a + b) / 2, or a / 2 + b / 2 where the sum overflows (finite ones keep their bits)."""
+    with np.errstate(over="ignore"):
+        mid = (a + b) / 2.0
+    return np.where(np.isinf(mid), a / 2.0 + b / 2.0, mid)
 
 
 def _code_dtype(n_bins: int):

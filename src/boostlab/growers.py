@@ -3,14 +3,13 @@ split finders, and the three growth strategies (level-wise, leaf-wise,
 oblivious).
 
 All growers consume per-instance first/second-order statistics (g, h) and a
-BinnedDataset; they return DecisionTree objects whose thresholds are raw
-feature values (bin upper edges for histogram splits), so routing a raw value
-through the tree reproduces the training-time partition exactly. Asked
-with_slots=True, a grower also hands back the training rows' leaf slots: the
-leaf node id of each of its indices, so the caller can score those rows from
-DecisionTree.node_weights() without routing them again. Histograms
-come from hist_fn, a HistogramBuilder over the BinnedDataset unless the caller
-passes one (BundledHistograms under EFB); exact level-wise growth builds none.
+BinnedDataset and return DecisionTree objects whose thresholds are raw feature
+values, bin upper edges for histogram splits. Histogram training routes rows
+on bin codes only: a grower splits on them and, asked with_slots=True, hands
+back each row's leaf node id; DecisionTree.route_codes routes other training
+rows. Prediction routes raw values by the same rule. Histograms come from
+hist_fn, a HistogramBuilder over the BinnedDataset unless the caller passes
+one (BundledHistograms under EFB); exact level-wise growth builds none.
 
 A node's or a level's bin sums are one float64 array with a leading axis of 3
 (g, h, row count) from the kernel, which writes into the caller's buffer,
@@ -410,15 +409,8 @@ def find_best_split_presorted(indices: np.ndarray, ds, g: np.ndarray, h: np.ndar
 
 
 def _goes_left(v: np.ndarray, threshold, default_left) -> np.ndarray:
-    """The routing rule: v <= threshold, NaN takes the default side.
-
-    threshold and default_left are one node's, or arrays of the node each
-    value is at. Histogram thresholds are bin upper edges and bin codes come
-    from searchsorted(side="left"), so on raw values this reproduces the bins.
-    Prediction and exact level-wise growth route raw values by it; the
-    histogram growers route their training rows on their bin codes instead,
-    by _codes_go_right, which is the same rule.
-    """
+    """The routing rule: v <= threshold, NaN takes the default side; threshold
+    and default_left are one node's, or arrays of the node each value is at."""
     go_left = v <= threshold
     go_left |= np.isnan(v) & default_left
     return go_left
@@ -512,11 +504,38 @@ class DecisionTree:
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Leaf weight reached by each row of X (NaN follows default_left)."""
+        return self._walk(X, np.where(self.left >= 0, self.feature, 0), lambda v, node:
+                          ~_goes_left(v, self.threshold[node], self.default_left[node]))
+
+    def route_codes(self, binned: BinnedDataset, rows: np.ndarray) -> np.ndarray:
+        """predict_matrix of binned's training rows at rows (sorted unique), on
+        the split features' codes in their own dtype. Raises ValueError where a
+        threshold is not a bin edge of binned (an exact split)."""
+        inner = np.flatnonzero(self.left >= 0)
+        used = np.unique(self.feature[inner])
+        codes = np.stack([c if len(rows) == binned.n_rows else c.take(rows) for c in
+                          (binned.bins[binned.feature_names[fi]] for fi in used)]
+                         or [np.zeros(len(rows), np.uint8)], axis=1)  # a stump reads none
+        pos, missing = np.zeros((2, len(self.left)), codes.dtype)
+        for fi in used.tolist():
+            edges = binned.boundaries[binned.feature_names[fi]]
+            at = inner[self.feature[inner] == fi]
+            pos[at] = np.searchsorted(edges, self.threshold[at])
+            if not np.array_equal(edges.take(pos[at], mode="clip"), self.threshold[at]):
+                raise ValueError(f"a split on feature {fi} is not at a bin edge")
+            # the missing code where it goes left, else 0, which lies above no pos
+            missing[at] = np.where(self.default_left[at], binned.bin_counts[fi], 0)
+        return self._walk(codes, np.searchsorted(used, self.feature), lambda v, node:
+                          _codes_go_right(v, pos[node], True, missing[node]))
+
+    def _walk(self, M: np.ndarray, column: np.ndarray, goes_right) -> np.ndarray:
+        """Leaf weight of each row of M: node i reads column[i] of M, and
+        goes_right(values, node) tells which go right at node (one id, or one per value)."""
         if self.level_splits is not None:
-            # balanced tree: route all rows by bit arithmetic, no partitioning
-            pos = np.zeros(len(X), dtype=np.int64)
-            for fi, thr, default_left in self.level_splits:
-                pos = 2 * pos + (~_goes_left(X[:, fi], thr, default_left))
+            # balanced tree: route all rows by bit arithmetic, each level by its first node
+            pos = np.zeros(len(M), dtype=np.int64)
+            for node in 2 ** np.arange(len(self.level_splits)) - 1:
+                pos = 2 * pos + goes_right(M[:, column[node]], node)
             return self.leaf_weight_vector()[pos]
         # Route rows one level at a time. Leaves route to themselves, so a row
         # that reached one stays there; once most rows have, only the others
@@ -525,17 +544,15 @@ class DecisionTree:
         ids = np.arange(len(inner))
         children = np.stack((np.where(inner, self.left, ids),
                              np.where(inner, self.right, ids)), axis=1).ravel()
-        feature = np.where(inner, self.feature, 0)
-        values = X.ravel()
-        node = np.zeros(len(X), dtype=np.intp)
+        values = M.ravel()
+        node = np.zeros(len(M), dtype=np.intp)
         rows = slice(None)  # the rows routed on
         for _ in range(self.depth()):
             at = node[rows]
             if 2 * np.count_nonzero(inside := inner[at]) < len(at):
-                rows, at = np.arange(len(X))[rows][inside], at[inside]
-            go_left = _goes_left(values[np.arange(len(X))[rows] * X.shape[1] + feature[at]],
-                                 self.threshold[at], self.default_left[at])
-            node[rows] = children[2 * at + ~go_left]
+                rows, at = np.arange(len(M))[rows][inside], at[inside]
+            v = values[np.arange(len(M))[rows] * M.shape[1] + column[at]]
+            node[rows] = children[2 * at + goes_right(v, at)]
         return self.weight[node]
 
     def node_weights(self) -> np.ndarray:
@@ -554,11 +571,9 @@ class DecisionTree:
 
 
 def _partition(indices: np.ndarray, binned: BinnedDataset, cand: SplitCandidate, exact: bool):
-    """Split a node's instances (NaN follows default_left), each side in
-    ascending order. A histogram split routes rows on their bin codes: its
-    threshold is the upper edge of bin searchsorted(edges, threshold). An
-    exact split's threshold is a midpoint of raw values, not an edge, so it
-    routes them on their raw values."""
+    """Split a node's instances (NaN follows default_left), each side
+    ascending: on their codes at bin searchsorted(edges, threshold), or on
+    their raw values for an exact split, whose threshold is no bin edge."""
     name = binned.feature_names[cand.feature]
     if exact:
         go_right = ~_goes_left(binned.source.column(name)[indices], cand.threshold,

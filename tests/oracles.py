@@ -479,9 +479,9 @@ def oblivious_split_reference(stacked, sum_g, sum_h, counts, binned, lam, gamma)
 
 
 def ordered_trees_reference(ds, config):
-    """Ordered boosting with every prefix model routed over all n rows, as
-    before each model was routed only over the rows that read it. Returns the
-    trained trees."""
+    """Ordered boosting with every prefix model routed over all n rows on
+    their raw values; the library routes each over only the rows that read it
+    (block j), on their bin codes. Returns the trained trees."""
     from boostlab import growers, strategies
     from boostlab.boosting import compute_gradients, init_base_score, prepare_features
 
@@ -495,6 +495,8 @@ def ordered_trees_reference(ds, config):
     def grad_fn(targets, preds):
         return compute_gradients(config.loss, targets, preds)
 
+    binned = features.binned
+    X = np.column_stack([binned.source.columns[name] for name in binned.feature_names])
     block_preds = [np.full((n_blocks, n), base) for _ in sched.permutations]
     gj, hj = np.zeros(n), np.zeros(n)
     trees = []
@@ -508,7 +510,7 @@ def ordered_trees_reference(ds, config):
                 gj[idx], hj[idx] = grad_fn(y[idx], block_preds[p][j][idx])
                 tree = growers.grow_oblivious(idx, features.binned, gj, hj, config,
                                               hist_fn=features.hist_fn)
-                block_preds[p][j] += config.learning_rate * tree.predict_matrix(features.X)
+                block_preds[p][j] += config.learning_rate * tree.predict_matrix(X)
     return trees
 
 

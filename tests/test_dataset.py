@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from boostlab.boosting import BoostConfig, train
 from boostlab.dataset import (CATEGORICAL, NUMERIC, TARGET, ColumnSchema, Dataset,
                               DatasetError, add_ratio_column, bin_features,
                               drop_missing, filter_rows, load_csv, one_hot_encode,
@@ -252,6 +255,25 @@ class TestBinFeatures:
             want[np.isnan(vals)] = len(edges)
             assert b.bins["x"].dtype == (np.uint8 if len(edges) < 256 else np.uint16)
             np.testing.assert_array_equal(b.bins["x"], want)
+
+    def test_huge_values_get_finite_sorted_edges_and_split(self):
+        # (a + b) / 2 overflows between values above half the largest float
+        ds = make_dataset({"x": [1e308, 1.5e308, 1e308, 1.7e308], "y": [0.0, 1.0, 0.0, 1.0]},
+                          kinds={"y": TARGET})
+        huge = np.linspace(1e308, 1.7e308, 20)
+        wide = make_dataset({"x": np.concatenate((-huge[::-1], huge))})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            b = bin_features(ds, max_bins=256)
+            quantiles = bin_features(wide, max_bins=4)
+        np.testing.assert_array_equal(b.boundaries["x"], [1.25e308, 1.6e308, 1.7e308])
+        np.testing.assert_array_equal(b.bins["x"], [0, 1, 0, 2])
+        edges = quantiles.boundaries["x"]
+        assert np.isfinite(edges).all() and np.all(np.diff(edges) > 0)
+        np.testing.assert_array_equal(quantiles.bins["x"],
+                                      np.searchsorted(edges, wide.columns["x"]))
+        tree = train(ds, BoostConfig(n_trees=1, max_depth=1)).trees[0]
+        assert (tree.feature[0], tree.threshold[0]) == (0, 1.25e308)
 
     def test_missing_maps_to_reserved_bin(self):
         ds = make_dataset({"x": [1.0, np.nan, 2.0]})

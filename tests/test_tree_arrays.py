@@ -1,20 +1,22 @@
 """Trees are held as per-node arrays. Their level-by-level routing must
-predict exactly what walking the TreeNode records off a stack predicts, the
-model document must survive a load and save byte for byte, a tree rebuilt
-from tree.nodes must be the same tree, and the loader's array reachability
-check must agree with the depth-first one it replaced (both in oracles.py)."""
+predict exactly what walking the TreeNode records off a stack predicts, and
+routing training rows on their bin codes exactly what routing their raw
+values predicts; the model document must survive a load and save byte for
+byte, a tree rebuilt from tree.nodes must be the same tree, and the loader's
+array reachability check must agree with the depth-first one it replaced
+(both in oracles.py)."""
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boostlab import growers
 from boostlab.boosting import (BoostConfig, Ensemble, ModelFormatError, from_json,
                                prepare_features, to_json, train)
-from boostlab.dataset import CATEGORICAL, TARGET
+from boostlab.dataset import CATEGORICAL, TARGET, bin_features
 from boostlab.growers import DecisionTree, TreeNode, grow_level_wise
 
 from conftest import make_dataset, regression_dataset
@@ -52,32 +54,54 @@ def assert_same_routing(tree, X):
     assert rebuilt.predict_matrix(X).tobytes() == want.tobytes()
 
 
+def assert_routes_on_codes(tree, binned, X, subset):
+    """route_codes gives predict_matrix's bytes on the training rows X, all
+    of them and the sorted rows subset, or raises where a threshold is not a
+    bin edge (an exact split)."""
+    inner = tree.left >= 0
+    if not all(t in binned.boundaries[binned.feature_names[f]]
+               for f, t in zip(tree.feature[inner], tree.threshold[inner])):
+        with pytest.raises(ValueError, match="not at a bin edge"):
+            tree.route_codes(binned, np.arange(len(X)))
+        return
+    for rows in (np.arange(len(X)), subset):
+        assert tree.route_codes(binned, rows).tobytes() == tree.predict_matrix(X[rows]).tobytes()
+
+
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(12, 60), m=st.integers(1, 4),
        nan_rate=st.sampled_from([0.0, 0.2, 0.5]), max_depth=st.integers(1, 4),
        efb=st.sampled_from([None, 0, 3]))
+@example(seed=11, n=300, m=2, nan_rate=0.2, max_depth=4, efb=0)
 def test_property_arrays_route_save_and_rebuild_like_the_nodes(seed, n, m, nan_rate,
                                                                max_depth, efb):
     rng = np.random.default_rng(seed)
     ds = random_table(rng, n, m, nan_rate)
-    base = BoostConfig(n_trees=2, max_depth=max_depth, max_bins=8, seed=seed % 7,
-                       min_child_hessian=0.0, efb_max_conflicts=efb)
+    wide = n > 255  # the explicit example: x1 takes uint16 codes, -0.0 next to 0.0
+    if wide:
+        ds.columns["x1"][:2] = (-0.0, 0.0)
+    base = BoostConfig(n_trees=2, max_depth=max_depth, max_bins=2 * n if wide else 8,
+                       seed=seed % 7, min_child_hessian=0.0, efb_max_conflicts=efb)
     features = prepare_features(ds, base)
+    binned = features.binned
+    assert not wide or binned.bins["x1"].dtype == np.uint16
+    X = np.column_stack([binned.source.columns[name] for name in binned.feature_names])
     # the training rows, and unseen rows with NaNs in every column
-    holdout = rng.normal(size=(15, features.X.shape[1]))
+    holdout = rng.normal(size=(15, X.shape[1]))
     holdout[rng.random(holdout.shape) < 0.3] = np.nan
     models = [train(ds, BoostConfig(**{**vars(base), **extra}), features)
               for extra in CONFIGS.values()]
     g, h = rng.normal(size=n), rng.uniform(0.5, 1.5, size=n)
-    exact = grow_level_wise(np.arange(n), features.binned, g, h, base, exact=True)
-    models.append(Ensemble([exact], 0.0, 0.1, "squared_error",
-                           list(features.binned.feature_names)))
+    exact = grow_level_wise(np.arange(n), binned, g, h, base, exact=True)
+    models.append(Ensemble([exact], 0.0, 0.1, "squared_error", list(binned.feature_names)))
+    subset = np.flatnonzero(rng.random(n) < 0.5)
     for model in models:
         text = to_json(model)
         assert to_json(from_json(text)) == text
         for tree in model.trees:
-            for X in (features.X, holdout):
-                assert_same_routing(tree, X)
+            for rows in (X, holdout):
+                assert_same_routing(tree, rows)
+            assert_routes_on_codes(tree, binned, X, subset)
 
 
 def test_routing_edge_cases():
@@ -96,6 +120,19 @@ def test_routing_edge_cases():
     assert tree.predict_matrix(X).tolist() == [3.0, 2.0, 1.0]
     assert (tree.n_leaves, tree.depth()) == (3, 2)
     assert tree.split_records() == [(0, 0.0), (1, 0.0)]
+    # on codes: edges 0.5, 1.5, 2.0, NaN goes left; a threshold between or past
+    # the edges is none
+    binned = bin_features(make_dataset({"x": [0.0, 1.0, np.nan, 2.0]}), max_bins=4)
+    for threshold, want in ((1.5, [1.0, 1.0, 1.0, 2.0]), (1.0, None), (3.0, None)):
+        split = DecisionTree([
+            TreeNode(is_leaf=False, feature=0, threshold=threshold, left=1, right=2),
+            TreeNode(is_leaf=True, weight=1.0), TreeNode(is_leaf=True, weight=2.0)])
+        if want is None:
+            with pytest.raises(ValueError, match="not at a bin edge"):
+                split.route_codes(binned, np.arange(4))
+        else:
+            assert split.route_codes(binned, np.arange(4)).tolist() == want
+    assert stump.route_codes(binned, np.array([1, 3])).tolist() == [-0.25] * 2
 
 
 def test_no_tree_node_is_built_to_train_predict_save_or_load(monkeypatch):
