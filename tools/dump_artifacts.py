@@ -12,7 +12,8 @@ cli.main). OUT_DIR receives:
   (max_leaves), leaf-wise GOSS, oblivious, and ordered oblivious growth with
   one and with two permutations (and twice with enough prefix-model fits to
   run them in forked workers, the second time with enough main-tree rows to
-  grow those in forked workers too), each with efb_max_conflicts None, 0
+  grow those in forked workers too), and two depth-12 oblivious trees, whose
+  deepest levels scan 2,048 leaves, each with efb_max_conflicts None, 0
   and 50, on a seeded table with NaN-bearing numeric and categorical columns;
   and the same for leaf-wise GOSS, oblivious and ordered oblivious growth at
   256 bins on the table with no numeric column rounded, whose numeric columns
@@ -74,6 +75,9 @@ GROWERS = {
     # under which a chunk's main trees grow inline, so they grow in forked
     # workers too; the second chunk's one tree grows inline
     "ordered-main-pool": {"grower": "oblivious", "ordered_blocks": 17, "n_trees": 18},
+    # levels of up to 2,048 leaves, so the level loop's scratch grows past
+    # whatever a shallow fit leaves it
+    "oblivious-deep": {"grower": "oblivious", "max_depth": 12, "n_trees": 2, "max_bins": 16},
 }
 # trained at 256 bins on the table with no column rounded, where every numeric
 # column, the two the target reads included, takes more than 255 bins: their
