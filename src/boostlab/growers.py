@@ -20,10 +20,10 @@ expansion orders: open nodes by depth, or by the gain of their best split
 under a leaf budget. A node that can never be split gets no histogram.
 
 Oblivious growth scans one whole level at a time. Its level-sized arrays, the
-scan's intermediates and the level histograms, live in an ObliviousWorkspace
-that a training run passes to every fit, so a warm level loop allocates
-nothing level-sized. The scan writes into the workspace with the same
-operations a fresh array would get, so the trees do not depend on it.
+scan's intermediates and the level histograms, are views of the buffers of an
+ObliviousWorkspace that a training run passes to every fit, so a warm level
+loop allocates nothing level-sized. The scan writes into them with the same
+operations a fresh array would get, so the trees do not depend on them.
 """
 
 from __future__ import annotations
@@ -674,36 +674,14 @@ def grow_leaf_wise(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
                  max_leaves, False, hist_fn, with_slots)
 
 
-@dataclass(slots=True)
-class _WorkspaceLevel:
-    """One level size's views of an ObliviousWorkspace arena: the level's
-    stacked histograms and the scan's scratch. It unpacks like the
-    (sum_g, sum_h, count) triple of its histograms."""
-
-    hist: np.ndarray        # (3, L, m, W) histograms of g, h and count
-    prefix: np.ndarray      # (3, L, m, W - 1) left sums GL, HL, CL
-    right: np.ndarray       # (3, L, m, W - 1) right sums GR, HR, CR
-    miss_left: np.ndarray   # (3, L, k, W - 1) missing-right routing, left side
-    miss_right: np.ndarray  # (3, L, k, W - 1) missing-right routing, right side
-    flags: tuple            # two (L, m, W - 1) bool masks
-    flags_k: tuple          # the same memory as two (L, k, W - 1) masks
-    totals: np.ndarray      # (m, W - 1) per-threshold totals
-    totals_k: np.ndarray    # the same memory as (k, W - 1)
-
-    def __iter__(self):
-        return iter(self.hist)
-
-
 class ObliviousWorkspace:
     """Scratch arrays of grow_oblivious's level loop, reused across levels and
-    fits.
-
-    Every level-sized intermediate of the split scan, and the two level
-    histogram buffers the loop alternates between, are views of one float
-    arena and one bool arena sized for the deepest level. The views of each
-    level size are carved once and cached. The scan writes into them with
-    the same operations in the same order as fresh arrays would get, so the
-    bits do not depend on the workspace.
+    fits: one flat buffer per role of the split scan (the two level-histogram
+    buffers, the right sums, the two sides of the missing-right routing, the
+    totals and two bool masks), grown to the largest level it has served.
+    The scan writes into views of them with the same operations in the same
+    order as fresh arrays would get, so the bits do not depend on the
+    workspace.
 
     A workspace serves one training run on one thread: train and ordered
     boosting make one per run and drop it when they return, and
@@ -711,73 +689,38 @@ class ObliviousWorkspace:
     to the data.
     """
 
-    RESERVE_LEAVES = 1024  # bind reserves levels up to this size; deeper ones grow the arena
-
     def __init__(self):
-        self._dims = None       # (m, width, n_missing) the arena is laid out for
-        self._capacity = 0      # leaves of the deepest level the arena holds
-        self._arena = self._flags = None
-        self._levels: dict[int, _WorkspaceLevel] = {}
+        self._buffers: dict[str, np.ndarray] = {}
 
-    def bind(self, binned: BinnedDataset, max_leaves: int = 1) -> None:
-        """Lay the workspace out for binned's histograms and reserve levels of
-        up to max_leaves leaves (at most RESERVE_LEAVES).
+    def array(self, role: str, shape, dtype=np.float64) -> np.ndarray:
+        """A contiguous view of shape over the leading cells of role's buffer,
+        which is replaced by one of exactly that size when it is too small."""
+        size = math.prod(shape)
+        buf = self._buffers.pop(role, None)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            del buf  # free the old buffer before allocating its successor
+            buf = np.empty(size, dtype)
+        self._buffers[role] = buf
+        return buf[:size].reshape(shape)
 
-        Reserving the deepest level a fit may reach costs address space
-        only: pages are touched as levels reach them. It spares the first
-        fit a bigger arena at each level while the last one still holds
-        the current histograms.
-        """
-        dims = (len(binned.feature_names), binned.hist_width, len(binned.missing_features))
-        if dims != self._dims:
-            self._dims, self._capacity, self._levels = dims, 0, {}
-            self._arena = self._flags = None
-        max_leaves = min(max_leaves, self.RESERVE_LEAVES)
-        if max_leaves > self._capacity:
-            self._allocate(max_leaves)
 
-    def level(self, n_leaves: int) -> _WorkspaceLevel:
-        """The views for a level of n_leaves leaves, growing the arena (and
-        dropping every cached view) past the reserved depth."""
-        views = self._levels.get(n_leaves)
-        if views is None:
-            if n_leaves > self._capacity:
-                self._allocate(n_leaves)
-            views = self._levels[n_leaves] = self._carve(n_leaves)
-        return views
+def _hist_role(n_leaves: int) -> str:
+    """The role of a level of n_leaves = 2^d leaves' histograms: hist{d % 2}.
+    The other buffer holds the previous level's, which are dead during this
+    level's scan and take its prefix sums, and then the next level's."""
+    return f"hist{(n_leaves.bit_length() - 1) % 2}"
 
-    def _allocate(self, capacity: int) -> None:
-        m, w, k = self._dims
-        self._arena = np.empty(capacity * (6 * m * w + 3 * (m + 2 * k) * (w - 1))
-                               + m * (w - 1))
-        self._flags = np.empty(2 * capacity * m * (w - 1), dtype=bool)
-        self._capacity = capacity
-        self._levels = {}
 
-    def _carve(self, n: int) -> _WorkspaceLevel:
-        """Arena layout: two histogram buffers, the right sums, the two sides
-        of the missing-right routing, the totals. A level of n = 2^d leaves
-        keeps its histograms in buffer d % 2; the other buffer holds the
-        previous level's, which are dead during this level's scan and
-        become its prefix sums, and takes the next level's afterwards."""
-        m, w, k = self._dims
-        t = w - 1  # thresholds per feature
-        cap = self._capacity
-        starts = np.cumsum([0] + [3 * cap * m * w] * 2 + [3 * cap * m * t]
-                           + [3 * cap * k * t] * 2)
+@dataclass(slots=True)
+class _ObliviousLevel:
+    """A level's stacked (3, L, m, W) histograms in workspace's _hist_role(L)
+    buffer. It unpacks like their (sum_g, sum_h, count) triple."""
 
-        def region(i, shape):
-            return self._arena[starts[i]:starts[i] + math.prod(shape)].reshape(shape)
+    hist: np.ndarray
+    workspace: ObliviousWorkspace
 
-        d = n.bit_length() - 1
-        totals = self._arena[starts[-1]:]
-        flags = self._flags.reshape(2, -1)
-        return _WorkspaceLevel(
-            region(d % 2, (3, n, m, w)), region(1 - d % 2, (3, n, m, t)),
-            region(2, (3, n, m, t)), region(3, (3, n, k, t)), region(4, (3, n, k, t)),
-            tuple(f[:n * m * t].reshape(n, m, t) for f in flags),
-            tuple(f[:n * k * t].reshape(n, k, t) for f in flags),
-            totals.reshape(m, t), totals[:k * t].reshape(k, t))
+    def __iter__(self):
+        return iter(self.hist)
 
 
 def _level_best(gains, invalid, totals):
@@ -800,44 +743,49 @@ def _oblivious_split(stacked, sum_g, sum_h, counts, binned, lam, gamma):
     (an empty side, or a nonpositive denominator) still contributes
     0.5 * 0 - gamma there: the same formula with the offending squared terms
     forced to zero. stacked holds the level's (3, L, m, W) histograms of g, h
-    and count: a workspace level, whose scratch arrays take every level-sized
+    and count: an _ObliviousLevel, whose workspace takes every level-sized
     intermediate, or an array (or its three (L, m, W) parts), scanned in a
     fresh workspace. Within each routing ties go to the lowest feature, then
     the lowest bin; missing-right is scored on binned.missing_features only
     and must strictly beat the best missing-left total.
     """
-    if isinstance(stacked, _WorkspaceLevel):
-        ws = stacked
+    n = len(sum_g)
+    if isinstance(stacked, _ObliviousLevel):
+        hist, ws = stacked.hist, stacked.workspace
     else:
-        workspace = ObliviousWorkspace()
-        workspace.bind(binned)
-        ws = workspace.level(len(sum_g))
-        np.copyto(ws.hist, stacked)
+        ws = ObliviousWorkspace()
+        hist = ws.array(_hist_role(n), np.shape(stacked))
+        np.copyto(hist, stacked)
     invalid = ~binned.threshold_mask
     missing = binned.missing_features
+    m, t, k = hist.shape[2], hist.shape[3] - 1, len(missing)
     totals = np.stack((sum_g, sum_h, counts))
-    prefix, right, miss = _split_sums(ws.hist, totals, binned.bin_counts,
-                                      out=(ws.prefix, ws.right))
+    prefix, right, miss = _split_sums(
+        hist, totals, binned.bin_counts,
+        out=(ws.array(_hist_role(2 * n), (3, n, m, t)), ws.array("right", (3, n, m, t))))
+    flags = [ws.array(f"flag{i}", (n, m, t), bool) for i in (0, 1)]
+    gain_totals = ws.array("totals", (m, t))
     best = None
     with np.errstate(divide="ignore", invalid="ignore"):
         parent_term = _squared_term(*totals, lam)[:, None, None]
-        if missing.size:
+        if k:
             # missing-right first: it reads the prefixes before they take the
             # missing sums for missing-left
-            ml = np.take(prefix, missing, axis=2, out=ws.miss_left, mode="clip")
-            mr = np.take(right, missing, axis=2, out=ws.miss_right, mode="clip")
+            ml, mr = (np.take(sums, missing, axis=2, out=ws.array(role, (3, n, k, t)), mode="clip")
+                      for sums, role in ((prefix, "miss_left"), (right, "miss_right")))
             mr += miss[:, :, missing, None]
+            # the leading cells of the flags' and the totals' buffers
+            flags_k = [ws.array(f"flag{i}", (n, k, t), bool) for i in (0, 1)]
             gains = _routing_gain(ml, mr, parent_term, lam, gamma,
-                                  out=((ml[0], ml[1], *ws.flags_k),
-                                       (mr[0], mr[1], *ws.flags_k)))
-            total, k, pos = _level_best(gains, invalid[missing], ws.totals_k)
+                                  out=((ml[0], ml[1], *flags_k), (mr[0], mr[1], *flags_k)))
+            total, j, pos = _level_best(gains, invalid[missing], ws.array("totals", (k, t)))
             if np.isfinite(total):
-                best = (total, int(missing[k]), pos, False, gains[:, k, pos].copy())
+                best = (total, int(missing[j]), pos, False, gains[:, j, pos].copy())
             prefix += miss[..., None]
         gains = _routing_gain(prefix, right, parent_term, lam, gamma,
-                              out=((prefix[0], prefix[1], *ws.flags),
-                                   (right[0], right[1], *ws.flags)))
-        total, fi, pos = _level_best(gains, invalid, ws.totals)
+                              out=((prefix[0], prefix[1], *flags),
+                                   (right[0], right[1], *flags)))
+        total, fi, pos = _level_best(gains, invalid, gain_totals)
     if np.isfinite(total) and (best is None or not best[0] > total):
         best = (total, fi, pos, True, gains[:, fi, pos].copy())
     return best
@@ -866,14 +814,14 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         hist_fn = HistogramBuilder(binned)
     if workspace is None:
         workspace = ObliviousWorkspace()
-    workspace.bind(binned, 2 ** (config.max_depth - 1))  # the deepest level scanned
+    m, w = len(binned.feature_names), binned.hist_width
     full = len(indices) == binned.n_rows  # growers keep indices sorted unique
     leaf_pos = np.zeros(len(indices), dtype=np.int64)
     n_leaves = 1
     gi, hi = g[indices], h[indices]
     level_splits: list[tuple[int, float, bool]] = []
     level_gains: list[np.ndarray] = []
-    level = workspace.level(1)
+    level = _ObliviousLevel(workspace.array(_hist_role(1), (3, 1, m, w)), workspace)
     hist_fn.level_histograms(indices, leaf_pos, n_leaves, binned, g, h, out=level.hist)
     sums = _leaf_sums(leaf_pos, n_leaves, gi, hi)
     for depth in range(1, config.max_depth + 1):
@@ -899,12 +847,12 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         sums = _leaf_sums(leaf_pos, n_leaves, gi, hi)
         if depth == config.max_depth:
             break
-        nxt = workspace.level(n_leaves)
-        built = nxt.hist[:, int(build_right)::2]  # right children sit at odd slots
+        nxt = workspace.array(_hist_role(n_leaves), (3, n_leaves, m, w))
+        built = nxt[:, int(build_right)::2]  # right children sit at odd slots
         hist_fn.level_histograms(built_indices, built_pos, n_leaves // 2, binned, g, h,
                                  out=built)
-        np.subtract(level.hist, built, out=nxt.hist[:, 1 - int(build_right)::2])
-        level = nxt
+        np.subtract(level.hist, built, out=nxt[:, 1 - int(build_right)::2])
+        level = _ObliviousLevel(nxt, workspace)
 
     tree = _assemble_oblivious(sums, level_splits, level_gains, lam)
     if not with_slots:

@@ -1,6 +1,7 @@
 """The oblivious level loop writes every level-sized intermediate into an
-ObliviousWorkspace that one training run reuses across levels and fits. A
-reused workspace must change no bit: the same trees and leaf slots as fresh
+ObliviousWorkspace that one training run reuses across levels and fits: one
+buffer per role, grown to the largest level it has served. A reused
+workspace must change no bit: the same trees and leaf slots as fresh
 calls, every level's split equal to the padded scan (tests/oracles.py), the
 same model JSON when threads train on shared features, and less memory
 allocated once it is warm."""
@@ -64,38 +65,43 @@ def checked_scan(monkeypatch):
 
 
 # (max_depth, rows) of consecutive fits on one workspace: deepest first,
-# then shallower levels whose cached views alias the same arena, then a 1/16
-# prefix of the rows at depth 4 and 6
+# then shallower levels whose views take the leading cells of the same
+# buffers, then a 1/16 prefix of the rows at depth 4 and 6
 FITS = [(6, "all"), (2, "all"), (4, "all"), (4, "prefix"), (6, "prefix")]
+# (nan_rate, n_numeric) of the two tables; the second has no missing
+# feature and fewer features
+TABLES = [(0.1, 4), (0.0, 3)]
 
 
 @pytest.mark.parametrize("efb", [None, 0, 50], ids=["plain", "efb-0", "efb-50"])
 def test_reused_workspace_matches_fresh_calls_and_padded_scan(monkeypatch, efb):
-    # one workspace for both tables: the second, with other histogram
-    # dimensions, re-lays it out
-    workspace = ObliviousWorkspace()
     levels = checked_scan(monkeypatch)
-    for nan_rate, n_numeric in ((0.1, 4), (0.0, 3)):
-        ds, g, h = sparse_table(1600, seed=3, nan_rate=nan_rate, n_numeric=n_numeric)
-        features = prepare_features(ds, BoostConfig(efb_max_conflicts=efb, max_bins=32))
-        binned, hist_fn = features.binned, features.hist_fn
-        assert isinstance(hist_fn, BundledHistograms) == (efb is not None)
-        assert (binned.missing_features.size > 0) == (nan_rate > 0)
-        for depth, rows in FITS:
-            idx = np.arange(ds.n_rows if rows == "all" else ds.n_rows // 16)
-            cfg = BoostConfig(grower="oblivious", max_depth=depth, lambda_=1.0, gamma=0.0)
-            levels.clear()
-            tree, slots = grow_oblivious(idx, binned, g, h, cfg, hist_fn=hist_fn,
-                                         with_slots=True, workspace=workspace)
-            assert levels == [2 ** d for d in range(depth)]  # every level was scanned
-            fresh, fresh_slots = grow_oblivious(idx, binned, g, h, cfg, hist_fn=hist_fn,
-                                                with_slots=True)
-            assert repr(tree) == repr(fresh)
-            assert slots.tobytes() == fresh_slots.tobytes()
-            assert len(tree.level_splits) == depth
+    # one workspace for both tables, which have other histogram dimensions;
+    # in reverse order it first serves the narrower table, so every role
+    # grows on the wider one and the missing-right roles are first made there
+    for tables in (TABLES, TABLES[::-1]):
+        workspace = ObliviousWorkspace()
+        for nan_rate, n_numeric in tables:
+            ds, g, h = sparse_table(1600, seed=3, nan_rate=nan_rate, n_numeric=n_numeric)
+            features = prepare_features(ds, BoostConfig(efb_max_conflicts=efb, max_bins=32))
+            binned, hist_fn = features.binned, features.hist_fn
+            assert isinstance(hist_fn, BundledHistograms) == (efb is not None)
+            assert (binned.missing_features.size > 0) == (nan_rate > 0)
+            for depth, rows in FITS:
+                idx = np.arange(ds.n_rows if rows == "all" else ds.n_rows // 16)
+                cfg = BoostConfig(grower="oblivious", max_depth=depth, lambda_=1.0, gamma=0.0)
+                levels.clear()
+                tree, slots = grow_oblivious(idx, binned, g, h, cfg, hist_fn=hist_fn,
+                                             with_slots=True, workspace=workspace)
+                assert levels == [2 ** d for d in range(depth)]  # every level was scanned
+                fresh, fresh_slots = grow_oblivious(idx, binned, g, h, cfg, hist_fn=hist_fn,
+                                                    with_slots=True)
+                assert repr(tree) == repr(fresh)
+                assert slots.tobytes() == fresh_slots.tobytes()
+                assert len(tree.level_splits) == depth
 
 
-def test_default_builder_and_view_cache():
+def test_default_builder_and_role_buffers(monkeypatch):
     ds, g, h = sparse_table(400, seed=4, nan_rate=0.1)
     binned = prepare_features(ds, BoostConfig()).binned
     workspace = ObliviousWorkspace()
@@ -103,14 +109,27 @@ def test_default_builder_and_view_cache():
     idx = np.arange(ds.n_rows)
     got = grow_oblivious(idx, binned, g, h, cfg, workspace=workspace)
     assert got == grow_oblivious(idx, binned, g, h, cfg, hist_fn=HistogramBuilder(binned))
-    # a level size's views are carved once; successive level sizes keep
-    # their histograms in different buffers
-    assert workspace.level(4) is workspace.level(4)
-    assert not np.shares_memory(workspace.level(2).hist, workspace.level(4).hist)
-    assert not np.shares_memory(workspace.level(4).hist, workspace.level(4).prefix)
+    # each scan's histograms and its (prefix, right) sums, by level size
+    split_sums, scans = growers._split_sums, {}
+
+    def recording(stacked, totals, nb, out=None):
+        scans[stacked.shape[1]] = (stacked, *out)
+        return split_sums(stacked, totals, nb, out)
+
+    monkeypatch.setattr(growers, "_split_sums", recording)
+    assert grow_oblivious(idx, binned, g, h, cfg, workspace=workspace) == got
+    assert sorted(scans) == [1, 2, 4]
+    # successive level sizes keep their histograms in different buffers; a
+    # warm fit keeps levels 1 and 4 in the same one
+    assert not np.shares_memory(scans[2][0], scans[4][0])
+    assert not np.shares_memory(scans[1][0], scans[2][0])
+    assert np.shares_memory(scans[1][0], scans[4][0])
+    for hist, prefix, right in scans.values():
+        assert not np.shares_memory(hist, prefix)
+        assert not np.shares_memory(hist, right)
 
 
-def test_levels_past_the_reserved_depth_grow_the_arena(monkeypatch):
+def test_first_fit_grows_every_role_and_the_second_reuses_them(monkeypatch):
     ds, g, h = sparse_table(800, seed=5, nan_rate=0.1)
     features = prepare_features(ds, BoostConfig(efb_max_conflicts=0))
     cfg = BoostConfig(grower="oblivious", max_depth=5)
@@ -118,14 +137,32 @@ def test_levels_past_the_reserved_depth_grow_the_arena(monkeypatch):
     want, want_slots = grow_oblivious(idx, features.binned, g, h, cfg,
                                       hist_fn=features.hist_fn, with_slots=True)
     assert len(want.level_splits) == 5
-    monkeypatch.setattr(ObliviousWorkspace, "RESERVE_LEAVES", 2)
+    # the buffers each role's views came from, in order, distinct ones only
+    array, buffers = ObliviousWorkspace.array, {}
+
+    def recording(self, role, shape, dtype=np.float64):
+        view = array(self, role, shape, dtype)
+        seen = buffers.setdefault(role, [])
+        if not seen or seen[-1] is not view.base:
+            seen.append(view.base)
+        return view
+
+    monkeypatch.setattr(ObliviousWorkspace, "array", recording)
     workspace = ObliviousWorkspace()
-    for _ in range(2):  # the first fit grows the arena at levels 4, 8 and 16
+    first = {}
+    for fit in range(2):
         tree, slots = grow_oblivious(idx, features.binned, g, h, cfg,
                                      hist_fn=features.hist_fn, with_slots=True,
                                      workspace=workspace)
         assert repr(tree) == repr(want)
         assert slots.tobytes() == want_slots.tobytes()
+        if fit == 0:
+            assert set(buffers) == {"hist0", "hist1", "right", "miss_left", "miss_right",
+                                    "flag0", "flag1", "totals"}
+            # the level-sized roles grow with the levels; the totals do not
+            assert all(len(seen) > 1 for role, seen in buffers.items() if role != "totals")
+            first = {role: len(seen) for role, seen in buffers.items()}
+    assert {role: len(seen) for role, seen in buffers.items()} == first
 
 
 @pytest.mark.parametrize("efb", [None, 50], ids=["plain", "efb-50"])
