@@ -170,12 +170,19 @@ def goss_variance_gain_reference(values, g, top_idx, sampled_idx, amp, d):
     return (left_sum ** 2 / n_l + right_sum ** 2 / n_r) / n
 
 
+def _midpoint(a, b):
+    """(a + b) / 2, and a / 2 + b / 2 where that sum overflows."""
+    a, b = float(a), float(b)
+    mid = (a + b) / 2.0
+    return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
+
+
 def quantile_cut_reference(values, max_bins):
     """Expected bin upper edges from the plain statement of the rule."""
     finite = np.sort(np.asarray([v for v in values if not np.isnan(v)], dtype=float))
     u = np.unique(finite)
     if len(u) <= max_bins:
-        inner = [(a + b) / 2.0 for a, b in zip(u[:-1], u[1:])]
+        inner = [_midpoint(a, b) for a, b in zip(u[:-1], u[1:])]
         return np.array(inner + [u[-1]])
     n = len(finite)
     cuts = set()
@@ -188,9 +195,9 @@ def quantile_cut_reference(values, max_bins):
         if left == finite[pos]:
             if len(right_candidates) == 0:
                 continue
-            cuts.add((left + right_candidates[0]) / 2.0)
+            cuts.add(_midpoint(left, right_candidates[0]))
         else:
-            cuts.add((left + finite[pos]) / 2.0)
+            cuts.add(_midpoint(left, finite[pos]))
     return np.array(sorted(cuts) + [u[-1]])
 
 

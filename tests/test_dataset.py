@@ -237,12 +237,19 @@ class TestBinFeatures:
     @pytest.mark.parametrize("max_bins", [2, 3, 7, 32, 300])
     def test_codes_and_edges_follow_the_rule_with_ties_and_missing(self, rng, max_bins):
         # value pools with long runs of equal values (signed zeros among
-        # them), NaN cells, and both sides of len(unique) <= max_bins
-        for trial in range(40):
+        # them), NaN cells, and both sides of len(unique) <= max_bins; the
+        # last ten trials draw values near +-1.7e308, between which a + b
+        # overflows, after the other pools so that their draws stay the same
+        for trial in range(50):
             n = int(rng.integers(1, 400))
-            pool = [rng.normal(size=n), np.round(rng.exponential(size=n), 1),
-                    rng.choice([-0.0, 0.0, 1.0, 2.5, -3.0], size=n),
-                    rng.integers(-5, 6, size=n).astype(float)][trial % 4]
+            if trial < 40:
+                pool = [rng.normal(size=n), np.round(rng.exponential(size=n), 1),
+                        rng.choice([-0.0, 0.0, 1.0, 2.5, -3.0], size=n),
+                        rng.integers(-5, 6, size=n).astype(float)][trial % 4]
+            else:
+                pool = rng.uniform(1.0e308, 1.79e308, size=n)
+                pool[rng.random(n) < 0.3] = 1.7e308
+                pool *= rng.choice([-1.0, 1.0], size=n)
             vals = pool.astype(np.float64)
             vals[rng.random(n) < 0.15] = np.nan
             b = bin_features(make_dataset({"x": vals}), max_bins=max_bins)
