@@ -227,19 +227,17 @@ class Ensemble:
         return sigmoid(self.predict(data, n_trees))
 
 
-def _encode_features(ds: Dataset) -> tuple[Dataset, dict[str, list[str]]]:
+def _encode_features(ds: Dataset) -> Dataset:
     """One-hot every usable categorical feature; drop single-level ones."""
-    levels: dict[str, list[str]] = {}
     out = ds
     for c in list(ds.schema):
         if c.kind != CATEGORICAL:
             continue
         if len(ds.labels[c.name]) >= 2:
-            levels[c.name] = list(ds.labels[c.name])
             out = one_hot_encode(out, c.name)
         else:
             out = out.select_columns([n for n in out.column_names if n != c.name])
-    return out, levels
+    return out
 
 
 def _iteration_seed(seed: int, t: int, salt: int = 0):
@@ -271,19 +269,17 @@ class TrainingFeatures:
     schema: tuple[ColumnSchema, ...]     # the source's non-target columns
     columns: tuple[np.ndarray, ...]      # their arrays, matched by identity
     labels: dict[str, list[str]]         # label tables of categorical features
-    max_bins: int
     efb_max_conflicts: int | None
-    levels: dict[str, list[str]]         # one-hot label tables for the Ensemble
     binned: BinnedDataset
     hist_fn: object
 
     def check(self, ds: Dataset, config: BoostConfig) -> None:
         """Raise unless these features were prepared from ds's feature columns
         with config's max_bins and efb_max_conflicts."""
-        if (config.max_bins, config.efb_max_conflicts) != (self.max_bins,
-                                                           self.efb_max_conflicts):
+        max_bins = self.binned.max_bins
+        if (config.max_bins, config.efb_max_conflicts) != (max_bins, self.efb_max_conflicts):
             raise ConfigError(
-                f"features were prepared with max_bins={self.max_bins}, "
+                f"features were prepared with max_bins={max_bins}, "
                 f"efb_max_conflicts={self.efb_max_conflicts}; the config has "
                 f"max_bins={config.max_bins}, "
                 f"efb_max_conflicts={config.efb_max_conflicts}")
@@ -304,8 +300,8 @@ def prepare_features(ds: Dataset, config: BoostConfig) -> TrainingFeatures:
     """
     config.validate()
     schema = tuple(c for c in ds.schema if c.kind != TARGET)
-    feat_ds, levels = _encode_features(ds.select_columns([c.name for c in schema]))
-    binned = bin_features(feat_ds, config.max_bins)
+    binned = bin_features(_encode_features(ds.select_columns([c.name for c in schema])),
+                          config.max_bins)
     if config.efb_max_conflicts is not None:
         bundles = strategies.efb_bundle(binned, config.efb_max_conflicts)
         hist_fn = strategies.BundledHistograms(binned, bundles)
@@ -314,7 +310,7 @@ def prepare_features(ds: Dataset, config: BoostConfig) -> TrainingFeatures:
     return TrainingFeatures(
         schema, tuple(ds.columns[c.name] for c in schema),
         {c.name: ds.labels[c.name] for c in schema if c.kind == CATEGORICAL},
-        config.max_bins, config.efb_max_conflicts, levels, binned, hist_fn)
+        config.efb_max_conflicts, binned, hist_fn)
 
 
 def _finite_target(y) -> np.ndarray:
@@ -383,7 +379,8 @@ def train(ds: Dataset, config: BoostConfig,
             trees.append(tree)
             preds += config.learning_rate * scores
 
-    levels = {k: list(v) for k, v in features.levels.items()}
+    # the categoricals _encode_features one-hot encoded, in schema order
+    levels = {k: list(v) for k, v in features.labels.items() if len(v) >= 2}
     return Ensemble(trees, base, config.learning_rate, loss,
                     list(binned.feature_names), levels, asdict(config))
 

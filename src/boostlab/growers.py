@@ -22,8 +22,9 @@ under a leaf budget. A node that can never be split gets no histogram.
 Oblivious growth scans one whole level at a time. Its level-sized arrays, the
 scan's intermediates and the level histograms, are views of the buffers of an
 ObliviousWorkspace that a training run passes to every fit, so a warm level
-loop allocates nothing level-sized. The scan writes into them with the same
-operations a fresh array would get, so the trees do not depend on them.
+loop allocates nothing level-sized. The scan reads the level's histograms and
+leaf sums in place and writes only into the workspace, with the same
+operations a fresh array would get, so the trees do not depend on it.
 """
 
 from __future__ import annotations
@@ -711,18 +712,6 @@ def _hist_role(n_leaves: int) -> str:
     return f"hist{(n_leaves.bit_length() - 1) % 2}"
 
 
-@dataclass(slots=True)
-class _ObliviousLevel:
-    """A level's stacked (3, L, m, W) histograms in workspace's _hist_role(L)
-    buffer. It unpacks like their (sum_g, sum_h, count) triple."""
-
-    hist: np.ndarray
-    workspace: ObliviousWorkspace
-
-    def __iter__(self):
-        return iter(self.hist)
-
-
 def _level_best(gains, invalid, totals):
     """Highest-total (fi, pos) of one routing's (L, m, n_thr) per-leaf gains,
     the first in row-major order on ties: (total, fi, pos). Zeroes the gains
@@ -734,32 +723,26 @@ def _level_best(gains, invalid, totals):
     return float(totals[fi, pos]), fi, pos
 
 
-def _oblivious_split(stacked, sum_g, sum_h, counts, binned, lam, gamma):
+def _oblivious_split(hist, totals, binned, lam, gamma, ws):
     """The shared split of one oblivious level: (total, fi, pos, missing_left,
     per-leaf gains), or None when no total is finite.
 
-    A total sums one (feature, bin)'s gain over all L leaves, whose sums are
-    sum_g, sum_h and counts. A leaf whose split is degenerate at some threshold
-    (an empty side, or a nonpositive denominator) still contributes
-    0.5 * 0 - gamma there: the same formula with the offending squared terms
-    forced to zero. stacked holds the level's (3, L, m, W) histograms of g, h
-    and count: an _ObliviousLevel, whose workspace takes every level-sized
-    intermediate, or an array (or its three (L, m, W) parts), scanned in a
-    fresh workspace. Within each routing ties go to the lowest feature, then
-    the lowest bin; missing-right is scored on binned.missing_features only
-    and must strictly beat the best missing-left total.
+    hist holds the level's (3, L, m, W) histograms of g, h and count and
+    totals its leaves' (3, L) sums; the scan reads both in place. A total
+    sums one (feature, bin)'s gain over all L leaves. A leaf whose split is
+    degenerate at some threshold (an empty side, or a nonpositive
+    denominator) still contributes 0.5 * 0 - gamma there: the same formula
+    with the offending squared terms forced to zero. Every level-sized
+    intermediate is a view of the ObliviousWorkspace ws; the prefix sums
+    take its _hist_role(2 * L) buffer, so hist must lie outside that one.
+    Within each routing ties go to the lowest feature, then the lowest bin;
+    missing-right is scored on binned.missing_features only and must
+    strictly beat the best missing-left total.
     """
-    n = len(sum_g)
-    if isinstance(stacked, _ObliviousLevel):
-        hist, ws = stacked.hist, stacked.workspace
-    else:
-        ws = ObliviousWorkspace()
-        hist = ws.array(_hist_role(n), np.shape(stacked))
-        np.copyto(hist, stacked)
+    n = totals.shape[1]
     invalid = ~binned.threshold_mask
     missing = binned.missing_features
     m, t, k = hist.shape[2], hist.shape[3] - 1, len(missing)
-    totals = np.stack((sum_g, sum_h, counts))
     prefix, right, miss = _split_sums(
         hist, totals, binned.bin_counts,
         out=(ws.array(_hist_role(2 * n), (3, n, m, t)), ws.array("right", (3, n, m, t))))
@@ -821,11 +804,11 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
     gi, hi = g[indices], h[indices]
     level_splits: list[tuple[int, float, bool]] = []
     level_gains: list[np.ndarray] = []
-    level = _ObliviousLevel(workspace.array(_hist_role(1), (3, 1, m, w)), workspace)
-    hist_fn.level_histograms(indices, leaf_pos, n_leaves, binned, g, h, out=level.hist)
+    hist = workspace.array(_hist_role(1), (3, 1, m, w))
+    hist_fn.level_histograms(indices, leaf_pos, n_leaves, binned, g, h, out=hist)
     sums = _leaf_sums(leaf_pos, n_leaves, gi, hi)
     for depth in range(1, config.max_depth + 1):
-        best = _oblivious_split(level, *sums, binned, lam, gamma)
+        best = _oblivious_split(hist, sums, binned, lam, gamma, workspace)
         if best is None or best[0] <= 0.0:
             break
         total, fi, pos, missing_left, gains_here = best
@@ -851,8 +834,8 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         built = nxt[:, int(build_right)::2]  # right children sit at odd slots
         hist_fn.level_histograms(built_indices, built_pos, n_leaves // 2, binned, g, h,
                                  out=built)
-        np.subtract(level.hist, built, out=nxt[:, 1 - int(build_right)::2])
-        level = _ObliviousLevel(nxt, workspace)
+        np.subtract(hist, built, out=nxt[:, 1 - int(build_right)::2])
+        hist = nxt
 
     tree = _assemble_oblivious(sums, level_splits, level_gains, lam)
     if not with_slots:

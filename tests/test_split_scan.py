@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from boostlab import boosting, growers
 from boostlab.boosting import BoostConfig, train
 from boostlab.dataset import TARGET, bin_features
-from boostlab.growers import (HistogramBuilder, _oblivious_split, find_best_split_histogram,
-                              find_best_split_presorted, node_stats)
+from boostlab.growers import (HistogramBuilder, ObliviousWorkspace, _oblivious_split,
+                              find_best_split_histogram, find_best_split_presorted, node_stats)
 from boostlab.strategies import BundledHistograms, efb_bundle, goss_select
 
 from conftest import make_dataset
@@ -48,11 +48,14 @@ def assert_histogram_finder_exact(hist, stats, binned, lam, gamma, mch):
 
 
 def assert_level_exact(stacked, leaf_pos, n_leaves, gi, hi, binned, lam, gamma):
-    args = (stacked, np.bincount(leaf_pos, weights=gi, minlength=n_leaves),
+    sums = (np.bincount(leaf_pos, weights=gi, minlength=n_leaves),
             np.bincount(leaf_pos, weights=hi, minlength=n_leaves),
-            np.bincount(leaf_pos, minlength=n_leaves), binned, lam, gamma)
-    got = _oblivious_split(*args)
-    want = oblivious_split_reference(*args)
+            np.bincount(leaf_pos, minlength=n_leaves))
+    hist = np.asarray(stacked)
+    before = hist.tobytes()
+    got = _oblivious_split(hist, np.stack(sums), binned, lam, gamma, ObliviousWorkspace())
+    assert hist.tobytes() == before  # the scan reads the level's histograms in place
+    want = oblivious_split_reference(stacked, *sums, binned, lam, gamma)
     if want is None:
         assert got is None
         return
@@ -166,7 +169,9 @@ class TestFindersMatchPaddedScan:
 def _with_padded_scan(monkeypatch):
     monkeypatch.setattr(growers, "find_best_split_histogram", histogram_split_reference)
     monkeypatch.setattr(growers, "find_best_split_presorted", presorted_split_reference)
-    monkeypatch.setattr(growers, "_oblivious_split", oblivious_split_reference)
+    monkeypatch.setattr(growers, "_oblivious_split",
+                        lambda hist, totals, binned, lam, gamma, ws:
+                        oblivious_split_reference(hist, *totals, binned, lam, gamma))
 
 
 @pytest.mark.parametrize("efb", [None, 0, 50])

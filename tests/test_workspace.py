@@ -49,15 +49,18 @@ def checked_scan(monkeypatch):
     scan = growers._oblivious_split
     levels = []
 
-    def checking(stacked, sum_g, sum_h, counts, binned, lam, gamma):
-        want = oblivious_split_reference(stacked, sum_g, sum_h, counts, binned, lam, gamma)
-        got = scan(stacked, sum_g, sum_h, counts, binned, lam, gamma)
+    def checking(hist, totals, binned, lam, gamma, ws):
+        want = oblivious_split_reference(hist, *totals, binned, lam, gamma)
+        before = hist.tobytes()
+        got = scan(hist, totals, binned, lam, gamma, ws)
+        # the grower subtracts the built side from hist right after the scan
+        assert hist.tobytes() == before
         if want is None:
             assert got is None
         else:
             assert got[:4] == want[:4]
             assert got[4].tolist() == want[4].tolist()
-        levels.append(len(sum_g))
+        levels.append(totals.shape[1])
         return got
 
     monkeypatch.setattr(growers, "_oblivious_split", checking)
