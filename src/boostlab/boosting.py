@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict, field, fields, replace
 
 import numpy as np
@@ -516,7 +517,10 @@ class Classifier:
         return scores / scores.sum(axis=1, keepdims=True)
 
     def predict_class(self, data) -> np.ndarray:
-        proba = self.predict_proba(data)
+        return self.classes_of(self.predict_proba(data))
+
+    def classes_of(self, proba: np.ndarray) -> np.ndarray:
+        """The most probable class of each row of a predict_proba result."""
         return np.asarray(self.classes, dtype=np.float64)[np.argmax(proba, axis=1)]
 
 
@@ -762,10 +766,18 @@ def _ensemble_from_doc(doc, where: str = "model") -> Ensemble:
                                f"got {learning_rate!r}")
     levels = _field(doc, "categorical_levels", dict, where) \
         if "categorical_levels" in doc else {}
+    trees = [_tree_from_doc(t, len(names), f"{where} tree {i}")
+             for i, t in enumerate(_field(doc, "trees", list, where))]
+    base_score = _field(doc, "base_score", float, where)
+    # every raw score is at most this far from 0; below half the float range,
+    # rounding in predict's running sum cannot overflow it
+    reach = abs(base_score) + learning_rate * sum(float(np.abs(t.weight).max()) for t in trees)
+    if not reach < sys.float_info.max / 2:
+        raise ModelFormatError(f"{where}: scores may reach {reach!r}, past half the "
+                               f"float range")
     return Ensemble(
-        trees=[_tree_from_doc(t, len(names), f"{where} tree {i}")
-               for i, t in enumerate(_field(doc, "trees", list, where))],
-        base_score=_field(doc, "base_score", float, where),
+        trees=trees,
+        base_score=base_score,
         learning_rate=learning_rate,
         loss=loss,
         feature_names=names,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import stats
 from .boosting import (GROWERS, LOSSES, BoostConfig, Classifier, ConfigError,
-                       ModelFormatError, load_model, save_model, train,
+                       ModelFormatError, load_model, save_model, sigmoid, train,
                        train_classifier)
 from .dataset import (CATEGORICAL, ColumnSchema, Dataset, DatasetError, load_csv,
                       load_known_columns, one_hot_source, parse_schema, retype_target,
@@ -118,18 +118,18 @@ def _cmd_train(args) -> int:
 
 
 def _predictions_table(model, ds: Dataset):
+    """The predict command's header and rows; each ensemble scores ds once."""
     if isinstance(model, Classifier):
         proba = model.predict_proba(ds)
-        classes = model.predict_class(ds)
+        classes = model.classes_of(proba)
         header = ["class"] + [f"p_{c:g}" for c in model.classes]
         rows = [[repr(float(classes[i]))] + [repr(float(p)) for p in proba[i]]
                 for i in range(len(classes))]
         return header, rows
     raw = model.predict(ds)
-    if model.loss == "logistic":
-        proba = model.predict_proba(ds)
+    if model.loss == "logistic":  # predict_proba's sigmoid, of the scores at hand
         return ["raw_score", "probability"], \
-            [[repr(float(r)), repr(float(p))] for r, p in zip(raw, proba)]
+            [[repr(float(r)), repr(float(p))] for r, p in zip(raw, sigmoid(raw))]
     return ["prediction"], [[repr(float(r))] for r in raw]
 
 

@@ -14,11 +14,10 @@ import os
 import sys
 import threading
 
-# the job function of the forked run_jobs call that is running, which its
-# workers inherit; at most one is ever live, since run_jobs forks only while
-# one thread is alive and never inside its own workers
+# in a worker this module forked, the job function it runs (set by
+# _enter_worker); None in every other process. A worker runs nested
+# run_jobs calls inline.
 _job = None
-_in_worker = False  # set in every worker this module forks: no nested pools
 
 
 def cpu_count() -> int:
@@ -42,7 +41,7 @@ def run_jobs(job, sizes: list, inline: bool = False) -> list:
     outlives the call.
     """
     workers = min(cpu_count(), len(sizes))
-    if (workers > 1 and not inline and not _in_worker and sys.platform == "linux"
+    if (workers > 1 and not inline and _job is None and sys.platform == "linux"
             and threading.active_count() == 1):
         import multiprocessing  # only here: import boostlab loads no pool module
         if ("fork" in multiprocessing.get_all_start_methods()
@@ -54,23 +53,20 @@ def run_jobs(job, sizes: list, inline: bool = False) -> list:
 def _run_forked(job, sizes: list, workers: int, context) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
+    # forked workers inherit initargs unpickled, so job may be a closure
+    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_enter_worker,
+                               initargs=(job,))
+    try:
+        futures = {i: pool.submit(_run_job, i)
+                   for i in sorted(range(len(sizes)), key=lambda i: -sizes[i])}
+        return [futures[i].result() for i in range(len(sizes))]
+    finally:
+        pool.shutdown(cancel_futures=True)  # waits for the workers to exit
+
+
+def _enter_worker(job) -> None:
     global _job
     _job = job
-    try:
-        pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_enter_worker)
-        try:
-            futures = {i: pool.submit(_run_job, i)
-                       for i in sorted(range(len(sizes)), key=lambda i: -sizes[i])}
-            return [futures[i].result() for i in range(len(sizes))]
-        finally:
-            pool.shutdown(cancel_futures=True)  # waits for the workers to exit
-    finally:
-        _job = None
-
-
-def _enter_worker() -> None:
-    global _in_worker
-    _in_worker = True
 
 
 def _run_job(i: int):

@@ -243,8 +243,8 @@ def _importance(ensembles) -> dict:
     return {"importance": merged, "ranking": [{"feature": k, "gain": v} for k, v in ranking]}
 
 
-def run_analysis(spec: dict, ds: Dataset, seed: int = 0, held: dict | None = None,
-                 fitted: tuple | None = None) -> dict:
+def run_analysis(spec: dict, ds: Dataset, seed: int = BoostConfig.seed,
+                 held: dict | None = None, fitted: tuple | None = None) -> dict:
     """The result of one analysis step (a checked recipe analysis object) on
     ds; held maps train_importance feature sets to features run_recipe
     prepared for them, and fitted is what _fit returned for a
@@ -395,7 +395,7 @@ def _csv_rows(result: dict) -> tuple[list[str], list[list]]:
     return header, [[r["feature"], r[header[1]]] for r in result["ranking"]]
 
 
-def run_recipe(recipe, data_path, output_dir=None, seed: int = 0,
+def run_recipe(recipe, data_path, output_dir=None, seed: int = BoostConfig.seed,
                strict_shapes: bool = False) -> dict:
     """Execute a recipe end to end; returns the full report bundle.
 

@@ -333,10 +333,13 @@ class FeatureImportanceReport:
         return _fractions(raw, raw.sum()) if self.normalized else raw
 
     def ranking(self) -> list[tuple[str, float]]:
-        """(name, value) sorted descending; ties keep feature order."""
-        vals = self.values()
-        order = np.argsort(-vals, kind="stable")
-        return [(self.feature_names[i], float(vals[i])) for i in order]
+        """(name, value) pairs by descending value, ties by name."""
+        return _ranked(zip(self.feature_names, self.values().tolist()))
+
+
+def _ranked(pairs) -> list[tuple[str, float]]:
+    """The order of every importance ranking: descending value, ties by name."""
+    return sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
 
 
 def _fractions(values: np.ndarray, total: float) -> np.ndarray:
@@ -378,4 +381,4 @@ def ranked_importance(ensembles, metric: str = "gain", fold: bool = False,
     if normalized:
         values = _fractions(np.array(list(merged.values())), sum(merged.values()))
         merged = dict(zip(merged, values.tolist()))
-    return merged, sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
+    return merged, _ranked(merged.items())

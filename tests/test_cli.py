@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from boostlab.boosting import BoostConfig
+from boostlab.boosting import BoostConfig, Ensemble
 from boostlab.cli import main
 
 from fixtures import write_education_csv, write_mexican_csv
@@ -96,6 +96,37 @@ class TestTrainPredict:
                      "--output", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().splitlines()[0] == "prediction"
+
+    @pytest.mark.parametrize("labels, loss, ensembles", [
+        (None, "squared_error", 1),
+        ([0.0, 1.0], "logistic", 1),  # one logistic ensemble: raw score and probability
+        ([1.0, 2.0], "logistic", 1),  # a binary classifier
+        ([0.0, 1.0, 2.0], "logistic", 3),  # one ensemble per class
+    ])
+    def test_predict_scores_each_ensemble_once(self, tmp_path, monkeypatch, labels, loss,
+                                               ensembles):
+        csv_path = make_training_csv(tmp_path / "d.csv")
+        if labels is not None:  # the target cut into len(labels) classes
+            rows = list(csv.reader(csv_path.open(encoding="utf-8")))
+            y = np.array([float(r[2]) for r in rows[1:]])
+            cuts = np.quantile(y, np.linspace(0, 1, len(labels) + 1)[1:-1])
+            rows[1:] = [r[:2] + [repr(labels[c])] for r, c in zip(rows[1:], np.digitize(y, cuts))]
+            csv.writer(csv_path.open("w", newline="", encoding="utf-8")).writerows(rows)
+        schema = write_schema(tmp_path / "s.json", REG_SCHEMA)
+        model = tmp_path / "model.json"
+        assert main(["train", "--input", str(csv_path), "--schema", str(schema), "--loss", loss,
+                     "--trees", "3", "--output", str(model)]) == 0
+        scored = []
+        predict = Ensemble.predict
+
+        def counted(self, *args, **kwargs):
+            scored.append(id(self))
+            return predict(self, *args, **kwargs)
+
+        monkeypatch.setattr(Ensemble, "predict", counted)
+        assert main(["predict", "--model", str(model), "--input", str(csv_path),
+                     "--output", str(tmp_path / "p.csv")]) == 0
+        assert len(scored) == len(set(scored)) == ensembles
 
     def test_unset_training_flags_take_the_boost_config_defaults(self, tmp_path):
         csv_path = make_training_csv(tmp_path / "d.csv")

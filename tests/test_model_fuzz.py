@@ -60,6 +60,13 @@ PATHS = [list(_paths(doc)) for doc in DOCUMENTS]
 # a categorical_levels key that names no feature
 NO_FEATURE = copy.deepcopy(DOCUMENTS[0])
 NO_FEATURE["categorical_levels"]["nope"] = ["a"]
+# every number finite, but base_score 1e308 plus leaves of 1e308 overflow a score
+OVERFLOW = copy.deepcopy(DOCUMENTS[0])
+OVERFLOW.update(learning_rate=1.0, base_score=1e308)
+for tree in OVERFLOW["trees"]:
+    for node in tree["nodes"]:
+        if "leaf" in node:
+            node["leaf"] = 1e308
 
 
 def _parent(doc, path):
@@ -108,6 +115,7 @@ def test_unmutated_documents_load(i):
 @settings(max_examples=600, derandomize=True, deadline=None, database=None)
 @given(doc=mutations())
 @example(doc=NO_FEATURE)
+@example(doc=OVERFLOW)
 def test_mutated_documents_load_or_raise_model_format_error(doc):
     try:
         model = from_json(json.dumps(doc))

@@ -7,7 +7,7 @@ from boostlab.special import gamma_q, incomplete_beta
 from boostlab.stats import (ContingencyTable, StatsError, chi_squared_test,
                             contingency_table, feature_importance, group_summary,
                             one_way_anova, pearson_correlation_matrix,
-                            two_way_anova)
+                            ranked_importance, two_way_anova)
 
 from conftest import make_dataset
 from oracles import (f_tail_quadrature, gamma_q_quadrature, group_summary_reference,
@@ -385,3 +385,15 @@ class TestFeatureImportance:
         report = feature_importance(ens, metric="gain", normalized=True)
         assert report.values().sum() == pytest.approx(1.0)
         assert np.all(report.values() >= 0.0)
+
+    @pytest.mark.parametrize("metric", ["gain", "split_count"])
+    def test_ranking_breaks_ties_by_name_as_ranked_importance_does(self, rng, metric):
+        # two constant features never split: their zero values tie, and
+        # their names sort against feature order
+        x = rng.normal(size=120)
+        cols = {"x": x, "zb": np.zeros(120), "za": np.ones(120), "y": (x > 0).astype(float)}
+        ens = train(make_dataset(cols, kinds={"y": TARGET}), BoostConfig(n_trees=3, max_depth=2))
+        ranking = feature_importance(ens, metric).ranking()
+        assert ens.feature_names == ["x", "zb", "za"]
+        assert ranking == [("x", ranking[0][1]), ("za", 0.0), ("zb", 0.0)]
+        assert ranking == ranked_importance([ens], metric)[1]
