@@ -24,6 +24,7 @@ LOSSES = ("squared_error", "logistic")
 GROWERS = ("level_wise", "leaf_wise", "oblivious")
 
 RAW_SCORE_CLIP = 30.0  # logistic raw scores are clipped here before sigmoid
+OBLIVIOUS_MAX_DEPTH = 16  # CatBoost's cap on symmetric trees
 
 
 class ConfigError(ValueError):
@@ -145,6 +146,9 @@ class BoostConfig:
                               f"the missing bin takes one, got {self.max_bins}")
         if self.grower not in GROWERS:
             raise ConfigError(f"unknown grower {self.grower!r}")
+        if self.grower == "oblivious" and self.max_depth > OBLIVIOUS_MAX_DEPTH:
+            raise ConfigError(f"oblivious max_depth must be <= {OBLIVIOUS_MAX_DEPTH}, "
+                              f"got {self.max_depth}")
         _loss_kind(self.loss)
         if (self.goss_a is None) != (self.goss_b is None):
             raise ConfigError("goss_a and goss_b must be set together")
@@ -153,6 +157,8 @@ class BoostConfig:
                 raise ConfigError("goss requires grower='leaf_wise'")
             if not 0.0 < self.goss_a <= 1.0 or self.goss_b < 0.0:
                 raise ConfigError("need 0 < goss_a <= 1 and goss_b >= 0")
+            if self.goss_a < 1.0 and self.goss_b == 0.0:
+                raise ConfigError("goss_a < 1 needs goss_b > 0 to sample the rest")
             if self.goss_a + self.goss_b > 1.0:
                 raise ConfigError("goss_a + goss_b must be <= 1")
         if self.ordered_blocks is not None:
@@ -365,20 +371,27 @@ def train(ds: Dataset, config: BoostConfig,
             g, h = compute_gradients(loss, y, preds)
             idx = all_idx
             if config.goss_a is not None:
-                sample = strategies.goss_select(
-                    g, config.goss_a, config.goss_b, _iteration_seed(config.seed, t))
+                try:
+                    sample = strategies.goss_select(
+                        g, config.goss_a, config.goss_b, _iteration_seed(config.seed, t))
+                except ValueError as exc:  # the sample size depends on the row count
+                    raise ConfigError(f"goss_b={config.goss_b} on {n} rows: {exc}") from None
                 w = sample.weights(n)
                 idx = sample.kept
                 g = g * w
                 h = h * w
-            if len(idx) == n:  # a tree grown on every row scores them from its leaf slots
-                tree, slots = grow(idx, binned, g, h, config, hist_fn=hist_fn, with_slots=True)
-                scores = tree.node_weights()[slots]
-            else:
-                tree = grow(idx, binned, g, h, config, hist_fn=hist_fn)
-                scores = tree.route_codes(binned, all_idx)
+            tree, slots = grow(idx, binned, g, h, config, hist_fn=hist_fn, with_slots=True)
             trees.append(tree)
-            preds += config.learning_rate * scores
+            # the grown rows score from their leaf slots; only GOSS's left-out rows are routed
+            grown = config.learning_rate * tree.node_weights()[slots]
+            if len(idx) == n:
+                preds += grown
+            else:
+                left_out = np.ones(n, dtype=bool)
+                left_out[idx] = False
+                left_out = np.flatnonzero(left_out)
+                preds[idx] += grown
+                preds[left_out] += config.learning_rate * tree.route_codes(binned, left_out)
 
     # the categoricals _encode_features one-hot encoded, in schema order
     levels = {k: list(v) for k, v in features.labels.items() if len(v) >= 2}

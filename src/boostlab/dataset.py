@@ -110,9 +110,6 @@ class Dataset:
                 return c.name
         return None
 
-    def feature_names(self, kinds=(NUMERIC, CATEGORICAL)) -> list[str]:
-        return [c.name for c in self.schema if c.kind in kinds]
-
     def numeric_feature_names(self) -> list[str]:
         return [c.name for c in self.schema if c.kind == NUMERIC]
 

@@ -50,10 +50,6 @@ class NodeStats:
         return NodeStats(self.sum_g + other.sum_g, self.sum_h + other.sum_h,
                          self.count + other.count)
 
-    def __sub__(self, other: "NodeStats") -> "NodeStats":
-        return NodeStats(self.sum_g - other.sum_g, self.sum_h - other.sum_h,
-                         self.count - other.count)
-
 
 def node_stats(indices: np.ndarray, g: np.ndarray, h: np.ndarray) -> NodeStats:
     return NodeStats(float(g[indices].sum()), float(h[indices].sum()), int(len(indices)))
@@ -214,10 +210,15 @@ class HistogramBuilder:
         elif full and n_leaves == 1:
             self._full_counts = out[2].copy()
 
+    def _fill(self, indices, leaf_pos, n_leaves, gi, hi, out):
+        """Write the (3, n_leaves, m, width) histograms of the rows at indices
+        into out; leaf_pos is None for __call__'s single node."""
+        self._unit_sums(indices, leaf_pos, n_leaves, gi, hi,
+                        _merged(out, (3, n_leaves, self.total_width)))
+
     def __call__(self, indices, binned, g, h) -> Histogram:
         stats = np.empty((3, self.m, self.width))
-        self._unit_sums(indices, None, 1, g[indices], h[indices],
-                        stats.reshape(3, 1, self.total_width))
+        self._fill(indices, None, 1, g[indices], h[indices], stats[:, None])
         return Histogram(stats)
 
     def level_histograms(self, indices, leaf_pos, n_leaves, binned, g, h, out=None):
@@ -225,8 +226,7 @@ class HistogramBuilder:
         into out when given (any view whose trailing (m, width) axes merge)."""
         if out is None:
             out = np.empty((3, n_leaves, self.m, self.width))
-        self._unit_sums(indices, leaf_pos, n_leaves, g[indices], h[indices],
-                        _merged(out, (3, n_leaves, self.total_width)))
+        self._fill(indices, leaf_pos, n_leaves, g[indices], h[indices], out)
         return out
 
 
@@ -817,23 +817,20 @@ def grow_oblivious(indices: np.ndarray, binned: BinnedDataset, g: np.ndarray,
         level_gains.append(gains_here)
         codes = binned.bins[name] if full else binned.bins[name].take(indices)
         go_right = _codes_go_right(codes, pos, missing_left, int(binned.bin_counts[fi]))
-        if depth < config.max_depth:
-            # build only the globally smaller side; siblings come by
-            # subtraction into the histogram buffer the current level does
-            # not occupy
-            build_right = np.count_nonzero(go_right) * 2 <= len(indices)
-            side = np.flatnonzero(go_right if build_right else ~go_right)
-            built_indices, built_pos = indices.take(side), leaf_pos.take(side)
         leaf_pos *= 2
         leaf_pos += go_right
         n_leaves *= 2
         sums = _leaf_sums(leaf_pos, n_leaves, gi, hi)
         if depth == config.max_depth:
             break
+        # build only the globally smaller side, at its parents' positions; siblings
+        # come by subtraction into the histogram buffer this level does not occupy
+        build_right = np.count_nonzero(go_right) * 2 <= len(indices)
+        side = np.flatnonzero(go_right if build_right else ~go_right)
         nxt = workspace.array(_hist_role(n_leaves), (3, n_leaves, m, w))
         built = nxt[:, int(build_right)::2]  # right children sit at odd slots
-        hist_fn.level_histograms(built_indices, built_pos, n_leaves // 2, binned, g, h,
-                                 out=built)
+        hist_fn.level_histograms(indices.take(side), leaf_pos.take(side) >> 1, n_leaves // 2,
+                                 binned, g, h, out=built)
         np.subtract(hist, built, out=nxt[:, 1 - int(build_right)::2])
         hist = nxt
 

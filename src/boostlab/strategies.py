@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import BinnedDataset, Dataset
-from .growers import Histogram, HistogramBuilder, _leaf_sums, _merged
+from .growers import HistogramBuilder, _leaf_sums, _merged
 
 
 @dataclass
@@ -235,10 +235,9 @@ class BundledHistograms(HistogramBuilder):
     one fancy index, and each member's zero bin is the leaf total minus the
     sum of the member's nonzero bins. Segments of equal length are summed
     together with numpy's own reduction, so each zero bin carries the same
-    bits as summing that segment alone. The leaf totals keep each entry
-    point's order: __call__ uses g[indices].sum() (pairwise), level_histograms
-    np.bincount over leaf_pos (sequential). For conflict-free bundles the
-    result equals direct per-feature accumulation.
+    bits as summing that segment alone. _fill, the one step this class
+    overrides, takes the leaf totals in each entry point's order. For
+    conflict-free bundles the result equals direct per-feature accumulation.
     """
 
     def __init__(self, binned: BinnedDataset, bundles: list[FeatureBundle]):
@@ -287,11 +286,19 @@ class BundledHistograms(HistogramBuilder):
         self.zero_bins = [(np.array(dsts), np.array(starts)[:, None] + np.arange(k))
                           for k, (dsts, starts) in sorted(zero_bins.items())]
 
-    def _unpack(self, indices, leaf_pos, n_leaves, gi, hi, totals, out):
+    # bench/tracing.py wraps each builder class's own __call__ and
+    # level_histograms, so this class binds the inherited ones by name
+    __call__ = HistogramBuilder.__call__
+    level_histograms = HistogramBuilder.level_histograms
+
+    def _fill(self, indices, leaf_pos, n_leaves, gi, hi, out):
         """Accumulate the unit sums and write the (3, L, m, width) per-feature
-        histograms into out, given the (3, L) leaf totals; returns out."""
+        histograms into out. The zero bins' leaf totals are summed pairwise for
+        a single node (leaf_pos None), as node_stats sums, else by np.bincount."""
         acc = np.empty((3, n_leaves, self.total_width))
         self._unit_sums(indices, leaf_pos, n_leaves, gi, hi, acc)
+        totals = _leaf_sums(leaf_pos, n_leaves, gi, hi) if leaf_pos is not None else \
+            np.array([[gi.sum()], [hi.sum()], [len(indices)]], dtype=np.float64)
         flat = _merged(out, (3, n_leaves, self.m * self.width))
         flat.fill(0.0)
         flat[..., self.copy_dst] = np.take(acc, self.copy_src, axis=-1)
@@ -299,23 +306,6 @@ class BundledHistograms(HistogramBuilder):
             # np.take gives a C-ordered gather, so sum() reduces each segment
             # along a contiguous axis, in the order seg.sum() would
             flat[..., dst] = totals[..., None] - np.take(acc, segments, axis=-1).sum(axis=-1)
-        return out
-
-    def level_histograms(self, indices, leaf_pos, n_leaves, binned, g, h, out=None):
-        """Stacked (3, n_leaves, m, width) extracted histograms for one level,
-        written into out when given."""
-        gi, hi = g[indices], h[indices]
-        if out is None:
-            out = np.empty((3, n_leaves, self.m, self.width))
-        return self._unpack(indices, leaf_pos, n_leaves, gi, hi,
-                            _leaf_sums(leaf_pos, n_leaves, gi, hi), out)
-
-    def __call__(self, indices, binned, g, h) -> Histogram:
-        gi, hi = g[indices], h[indices]
-        totals = np.array([[gi.sum()], [hi.sum()], [len(indices)]], dtype=np.float64)
-        stats = np.empty((3, self.m, self.width))
-        self._unpack(indices, None, 1, gi, hi, totals, stats[:, None])
-        return Histogram(stats)
 
 
 @dataclass

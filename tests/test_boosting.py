@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boostlab import boosting
+from boostlab import boosting, growers, strategies
 from boostlab.boosting import (BoostConfig, Classifier, ConfigError, Ensemble,
                                ModelFormatError, compute_gradients, from_json,
                                init_base_score, load_model, loss_value,
@@ -652,3 +652,48 @@ class TestIntegerConfigFields:
         plain = BoostConfig(n_trees=2, max_depth=3, max_leaves=None, seed=1)
         numpy_ints = BoostConfig(n_trees=np.int64(2), max_depth=np.int32(3), seed=np.int64(1))
         assert to_json(train(ds, numpy_ints)) == to_json(train(ds, plain))
+
+
+class TestTrainingRowScores:
+    """train scores the rows a tree was grown on from their leaf slots and
+    routes through route_codes only the rows GOSS left out."""
+
+    def _record(self, monkeypatch):
+        routed, kept = [], []
+        route_codes = growers.DecisionTree.route_codes
+        goss_select = strategies.goss_select
+
+        def recording_route(tree, binned, rows):
+            routed.append(np.array(rows))
+            return route_codes(tree, binned, rows)
+
+        def recording_select(*args, **kwargs):
+            sample = goss_select(*args, **kwargs)
+            kept.append(sample.kept)
+            return sample
+
+        monkeypatch.setattr(growers.DecisionTree, "route_codes", recording_route)
+        monkeypatch.setattr(strategies, "goss_select", recording_select)
+        return routed, kept
+
+    def test_goss_routes_exactly_the_left_out_rows(self, monkeypatch):
+        ds = regression_dataset(n=300)
+        config = BoostConfig(n_trees=4, grower="leaf_wise", goss_a=0.2, goss_b=0.3,
+                             max_depth=3)
+        want = to_json(train(ds, config))
+        routed, kept = self._record(monkeypatch)
+        assert to_json(train(ds, config)) == want
+        assert len(kept) == len(routed) == 4
+        for rows, grown in zip(routed, kept):
+            assert np.array_equal(rows, np.setdiff1d(np.arange(300), grown))
+
+    @pytest.mark.parametrize("grower", ["level_wise", "leaf_wise", "oblivious"])
+    def test_full_row_training_routes_nothing(self, monkeypatch, grower):
+        ds = regression_dataset(n=300)
+        configs = [BoostConfig(n_trees=3, grower=grower, max_depth=3)]
+        if grower == "leaf_wise":  # GOSS at goss_a = 1 keeps every row
+            configs.append(replace(configs[0], goss_a=1.0, goss_b=0.0))
+        routed, _ = self._record(monkeypatch)
+        for config in configs:
+            train(ds, config)
+        assert routed == []
