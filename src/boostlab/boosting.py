@@ -400,9 +400,12 @@ def train(ds: Dataset, config: BoostConfig,
 
 
 # a wave of ordered boosting (a chunk's boosters, or its main trees) with
-# fewer fits than this and fewer rows fitted than that runs inline: forking a
-# pool costs about 20 ms, as much as a few dozen small fits or a few fits on
-# tens of thousands of rows
+# fewer fits than this and fewer rows fitted than that runs inline: forking,
+# feeding and reaping a pool costs time that a few dozen small fits or a few
+# fits on tens of thousands of rows take. The floors were calibrated against
+# a pool costing about 20 ms; forkpool's costs about 6 ms from a 50 MB process
+# with 2-3 workers on a 2-core machine, so they may sit high until a paired
+# run recalibrates them
 ORDERED_MIN_FORKED_FITS = 32
 ORDERED_MIN_FORKED_ROWS = 50_000
 
@@ -430,7 +433,9 @@ def _train_ordered(grow, y, binned, config: BoostConfig, base: float, hist_fn) -
     (one stable argsort of the block ids), each block in the order its
     booster reads it. This process holds the schedule, the block histories
     of one chunk and, only while another chunk follows, each booster's
-    predictions on its own rows and on block j."""
+    predictions on its own rows and on block j; it hands those to the next
+    booster wave through the wave's job alone, so once the wave's workers
+    have forked it frees them."""
     n, n_trees = len(y), config.n_trees
     n_blocks, lr = config.ordered_blocks, config.learning_rate
     schedule = strategies.ordered_schedule(
@@ -440,10 +445,11 @@ def _train_ordered(grow, y, binned, config: BoostConfig, base: float, hist_fn) -
     # the only other rows that read it (through ordered_gradients)
     boosters = [(p, j) for p in range(len(schedule.block_of)) for j in range(1, n_blocks)]
     # each booster's predictions on its own rows and on block j, carried from
-    # one chunk to the next; the first chunk starts every booster at base
-    carried = None
+    # one chunk to the next (None: the first chunk starts every booster at
+    # base); popped into the next booster wave's job, which alone holds them
+    handed = [None]
 
-    def run_booster(i: int, rounds: int, hand_back: bool):
+    def run_booster(i: int, carried, rounds: int, hand_back: bool):
         """Booster i's block predictions, (rounds + 1, |block j|): row 0 the
         carried ones, then one row after each of its next rounds; and its
         predictions on its own rows after them when hand_back is set (another
@@ -499,10 +505,10 @@ def _train_ordered(grow, y, binned, config: BoostConfig, base: float, hist_fn) -
         rounds = k - 1 if start == 0 else k  # from round max(start - 1, 0) to start + k - 1
         more = start + k < n_trees  # another chunk reads what the boosters carry
         results = forkpool.run_jobs(
-            functools.partial(run_booster, rounds=rounds, hand_back=more), sizes,
-            inline=_ordered_inline(rounds * len(boosters), rounds * sum(sizes)))
+            functools.partial(run_booster, carried=handed.pop(), rounds=rounds, hand_back=more),
+            sizes, inline=_ordered_inline(rounds * len(boosters), rounds * sum(sizes)))
         if more:
-            carried = [(preds, history[-1].copy()) for history, preds in results]
+            handed.append([(preds, history[-1].copy()) for history, preds in results])
         trees += forkpool.run_jobs(
             functools.partial(grow_main_tree, results=results, k=k), [n] * k,
             inline=_ordered_inline(k, k * n))

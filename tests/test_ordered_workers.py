@@ -231,14 +231,8 @@ def test_boosters_hand_back_own_row_predictions_only_when_another_chunk_reads_th
         assert [size for _, size in chunk] == [0] * len(chunk)
 
 
-def test_forked_run_holds_block_histories_and_few_row_arrays_here(cpus):
-    # two chunks of 4 main trees, every wave forked: while they run, this
-    # process holds one chunk's block histories, under ordered_blocks x n
-    # floats per permutation, and a few n-sized arrays (the schedule, the
-    # boosters' carried predictions, one result in transit), but no
-    # per-booster row indices or starting predictions and no float matrix
-    ds, cfg = big_table(), big_config()
-    cpus(PARALLEL_CPUS)
+def forked_peak(ds, cfg) -> int:
+    """The bytes a train(ds, cfg) call's traced peak holds over its start."""
     train(ds, cfg)  # loads the pool modules before anything is traced
     features = prepare_features(ds, cfg)
     tracemalloc.start()
@@ -249,9 +243,36 @@ def test_forked_run_holds_block_histories_and_few_row_arrays_here(cpus):
     finally:
         tracemalloc.stop()
     assert_no_child_left()
+    return peak
+
+
+def test_forked_run_holds_block_histories_and_few_row_arrays_here(cpus):
+    # two chunks of 4 main trees, every wave forked: while they run, this
+    # process holds one chunk's block histories, under ordered_blocks x n
+    # floats per permutation, and a few n-sized arrays (the schedule, the
+    # boosters' carried predictions, one result in transit), but no
+    # per-booster row indices or starting predictions and no float matrix
+    ds, cfg = big_table(), big_config()
+    cpus(PARALLEL_CPUS)
     floats = 8 * ds.n_rows
     histories = cfg.ordered_blocks * cfg.ordered_permutations * floats
-    assert peak < histories + 8 * floats
+    assert forked_peak(ds, cfg) < histories + 8 * floats
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "Python 3.10 keeps a call's arguments on the caller's stack until it returns, so "
+    "this process still holds the booster wave's job and the predictions it carries"))
+def test_forked_middle_chunk_holds_no_second_copy_of_the_carried_predictions(cpus):
+    # three chunks of 4 main trees, every wave forked: the middle booster
+    # wave's carried predictions travel in its job alone, which run_jobs
+    # drops once the workers have forked, so its results come back while
+    # this process holds no copy of what they replace, and the run stays
+    # under the two-chunk bound above
+    ds, cfg = big_table(), big_config(n_trees=12)
+    cpus(PARALLEL_CPUS)
+    floats = 8 * ds.n_rows
+    histories = cfg.ordered_blocks * cfg.ordered_permutations * floats
+    assert forked_peak(ds, cfg) < histories + 8 * floats
 
 
 def test_forked_run_grows_no_tree_in_this_process(cpus, fit_pids):

@@ -2,7 +2,6 @@
 same first error and no process left behind as when they run one by one in
 this process."""
 
-import concurrent.futures
 import json
 import os
 import subprocess
@@ -94,12 +93,12 @@ def test_serial_and_parallel_reports_are_identical(tmp_path, cpus, analysis_pids
 
 def test_longest_analyses_are_submitted_first(tmp_path, cpus, monkeypatch):
     submitted = []
-    submit = concurrent.futures.ProcessPoolExecutor.submit
+    send_job = forkpool._send_job
 
-    def recording(self, fn, *args, **kwargs):
-        submitted.append(args[0])  # the job number _run_job is called with
-        return submit(self, fn, *args, **kwargs)
-    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", recording)
+    def recording(worker, i):
+        submitted.append(i)  # the job number handed to a worker
+        return send_job(worker, i)
+    monkeypatch.setattr(forkpool, "_send_job", recording)
     cpus(2)
     csv_path = write_mexican_csv(tmp_path / "mex.csv", n=60, seed=1)
     recipe = load_recipe(BENCH_RECIPE)
